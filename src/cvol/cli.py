@@ -154,7 +154,7 @@ def cmd_homology(args) -> int:
     groups = homology_of_j(jc)
     report = {
         "homology": {f"H{k}": str(groups[k]) for k in (5, 4, 3, 2, 1)},
-        "h1_mod2_rank": h1_mod2(tri),
+        "h1_mod2_rank": h1_mod2(jc),
     }
     _emit(report, args.format)
     return 0

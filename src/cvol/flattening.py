@@ -30,11 +30,10 @@ from .errors import InconsistentSystemError, NonIntegralError
 from .geometry import EDGE_OF_SLOT6, EDGE_SLOT, flatten
 from .intlinalg import (
     AbelianGroup,
-    IntegerSolution,
     gf2_rank,
     matmul,
-    rank,
     reduce_mod_lattice,
+    smith_invariant_factors,
     solve_integer_system,
 )
 from .params import ExtendedParam
@@ -174,41 +173,34 @@ def integral_defect(
 
 
 def homology_of_j(jc: JComplex) -> dict[int, AbelianGroup]:
-    """Homology at the five spots (keys 5..1) via Smith normal form."""
+    """Homology at the five spots (keys 5..1) via Smith normal form.
+
+    Each map goes through the Smith form once: its rank is the number of
+    invariant factors, which also present the homology where it comes in.
+    """
     nv = len(jc.vertices)
     ne = len(jc.edges)
-    nj = jc.j_rank
-    zero_in: list[list[int]] = []
-    spots = {
-        5: (nv, jc.alpha, zero_in),
-        4: (ne, jc.beta, jc.alpha),
-        3: (nj, jc.beta_star, jc.beta),
-        2: (ne, jc.alpha_star, jc.beta_star),
-        1: (nv, [], jc.alpha_star),
+    alpha = smith_invariant_factors(jc.alpha)
+    beta = smith_invariant_factors(jc.beta)
+    beta_star = smith_invariant_factors(jc.beta_star)
+    alpha_star = smith_invariant_factors(jc.alpha_star)
+    return {
+        5: AbelianGroup(nv - len(alpha)),
+        4: AbelianGroup.from_factors(ne - len(beta), alpha),
+        3: AbelianGroup.from_factors(jc.j_rank - len(beta_star), beta),
+        2: AbelianGroup.from_factors(ne - len(alpha_star), beta_star),
+        1: AbelianGroup.from_factors(nv, alpha_star),
     }
-    out = {}
-    for spot, (dim, outgoing, incoming) in spots.items():
-        nullity = dim - (rank(outgoing) if outgoing else 0)
-        out[spot] = AbelianGroup.from_presentation(nullity, incoming)
-    return out
 
 
-def h1_mod2(tri: Triangulation) -> int:
+def h1_mod2(jc: JComplex) -> int:
     """dim_{Z/2} H_1(K; Z/2) computed from the simplicial chain complex of
-    the glued complex (vertex, edge and face classes)."""
-    edges = edge_classes(tri)
-    vertices = vertex_classes(tri)
-    faces = face_classes(tri)
-    edge_of = _edge_class_lookup(edges)
-    vertex_of = _vertex_class_lookup(vertices)
+    the glued complex (vertex, edge and face classes).  The boundary of an
+    edge is its pair of endpoints, so d_1 is ``alpha_star``."""
+    faces = face_classes(jc.tri)
+    edge_of = _edge_class_lookup(jc.edges)
 
-    d1 = [[0] * len(edges) for _ in range(len(vertices))]
-    for e in edges:
-        tet, (a, b), _ = e.incidences[0]
-        d1[vertex_of[(tet, a)]][e.index] += 1
-        d1[vertex_of[(tet, b)]][e.index] += 1
-
-    d2 = [[0] * len(faces) for _ in range(len(edges))]
+    d2 = [[0] * len(faces) for _ in range(len(jc.edges))]
     for col, ((tet, f), _other) in enumerate(faces):
         verts = [v for v in range(4) if v != f]
         for i in range(3):
@@ -216,9 +208,9 @@ def h1_mod2(tri: Triangulation) -> int:
                 pair = (verts[i], verts[j])
                 d2[edge_of[(tet, pair)]][col] += 1
 
-    rank_d1 = gf2_rank(d1) if vertices else 0
+    rank_d1 = gf2_rank(jc.alpha_star) if jc.vertices else 0
     rank_d2 = gf2_rank(d2) if faces else 0
-    return len(edges) - rank_d1 - rank_d2
+    return len(jc.edges) - rank_d1 - rank_d2
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +226,7 @@ def _slot_constant(z: complex, slot: int) -> complex:
     return (lz, -l1mz, l1mz - lz)[slot]
 
 
-def _slot_parity_const(z: complex, slot: int) -> int:
+def _slot_parity_const(slot: int) -> int:
     # parity parameter of slot w2 is p + q + 1 (the shifted branch of z'')
     return 1 if slot == 2 else 0
 
@@ -318,7 +310,7 @@ def _build_system(
             const += weight * _slot_constant(shapes[tet], slot)
             parity_row[2 * tet] += abs(cp)
             parity_row[2 * tet + 1] += abs(cq)
-            parity_const += _slot_parity_const(shapes[tet], slot)
+            parity_const += _slot_parity_const(slot)
         rows.append(row)
         rhs.append(-integral_target(const, f"cusp path {k}"))
         parity_row[2 * n + k] = 2
@@ -388,14 +380,14 @@ def solve_flattenings(
             "data is invalid"
         )
     x = reduce_mod_lattice(solution.particular, solution.kernel)
-    return _assignment_from_vector(tri, shapes, x, solution, tol)
+    return _assignment_from_vector(tri, shapes, x, solution.kernel, tol)
 
 
 def _assignment_from_vector(
     tri: Triangulation,
     shapes: list[complex],
     x: list[int],
-    solution: IntegerSolution,
+    kernel: list[list[int]],
     tol: float,
 ) -> FlatteningAssignment:
     n = tri.num_tetrahedra
@@ -422,7 +414,7 @@ def _assignment_from_vector(
             total += rot * signs[tet] * flats[tet].component(slot)
             cp, cq = SLOT_PQ_COEFF[slot]
             parity += cp * x[2 * tet] + cq * x[2 * tet + 1]
-            parity += _slot_parity_const(shapes[tet], slot)
+            parity += _slot_parity_const(slot)
         path_residuals.append(total)
         path_parities.append(parity % 2)
 
@@ -436,8 +428,8 @@ def _assignment_from_vector(
         path_parities=path_parities,
         defect=defect,
         edge_flattened_only=not tri.cusp_paths,
-        kernel=_prune_kernel(tri, signs, solution.kernel),
-        raw_kernel=[list(v) for v in solution.kernel],
+        kernel=_prune_kernel(tri, signs, kernel),
+        raw_kernel=[list(v) for v in kernel],
     )
 
 
@@ -456,8 +448,7 @@ def alternate_assignment(
     x = x + [0] * (len(base.kernel[0]) - len(x) if base.kernel else 0)
     for c, vec in zip(kernel_coeffs, base.kernel):
         x = [a + c * b for a, b in zip(x, vec)]
-    dummy = IntegerSolution(x, base.kernel)
-    return _assignment_from_vector(tri, shapes, x, dummy, tol)
+    return _assignment_from_vector(tri, shapes, x, base.kernel, tol)
 
 
 def fundamental_element(
@@ -529,7 +520,7 @@ def cycle_relation_check(
         flat = flatten(param)
         total += s.sign * flat.component(s.edge_slot)
         cp, cq = SLOT_PQ_COEFF[s.edge_slot]
-        parity += cp * s.p + cq * s.q + _slot_parity_const(s.shape, s.edge_slot)
+        parity += cp * s.p + cq * s.q + _slot_parity_const(s.edge_slot)
     if abs(total) > tol:
         raise NonIntegralError(
             f"signed log-parameter sum around the edge is {total!r}, not 0"

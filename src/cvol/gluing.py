@@ -12,6 +12,9 @@ a, b, c, so an equation is described by an integer exponent row per
 tetrahedron plus a constant target.  Newton iteration runs in the shape
 variables with a least-squares step (the edge equations alone are always
 one short of full rank) and simple step halving.
+
+numpy is imported inside the functions that use it, so that importing the
+package (and the commands without Newton) does not pay for it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConvergenceError, DegenerateGeometryError
 from .geometry import EDGE_SLOT
@@ -51,11 +52,15 @@ class GluingSystem:
         return len(self.cusp_rows) == 0
 
     def rows(self) -> np.ndarray:
+        import numpy as np
+
         if len(self.cusp_rows):
             return np.concatenate([self.edge_rows, self.cusp_rows])
         return self.edge_rows
 
     def targets(self) -> np.ndarray:
+        import numpy as np
+
         t = [TWO_PI_I] * len(self.edge_rows) + [0j] * len(self.cusp_rows)
         return np.array(t, dtype=complex)
 
@@ -65,12 +70,16 @@ class GluingSystem:
         return rows @ logs - self.targets()
 
     def jacobian(self, shapes: list[complex]) -> np.ndarray:
+        import numpy as np
+
         derivs = _slot_log_derivatives(shapes)
         rows = self.rows()
         return np.einsum("ets,ts->et", rows, derivs)
 
 
 def _slot_logs(shapes: list[complex]) -> np.ndarray:
+    import numpy as np
+
     out = []
     for z in shapes:
         lz = cmath.log(z)
@@ -80,6 +89,8 @@ def _slot_logs(shapes: list[complex]) -> np.ndarray:
 
 
 def _slot_log_derivatives(shapes: list[complex]) -> np.ndarray:
+    import numpy as np
+
     out = []
     for z in shapes:
         dz = 1.0 / z
@@ -90,6 +101,8 @@ def _slot_log_derivatives(shapes: list[complex]) -> np.ndarray:
 
 def gluing_equations(tri: Triangulation) -> GluingSystem:
     """Exponent matrices of the edge and cusp-path equations."""
+    import numpy as np
+
     n = tri.num_tetrahedra
     edges = edge_classes(tri)
     edge_rows = np.zeros((len(edges), n, 3), dtype=int)
@@ -134,6 +147,8 @@ def solve_shapes(
     least-squares Newton step; a simple halving line search keeps the
     residual monotone.  Iterates that flatten a simplex abort.
     """
+    import numpy as np
+
     system = gluing_equations(tri)
     n = tri.num_tetrahedra
     if initial is None:

@@ -4,10 +4,17 @@ Matrices are lists of lists of Python ints, so intermediate entries can grow
 without overflow.  Provides Hermite normal form with transform, solution of
 A x = b over Z with kernel basis, Smith normal form invariant factors, and a
 small descriptor type for finitely generated abelian groups.
+
+The Smith form works in two steps, because the matrices of a triangulation
+are very sparse and almost all their pivots are units.  A sparse pass
+eliminates +-1 pivots in Markowitz order on dict rows; only the small dense
+core that is left goes through classic diagonalization.  Both steps are
+exact: no modular or floating-point shortcut is taken.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 
@@ -160,10 +167,104 @@ def reduce_mod_lattice(x: list[int], basis: list[list[int]]) -> list[int]:
 def smith_invariant_factors(m: list[list[int]]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
+    First a sparse pass: while the matrix has a +-1 entry, take one of
+    least Markowitz cost (row_nnz - 1) * (col_nnz - 1), clear its column
+    with row operations and drop its row and column.  Elimination on a unit
+    pivot is unimodular, so SNF(M) = [1] + SNF(Schur complement): each such
+    pivot contributes one factor 1.  The dense core left over, which has no
+    unit entry, is diagonalized by ``_dense_smith_factors``.
+    """
+    core, units = _eliminate_unit_pivots(m)
+    return [1] * units + _dense_smith_factors(core)
+
+
+def _eliminate_unit_pivots(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Markowitz-ordered elimination of +-1 pivots on sparse rows.
+
+    Rows are ``{col: value}`` dicts with a column -> rows index.  A heap
+    holds, for every unit entry, an item keyed by its current cost; items
+    go stale when a row or column count changes and are then pushed again,
+    so the popped item whose key is still current is a least-cost pivot.
+    Returns the dense Schur complement (rows and columns with a nonzero
+    entry only) and the number of unit pivots taken.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(m):
+        entries = {j: int(v) for j, v in enumerate(row) if v}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+
+    heap: list[tuple[int, int, int]] = []
+
+    def push_row(i: int) -> None:
+        row = rows[i]
+        r = len(row) - 1
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                heapq.heappush(heap, (r * (len(cols[j]) - 1), i, j))
+
+    def push_col(j: int) -> None:
+        c = len(cols[j]) - 1
+        for i in cols[j]:
+            v = rows[i][j]
+            if v == 1 or v == -1:
+                heapq.heappush(heap, ((len(rows[i]) - 1) * c, i, j))
+
+    for i in rows:
+        push_row(i)
+    units = 0
+    while heap:
+        cost, p, q = heapq.heappop(heap)
+        pivot_row = rows.get(p)
+        if pivot_row is None:
+            continue
+        v = pivot_row.get(q)
+        if (v != 1 and v != -1) or cost != (len(pivot_row) - 1) * (
+            len(cols[q]) - 1
+        ):
+            continue  # stale item
+        units += 1
+        del rows[p]
+        for j in pivot_row:
+            cols[j].discard(p)
+        others = cols.pop(q)
+        rest = [(j, x) for j, x in pivot_row.items() if j != q]
+        for i in others:
+            row = rows[i]
+            f = row.pop(q) * v  # a_iq / a_pq, as a_pq = +-1
+            for j, x in rest:
+                new = row.get(j, 0) - f * x
+                if new:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = new
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if row:
+                push_row(i)
+            else:
+                del rows[i]
+        for j, _ in rest:
+            if cols[j]:
+                push_col(j)
+            else:
+                del cols[j]
+
+    live = sorted(cols)
+    core = [[row.get(j, 0) for j in live] for row in rows.values()]
+    return core, units
+
+
+def _dense_smith_factors(a: list[list[int]]) -> list[int]:
+    """Smith invariant factors of a dense matrix, modified in place.
+
     Classic diagonalization with a minimal pivot re-selected after every
     Euclidean round, which keeps the entries from blowing up.
     """
-    a = _copy(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     factors: list[int] = []
@@ -255,6 +356,13 @@ class AbelianGroup:
         """Group ker/im for a chain spot: ambient_nullity = dim ker of the
         outgoing map, relations = matrix of the incoming map."""
         factors = smith_invariant_factors(relations) if relations else []
+        return cls.from_factors(ambient_nullity, factors)
+
+    @classmethod
+    def from_factors(
+        cls, ambient_nullity: int, factors: list[int]
+    ) -> "AbelianGroup":
+        """Group ker/im from the invariant factors of the incoming map."""
         torsion = tuple(sorted(f for f in factors if f > 1))
         return cls(ambient_nullity - len(factors), torsion)
 

@@ -214,10 +214,10 @@ def test_criterion_6_section_six_structure(fig8, fig8_shapes):
     assert groups[1] == AbelianGroup(0, (2,))
     h2 = groups[2]
     assert h2.free_rank == 0 and all(d == 2 for d in h2.torsion)
-    assert len(h2.torsion) == h1_mod2(fig8)
+    assert len(h2.torsion) == h1_mod2(jc)
     report("criterion 6",
            f"composites zero, defect {defect}, H5=0 H4=Z/2 H1=Z/2, "
-           f"H2 rank {len(h2.torsion)} = H1(K;Z/2) rank {h1_mod2(fig8)}")
+           f"H2 rank {len(h2.torsion)} = H1(K;Z/2) rank {h1_mod2(jc)}")
 
 
 def test_criterion_7_invariance(fig8, fig8_doc, fig8_shapes):

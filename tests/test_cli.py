@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -133,6 +135,18 @@ class TestOtherCommands:
             capture_output=True, text=True,
         )
         assert result.returncode == 0
+
+    def test_import_does_not_load_numpy(self):
+        # numpy is needed by Newton only; the other commands skip its import
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cvol.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestTextFormat:

@@ -1,7 +1,9 @@
 """J-complex structure, flattening solver, homology, cycle relation."""
 
 import cmath
+import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -26,10 +28,12 @@ from cvol.flattening import (
 from cvol.intlinalg import AbelianGroup, matmul
 from cvol.params import ExtendedParam
 from cvol.polylog import PI_SQUARED, bloch_wigner, reduce_mod
+from cvol.triangulation import parse_triangulation
 from cvol.verify import random_ft_plus
 
 PI = math.pi
 REGULAR = cmath.exp(1j * PI / 3)
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 class TestJComplex:
@@ -111,12 +115,36 @@ class TestHomology:
         assert groups[1] == AbelianGroup(0, (2,))
 
     def test_h2_matches_h1_mod2(self, fig8):
-        groups = homology_of_j(build_j_complex(fig8))
+        jc = build_j_complex(fig8)
+        groups = homology_of_j(jc)
         h2 = groups[2]
-        rank_mod2 = h1_mod2(fig8)
+        rank_mod2 = h1_mod2(jc)
         assert h2.free_rank == 0
         assert all(d == 2 for d in h2.torsion)
         assert len(h2.torsion) == rank_mod2
+
+
+class TestHomologyOfCovers:
+    """Cyclic covers of fig8; the 3-fold one has 2-torsion that the unit
+    pivots of the Smith form must not swallow."""
+
+    @pytest.mark.parametrize(
+        "name, expected, rank_mod2",
+        [
+            ("fig8_cover3.json",
+             {5: "0", 4: "Z/2", 3: "Z + Z + Z/2 + Z/2", 2: "Z/2 + Z/2",
+              1: "Z/2"}, 2),
+            ("fig8_cover8.json",
+             {5: "0", 4: "Z/2", 3: "Z + Z", 2: "0", 1: "Z/2"}, 0),
+        ],
+    )
+    def test_groups(self, name, expected, rank_mod2):
+        doc = json.loads((FIXTURES / name).read_text())
+        jc = build_j_complex(parse_triangulation(doc))
+        groups = homology_of_j(jc)
+        assert {k: str(g) for k, g in groups.items()} == expected
+        assert h1_mod2(jc) == rank_mod2
+        assert len(groups[2].torsion) == rank_mod2
 
 
 class TestSolveFlattenings:

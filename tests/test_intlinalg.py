@@ -4,6 +4,7 @@ import random
 
 from cvol.intlinalg import (
     AbelianGroup,
+    _dense_smith_factors,
     gf2_rank,
     lattice_equal,
     matmul,
@@ -115,6 +116,48 @@ class TestSmith:
         assert smith_invariant_factors([[2, 0], [0, 2]]) == [2, 2]
         # Z^2 / <(1, 1), (1, -1)> = Z/2 presented with a unit factor
         assert smith_invariant_factors([[1, 1], [1, -1]]) == [1, 2]
+
+
+def random_sparse_matrix(rng, rows, cols):
+    """Mostly +-1 entries, some +-2 / +-3, and some zero rows and columns."""
+    m = [[0] * cols for _ in range(rows)]
+    dead_rows = {i for i in range(rows) if rng.random() < 0.15}
+    dead_cols = {j for j in range(cols) if rng.random() < 0.15}
+    for i in range(rows):
+        for j in range(cols):
+            if i in dead_rows or j in dead_cols or rng.random() > 0.3:
+                continue
+            m[i][j] = rng.choice((1, -1, 1, -1, 1, -1, 2, -2, 3, -3))
+    return m
+
+
+class TestSparseSmith:
+    def test_matches_dense_oracle(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            m = random_sparse_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+            factors = smith_invariant_factors(m)
+            assert factors == _dense_smith_factors([list(r) for r in m])
+            for a, b in zip(factors, factors[1:]):
+                assert b % a == 0
+
+    def test_empty_shapes(self):
+        assert smith_invariant_factors([]) == []
+        for n in (1, 3):
+            assert smith_invariant_factors([[] for _ in range(n)]) == []
+            assert smith_invariant_factors([[0] * n]) == []
+
+    def test_input_unchanged(self):
+        m = [[1, 2, 0], [1, 0, 2], [0, 1, 1]]
+        smith_invariant_factors(m)
+        assert m == [[1, 2, 0], [1, 0, 2], [0, 1, 1]]
+
+    def test_units_keep_torsion(self):
+        # Z^3 / <(1, 1, 0), (1, -1, 0), (0, 0, 2)>: the unit pivots leave
+        # a core whose factors are the two 2s
+        assert smith_invariant_factors(
+            [[1, 1, 0], [1, -1, 0], [0, 0, 2]]
+        ) == [1, 2, 2]
 
 
 class TestGF2:
