@@ -69,6 +69,7 @@ from .polylog import (
     rogers,
 )
 from .triangulation import (
+    Combinatorics,
     EdgeClass,
     NormalPath,
     PathStep,

@@ -27,12 +27,10 @@ from .flattening import (
     complex_volume,
     homology_of_j,
     h1_mod2,
-    integral_defect,
-    omega,
     solve_flattenings,
 )
 from .gluing import solve_shapes
-from .triangulation import edge_classes, parse_triangulation
+from .triangulation import parse_triangulation
 from .verify import run_all
 
 
@@ -55,12 +53,8 @@ def _emit(report: dict, fmt: str) -> None:
         print(f"{key}: {value}")
 
 
-def _pipeline(args) -> dict:
-    if args.mode != "ep":
-        raise CVolError(
-            "even-index (eep) triangulation pipeline not implemented; "
-            "use --mode ep"
-        )
+def _solve(args):
+    """Parse, solve the shapes, then the flattenings."""
     tri = _stage("parse", _load, args.file)
     solution = _stage(
         "solve_shapes", solve_shapes, tri, None, args.tolerance_newton,
@@ -70,6 +64,11 @@ def _pipeline(args) -> dict:
         "solve_flattenings", solve_flattenings, tri, solution.shapes,
         args.tolerance,
     )
+    return tri, solution, assignment
+
+
+def _pipeline(args) -> dict:
+    tri, solution, assignment = _solve(args)
     vol, cs = complex_volume(tri, solution.shapes, assignment)
     warnings = []
     if not solution.geometric:
@@ -93,7 +92,7 @@ def _pipeline(args) -> dict:
             "path_parities": assignment.path_parities,
             "defect_even": all(d % 2 == 0 for d in assignment.defect),
         },
-        "mode": args.mode,
+        "mode": "ep",
         "warnings": warnings,
     }
     return report
@@ -162,7 +161,6 @@ def cmd_homology(args) -> int:
 
 def cmd_edges(args) -> int:
     tri = _stage("parse", _load, args.file)
-    classes = edge_classes(tri)
     report = {
         "edge_classes": [
             {
@@ -173,7 +171,7 @@ def cmd_edges(args) -> int:
                     for t, pair, o in e.incidences
                 ],
             }
-            for e in classes
+            for e in tri.combinatorics.edges
         ],
     }
     _emit(report, args.format)
@@ -181,24 +179,14 @@ def cmd_edges(args) -> int:
 
 
 def cmd_flatten(args) -> int:
-    tri = _stage("parse", _load, args.file)
-    solution = _stage(
-        "solve_shapes", solve_shapes, tri, None, args.tolerance_newton,
-        args.max_iter,
-    )
-    assignment = _stage(
-        "solve_flattenings", solve_flattenings, tri, solution.shapes,
-        args.tolerance,
-    )
-    jc = build_j_complex(tri)
-    defect = integral_defect(jc, omega(tri, solution.shapes), args.tolerance)
+    _, _, assignment = _solve(args)
     report = {
         "flattenings": [list(pq) for pq in assignment.pq()],
         "orientation_signs": assignment.signs,
         "edge_residuals": [abs(r) for r in assignment.edge_residuals],
         "path_residuals": [abs(r) for r in assignment.path_residuals],
         "path_parities": assignment.path_parities,
-        "defect": defect,
+        "defect": assignment.defect,
         "edge_flattened_only": assignment.edge_flattened_only,
         "kernel": assignment.kernel,
     }
@@ -218,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tolerance-newton", type=float, default=1e-12,
                         help="Newton residual target")
     parser.add_argument("--max-iter", type=int, default=100)
-    parser.add_argument("--mode", choices=("ep", "eep"), default="ep")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

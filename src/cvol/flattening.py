@@ -15,19 +15,22 @@ of the gluing equations (1/pi i) beta*(omega) is an even integer vector.
 ``solve_flattenings`` finds integer branch indices (p_i, q_i) such that
 every edge class has zero signed log-parameter sum and every supplied cusp
 path has zero log-parameter and zero parity, by solving one combined
-integer linear system in Hermite normal form.  The resulting fundamental
-element sum_i eps_i [z_i, p_i, q_i] evaluates under the lifted Rogers sum
-to i(vol + i cs) modulo pi^2.
+integer linear system in Hermite normal form.  Each condition is a list of
+(tet, slot, weight) terms (see ``cvol.triangulation``) that ``pass_rows``
+turns into integer rows.  The resulting fundamental element
+sum_i eps_i [z_i, p_i, q_i] evaluates under the lifted Rogers sum to
+i(vol + i cs) modulo pi^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from typing import NamedTuple
 
 from .bloch import EBElement, nu_symbolic, r_of_element
 from .errors import InconsistentSystemError, NonIntegralError
-from .geometry import EDGE_OF_SLOT6, EDGE_SLOT, flatten
+from .geometry import EDGE_OF_SLOT6, flatten
 from .intlinalg import (
     AbelianGroup,
     gf2_rank,
@@ -40,13 +43,9 @@ from .params import ExtendedParam
 from .polylog import PI_SQUARED, principal_log, reduce_mod
 from .triangulation import (
     EdgeClass,
-    NormalPath,
+    Term,
     Triangulation,
-    edge_classes,
-    face_classes,
-    orientation_signs,
-    path_passes,
-    vertex_classes,
+    path_terms,
     vertex_link_cycles,
 )
 
@@ -71,28 +70,11 @@ class JComplex:
         return 2 * self.tri.num_tetrahedra
 
 
-def _edge_class_lookup(edges: list[EdgeClass]) -> dict[tuple[int, tuple[int, int]], int]:
-    lookup = {}
-    for e in edges:
-        for tet, pair, _ in e.incidences:
-            lookup[(tet, pair)] = e.index
-    return lookup
-
-
-def _vertex_class_lookup(vertices: list[list[tuple[int, int]]]) -> dict:
-    lookup = {}
-    for idx, orbit in enumerate(vertices):
-        for slot in orbit:
-            lookup[slot] = idx
-    return lookup
-
-
 def build_j_complex(tri: Triangulation) -> JComplex:
     """Assemble alpha, beta, beta* and alpha* as exact integer matrices."""
-    edges = edge_classes(tri)
-    vertices = vertex_classes(tri)
-    edge_of = _edge_class_lookup(edges)
-    vertex_of = _vertex_class_lookup(vertices)
+    comb = tri.combinatorics
+    edges, vertices = comb.edges, comb.vertices
+    edge_of, vertex_of = comb.edge_of, comb.vertex_of
     ne, nv, nt = len(edges), len(vertices), tri.num_tetrahedra
 
     def j_of(tet: int, slot: int) -> int:
@@ -150,26 +132,30 @@ def xi(flattening: Flattening) -> tuple[complex, complex]:
     return (flattening.w1, -flattening.w0)
 
 
+def _pi_i_multiple(value: complex, tol: float, what: str) -> int:
+    """The integer n with value = n pi i, to within ``tol``."""
+    ratio = value / (1j * math.pi)
+    nearest = round(ratio.real)
+    if abs(ratio - nearest) > tol:
+        raise NonIntegralError(
+            f"{what} is {value!r}, not an integer multiple of pi i; shapes "
+            "do not satisfy the gluing equations"
+        )
+    return nearest
+
+
 def integral_defect(
     jc: JComplex, omega_vec: list[complex], tol: float = 1e-9
 ) -> list[int]:
     """c = (1/pi i) beta*(omega): integral exactly when the shapes satisfy
     the gluing equations, and then even at every edge."""
-    image = [
-        sum(c * w for c, w in zip(row, omega_vec)) for row in jc.beta_star
+    return [
+        _pi_i_multiple(
+            sum(c * w for c, w in zip(row, omega_vec)), tol,
+            f"beta*(omega) at edge {k}",
+        )
+        for k, row in enumerate(jc.beta_star)
     ]
-    out = []
-    for edge, value in zip(jc.edges, image):
-        ratio = value / (1j * math.pi)
-        nearest = round(ratio.real)
-        if abs(ratio - nearest) > tol:
-            raise NonIntegralError(
-                f"beta*(omega) at edge {edge.index} is {value!r}, not an "
-                "integer multiple of pi i; shapes do not satisfy the gluing "
-                "equations"
-            )
-        out.append(nearest)
-    return out
 
 
 def homology_of_j(jc: JComplex) -> dict[int, AbelianGroup]:
@@ -197,8 +183,8 @@ def h1_mod2(jc: JComplex) -> int:
     """dim_{Z/2} H_1(K; Z/2) computed from the simplicial chain complex of
     the glued complex (vertex, edge and face classes).  The boundary of an
     edge is its pair of endpoints, so d_1 is ``alpha_star``."""
-    faces = face_classes(jc.tri)
-    edge_of = _edge_class_lookup(jc.edges)
+    faces = jc.tri.combinatorics.faces
+    edge_of = jc.tri.combinatorics.edge_of
 
     d2 = [[0] * len(faces) for _ in range(len(jc.edges))]
     for col, ((tet, f), _other) in enumerate(faces):
@@ -221,14 +207,47 @@ def h1_mod2(jc: JComplex) -> int:
 SLOT_PQ_COEFF = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}
 
 
-def _slot_constant(z: complex, slot: int) -> complex:
+def _slot_constants(z: complex) -> tuple[complex, complex, complex]:
+    """Principal-branch log-parameters (w0, w1, w2) of z at p = q = 0."""
     lz, l1mz = principal_log(z), principal_log(1 - z)
-    return (lz, -l1mz, l1mz - lz)[slot]
+    return (lz, -l1mz, l1mz - lz)
 
 
-def _slot_parity_const(slot: int) -> int:
-    # parity parameter of slot w2 is p + q + 1 (the shifted branch of z'')
-    return 1 if slot == 2 else 0
+class PassRows(NamedTuple):
+    """A condition sum weight * w_slot(tet) over (tet, slot, weight) terms,
+    on the unknowns (p_0, q_0, p_1, q_1, ...)."""
+
+    pq: list[int]        # pi*i coefficients of the condition
+    parity: list[int]    # branch indices whose sum is the condition's parity
+    parity_const: int    # one per w2 pass: its parity parameter is p + q + 1
+    value: complex       # sum of weight * values[tet][slot], in term order
+
+
+def pass_rows(
+    terms: list[Term],
+    width: int,
+    values: list[tuple[complex, complex, complex]] | None = None,
+) -> PassRows:
+    """Integer rows of a condition and, given per-tetrahedron slot values
+    (log constants or flattening components), its value."""
+    pq = [0] * width
+    parity = [0] * width
+    parity_const = 0
+    value = 0j
+    for tet, slot, weight in terms:
+        cp, cq = SLOT_PQ_COEFF[slot]
+        pq[2 * tet] += weight * cp
+        pq[2 * tet + 1] += weight * cq
+        parity[2 * tet] += abs(cp)
+        parity[2 * tet + 1] += abs(cq)
+        parity_const += slot == 2
+        if values is not None:
+            value += weight * values[tet][slot]
+    return PassRows(pq, parity, parity_const, value)
+
+
+def _parity(rows: PassRows, x: list[int]) -> int:
+    return (sum(a * b for a, b in zip(rows.parity, x)) + rows.parity_const) % 2
 
 
 @dataclass
@@ -265,75 +284,28 @@ def _build_system(
 ) -> tuple[list[list[int]], list[int], int]:
     """Integer rows for edge conditions, path log conditions and path parity
     conditions (the latter with an auxiliary doubled unknown each)."""
-    signs = orientation_signs(tri)
-    edges = edge_classes(tri)
     n = tri.num_tetrahedra
-    num_aux = len(tri.cusp_paths)
-    width = 2 * n + num_aux
+    width = 2 * n + len(tri.cusp_paths)
+    constants = [_slot_constants(z) for z in shapes]
     rows: list[list[int]] = []
     rhs: list[int] = []
-
-    def integral_target(value: complex, what: str) -> int:
-        ratio = value / (1j * math.pi)
-        nearest = round(ratio.real)
-        if abs(ratio - nearest) > tol:
-            raise NonIntegralError(
-                f"{what} constant {value!r} is not an integer multiple of "
-                "pi i; shapes do not satisfy the gluing equations"
-            )
-        return nearest
-
-    for edge in edges:
-        row = [0] * width
-        const = 0j
-        for tet, pair, _orient in edge.incidences:
-            slot = EDGE_SLOT[pair]
-            cp, cq = SLOT_PQ_COEFF[slot]
-            row[2 * tet] += signs[tet] * cp
-            row[2 * tet + 1] += signs[tet] * cq
-            const += signs[tet] * _slot_constant(shapes[tet], slot)
-        rows.append(row)
-        rhs.append(-integral_target(const, f"edge {edge.index}"))
+    for k, terms in enumerate(tri.combinatorics.edge_terms):
+        edge = pass_rows(terms, width, constants)
+        rows.append(edge.pq)
+        rhs.append(-_pi_i_multiple(edge.value, tol, f"edge {k} constant"))
 
     for k, path in enumerate(tri.cusp_paths):
-        passes = path_passes(tri, path)
-        row = [0] * width
-        const = 0j
-        parity_row = [0] * width
-        parity_const = 0
-        for tet, pair, rot in passes:
-            slot = EDGE_SLOT[pair]
-            cp, cq = SLOT_PQ_COEFF[slot]
-            weight = rot * signs[tet]
-            row[2 * tet] += weight * cp
-            row[2 * tet + 1] += weight * cq
-            const += weight * _slot_constant(shapes[tet], slot)
-            parity_row[2 * tet] += abs(cp)
-            parity_row[2 * tet + 1] += abs(cq)
-            parity_const += _slot_parity_const(slot)
-        rows.append(row)
-        rhs.append(-integral_target(const, f"cusp path {k}"))
-        parity_row[2 * n + k] = 2
-        rows.append(parity_row)
-        rhs.append(-parity_const)
+        cusp = pass_rows(path_terms(tri, path), width, constants)
+        rows.append(cusp.pq)
+        rhs.append(-_pi_i_multiple(cusp.value, tol, f"cusp path {k} constant"))
+        cusp.parity[2 * n + k] = 2
+        rows.append(cusp.parity)
+        rhs.append(-cusp.parity_const)
     return rows, rhs, width
 
 
-def _path_functional_row(
-    tri: Triangulation, signs: list[int], path: NormalPath, width: int
-) -> list[int]:
-    """Coefficients of the path's log-parameter sum on the (p, q) unknowns."""
-    row = [0] * width
-    for tet, pair, rot in path_passes(tri, path):
-        cp, cq = SLOT_PQ_COEFF[EDGE_SLOT[pair]]
-        weight = rot * signs[tet]
-        row[2 * tet] += weight * cp
-        row[2 * tet + 1] += weight * cq
-    return row
-
-
 def _prune_kernel(
-    tri: Triangulation, signs: list[int], kernel: list[list[int]]
+    tri: Triangulation, kernel: list[list[int]]
 ) -> list[list[int]]:
     """Sub-lattice of kernel vectors annihilating the log functionals of
     all vertex-link simple cycles (every closed vertex-link path decomposes
@@ -342,7 +314,7 @@ def _prune_kernel(
         return []
     width = len(kernel[0])
     rows = [
-        _path_functional_row(tri, signs, path, width)
+        pass_rows(path_terms(tri, path), width).pq
         for path in vertex_link_cycles(tri)
     ]
     if not rows:
@@ -380,7 +352,8 @@ def solve_flattenings(
             "data is invalid"
         )
     x = reduce_mod_lattice(solution.particular, solution.kernel)
-    return _assignment_from_vector(tri, shapes, x, solution.kernel, tol)
+    defect = integral_defect(build_j_complex(tri), omega(tri, shapes), tol)
+    return _assignment_from_vector(tri, shapes, x, solution.kernel, defect)
 
 
 def _assignment_from_vector(
@@ -388,47 +361,32 @@ def _assignment_from_vector(
     shapes: list[complex],
     x: list[int],
     kernel: list[list[int]],
-    tol: float,
+    defect: list[int],
 ) -> FlatteningAssignment:
+    comb = tri.combinatorics
     n = tri.num_tetrahedra
-    signs = orientation_signs(tri)
     params = [
         ExtendedParam(shapes[t], x[2 * t], x[2 * t + 1]) for t in range(n)
     ]
-    flats = [flatten(params[t]) for t in range(n)]
+    components = [astuple(flatten(param)) for param in params]
 
-    edge_residuals = []
-    for edge in edge_classes(tri):
-        total = 0j
-        for tet, pair, _ in edge.incidences:
-            total += signs[tet] * flats[tet].component(EDGE_SLOT[pair])
-        edge_residuals.append(total)
-
-    path_residuals = []
-    path_parities = []
-    for path in tri.cusp_paths:
-        total = 0j
-        parity = 0
-        for tet, pair, rot in path_passes(tri, path):
-            slot = EDGE_SLOT[pair]
-            total += rot * signs[tet] * flats[tet].component(slot)
-            cp, cq = SLOT_PQ_COEFF[slot]
-            parity += cp * x[2 * tet] + cq * x[2 * tet + 1]
-            parity += _slot_parity_const(slot)
-        path_residuals.append(total)
-        path_parities.append(parity % 2)
-
-    jc = build_j_complex(tri)
-    defect = integral_defect(jc, omega(tri, shapes), tol)
+    edge_residuals = [
+        pass_rows(terms, 2 * n, components).value
+        for terms in comb.edge_terms
+    ]
+    paths = [
+        pass_rows(path_terms(tri, path), 2 * n, components)
+        for path in tri.cusp_paths
+    ]
     return FlatteningAssignment(
         params=params,
-        signs=signs,
+        signs=comb.signs,
         edge_residuals=edge_residuals,
-        path_residuals=path_residuals,
-        path_parities=path_parities,
+        path_residuals=[path.value for path in paths],
+        path_parities=[_parity(path, x) for path in paths],
         defect=defect,
         edge_flattened_only=not tri.cusp_paths,
-        kernel=_prune_kernel(tri, signs, kernel),
+        kernel=_prune_kernel(tri, kernel),
         raw_kernel=[list(v) for v in kernel],
     )
 
@@ -438,17 +396,17 @@ def alternate_assignment(
     shapes: list[complex],
     base: FlatteningAssignment,
     kernel_coeffs: list[int],
-    tol: float = 1e-9,
 ) -> FlatteningAssignment:
     """Another particular solution: base + integer combination of kernel
-    vectors (used to exercise solver-choice invariance)."""
+    vectors (used to exercise solver-choice invariance).  The defect
+    depends on the shapes only, so it is the base's."""
     if len(kernel_coeffs) != len(base.kernel):
         raise ValueError("need one coefficient per kernel vector")
     x = [p for pair in base.pq() for p in pair]
     x = x + [0] * (len(base.kernel[0]) - len(x) if base.kernel else 0)
     for c, vec in zip(kernel_coeffs, base.kernel):
         x = [a + c * b for a, b in zip(x, vec)]
-    return _assignment_from_vector(tri, shapes, x, base.kernel, tol)
+    return _assignment_from_vector(tri, shapes, x, base.kernel, base.defect)
 
 
 def fundamental_element(
@@ -513,28 +471,26 @@ def cycle_relation_check(
     elements must have equal lifted-Rogers values modulo pi^2 and equal
     symbolic wedge images.
     """
-    total = 0j
-    parity = 0
-    for s in simplices:
-        param = ExtendedParam(s.shape, s.p, s.q)
-        flat = flatten(param)
-        total += s.sign * flat.component(s.edge_slot)
-        cp, cq = SLOT_PQ_COEFF[s.edge_slot]
-        parity += cp * s.p + cq * s.q + _slot_parity_const(s.edge_slot)
-    if abs(total) > tol:
+    params = [ExtendedParam(s.shape, s.p, s.q) for s in simplices]
+    edge = pass_rows(
+        [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)],
+        2 * len(simplices),
+        [astuple(flatten(param)) for param in params],
+    )
+    if abs(edge.value) > tol:
         raise NonIntegralError(
-            f"signed log-parameter sum around the edge is {total!r}, not 0"
+            f"signed log-parameter sum around the edge is {edge.value!r}, "
+            "not 0"
         )
-    if parity % 2:
+    if _parity(edge, [v for s in simplices for v in (s.p, s.q)]):
         raise NonIntegralError("parity sum around the edge is odd")
 
     original: dict[ExtendedParam, int] = {}
     primed: dict[ExtendedParam, int] = {}
-    for s in simplices:
+    for s, key in zip(simplices, params):
         dp = s.sign * ((s.top_slot == 0) - (s.bottom_slot == 0))
         dq = s.sign * ((s.top_slot == 1) - (s.bottom_slot == 1))
-        key = ExtendedParam(s.shape, s.p, s.q)
-        key2 = ExtendedParam(s.shape, s.p + dp, s.q + dq)
+        key2 = key.shifted(dp, dq)
         original[key] = original.get(key, 0) + s.sign
         primed[key2] = primed.get(key2, 0) + s.sign
     difference = EBElement(original) - EBElement(primed)

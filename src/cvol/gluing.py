@@ -3,15 +3,19 @@
 For shapes z_1..z_n (one per tetrahedron) the system requires, in
 logarithmic form with principal branches,
 
-* for every edge class:  sum over incidences of log(edge parameter) = 2 pi i
+* for every edge class:  sum over incidences of eps * log(edge parameter)
+                         = 2 pi i, eps the tetrahedron's orientation sign
 * for every cusp path:   signed sum of log(edge parameter at the passed
                          corner) = 0
 
 Each log term is a * log z + b * log z' + c * log z'' with integer exponents
 a, b, c, so an equation is described by an integer exponent row per
-tetrahedron plus a constant target.  Newton iteration runs in the shape
-variables with a least-squares step (the edge equations alone are always
-one short of full rank) and simple step halving.
+tetrahedron plus a constant target.  The rows come from the (tet, slot,
+weight) terms of ``cvol.triangulation``.  A negatively oriented tetrahedron
+(eps = -1) has its geometric shape in the lower half plane.  Newton
+iteration runs in the shape variables with a least-squares step (the edge
+equations alone are always one short of full rank) and simple step
+halving.
 
 numpy is imported inside the functions that use it, so that importing the
 package (and the commands without Newton) does not pay for it.
@@ -21,16 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegenerateGeometryError
-from .geometry import EDGE_SLOT
-from .triangulation import (
-    EdgeClass,
-    Triangulation,
-    edge_classes,
-    path_passes,
-)
+from .triangulation import Triangulation, path_terms
 
 TWO_PI_I = 2j * math.pi
 FLAT_IM_MARGIN = 1e-10
@@ -42,10 +40,8 @@ class GluingSystem:
     """Integer exponent rows (one (a, b, c) triple per tetrahedron and
     equation) with constant targets: 2 pi i for edges, 0 for cusp paths."""
 
-    num_tetrahedra: int
     edge_rows: np.ndarray          # (n_edges, n_tets, 3) int
     cusp_rows: np.ndarray          # (n_paths, n_tets, 3) int
-    edges: list[EdgeClass] = field(default_factory=list)
 
     @property
     def edge_flattened_only(self) -> bool:
@@ -103,17 +99,17 @@ def gluing_equations(tri: Triangulation) -> GluingSystem:
     """Exponent matrices of the edge and cusp-path equations."""
     import numpy as np
 
-    n = tri.num_tetrahedra
-    edges = edge_classes(tri)
-    edge_rows = np.zeros((len(edges), n, 3), dtype=int)
-    for row, edge in zip(edge_rows, edges):
-        for tet, pair, _orient in edge.incidences:
-            row[tet][EDGE_SLOT[pair]] += 1
-    cusp_rows = np.zeros((len(tri.cusp_paths), n, 3), dtype=int)
-    for row, path in zip(cusp_rows, tri.cusp_paths):
-        for tet, pair, sign in path_passes(tri, path):
-            row[tet][EDGE_SLOT[pair]] += sign
-    return GluingSystem(n, edge_rows, cusp_rows, edges)
+    def exponent_rows(conditions) -> np.ndarray:
+        rows = np.zeros((len(conditions), tri.num_tetrahedra, 3), dtype=int)
+        for row, terms in zip(rows, conditions):
+            for tet, slot, weight in terms:
+                row[tet][slot] += weight
+        return rows
+
+    return GluingSystem(
+        exponent_rows(tri.combinatorics.edge_terms),
+        exponent_rows([path_terms(tri, p) for p in tri.cusp_paths]),
+    )
 
 
 @dataclass
@@ -143,16 +139,21 @@ def solve_shapes(
     """Newton-solve the gluing equations.
 
     ``initial`` defaults to the triangulation's shape hints and then to
-    0.5 + 0.8i for every tetrahedron.  Overdetermined systems take a
-    least-squares Newton step; a simple halving line search keeps the
-    residual monotone.  Iterates that flatten a simplex abort.
+    0.5 + 0.8i for every tetrahedron (its conjugate where eps = -1).
+    Overdetermined systems take a least-squares Newton step; a simple
+    halving line search keeps the residual monotone.  Iterates that flatten
+    a simplex abort.  ``geometric`` means eps * Im z > 0 for every shape.
     """
     import numpy as np
 
     system = gluing_equations(tri)
+    signs = tri.combinatorics.signs
     n = tri.num_tetrahedra
     if initial is None:
-        initial = tri.shape_hints or [DEFAULT_INITIAL_SHAPE] * n
+        start = DEFAULT_INITIAL_SHAPE
+        initial = tri.shape_hints or [
+            start if eps > 0 else start.conjugate() for eps in signs
+        ]
     if len(initial) != n:
         raise ValueError(f"need {n} initial shapes, got {len(initial)}")
     shapes = [complex(z) for z in initial]
@@ -192,5 +193,5 @@ def solve_shapes(
             )
         shapes, res, best = trial, trial_res, norm(trial_res)
         iterations += 1
-    geometric = all(z.imag > 0 for z in shapes)
+    geometric = all(eps * z.imag > 0 for eps, z in zip(signs, shapes))
     return ShapeSolution(shapes, best, iterations, geometric)

@@ -17,6 +17,7 @@ hyperbolic volumes throughout the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +32,11 @@ TWO_PI_SQUARED = 2.0 * math.pi * math.pi
 _SERIES_MAX_TERMS = 500
 
 
-def _bernoulli_floats(n: int) -> list[float]:
-    """First n Bernoulli numbers B_0 .. B_{n-1} (B_1 = -1/2 convention)."""
+@functools.cache
+def _bernoulli_floats(n: int) -> tuple[float, ...]:
+    """First n Bernoulli numbers B_0 .. B_{n-1} (B_1 = -1/2 convention),
+    built on first use so that importing the package does not pay for the
+    exact arithmetic."""
     frs: list[Fraction] = []
     for m in range(n):
         b = Fraction(1) if m == 0 else Fraction(0)
@@ -42,10 +46,7 @@ def _bernoulli_floats(n: int) -> list[float]:
                 total += Fraction(math.comb(m + 1, k)) * frs[k]
             b = -total / (m + 1)
         frs.append(b)
-    return [float(b) for b in frs]
-
-
-_BERNOULLI = _bernoulli_floats(80)
+    return tuple(float(b) for b in frs)
 
 
 def _normalize(z: complex) -> complex:
@@ -91,7 +92,7 @@ def _li2_log_series(z: complex) -> complex:
     u = -cmath.log(1 - z)
     total = 0j
     upow = u
-    for k, bk in enumerate(_BERNOULLI):
+    for k, bk in enumerate(_bernoulli_floats(80)):
         if bk != 0.0:
             add = bk * upow / math.factorial(k + 1)
             total += add

@@ -12,15 +12,29 @@ gluings), vertex classes, face classes, orientation signs, and normal
 paths.  A normal path is a closed sequence of steps (tet, enter_face,
 exit_face); within each tetrahedron it passes the unique edge shared by the
 two faces.
+
+What derives from the gluings alone is computed once per triangulation
+(``parse_triangulation`` does it) into a frozen ``Combinatorics``: the edge
+classes with the faces crossed on the walk around each edge (``edge_loop``
+reads them), the vertex and face classes, the orientation signs, the
+(tet, pair) -> edge and (tet, vertex) -> vertex lookups, and the edge
+conditions as (tet, slot, weight) terms.
+
+Conditions on log-parameters are lists of (tet, slot, weight) terms,
+meaning sum weight * w_slot(tet).  One weight rule holds everywhere: the
+terms of an edge carry the orientation sign eps of their tetrahedron, and
+the terms of a normal path carry the rotation sign of the step, which is
+already measured in the tetrahedron's own vertex order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import TriangulationError
-from .geometry import edge_pair
+from .geometry import EDGE_SLOT, edge_pair
 
 _PERM_PARITY_CACHE: dict[tuple[int, ...], int] = {}
 
@@ -84,11 +98,13 @@ class EdgeClass:
 
     ``incidences`` lists (tet, pair, orientation) in cyclic order around the
     edge; orientation records whether the propagated edge direction agrees
-    with the pair's canonical (min, max) order.
+    with the pair's canonical (min, max) order.  ``faces`` lists, per
+    incidence, the (enter, exit) faces of the walk around the edge.
     """
 
     index: int
     incidences: tuple[tuple[int, tuple[int, int], int], ...]
+    faces: tuple[tuple[int, int], ...]
 
     @property
     def valence(self) -> int:
@@ -114,6 +130,54 @@ class Triangulation:
 
     def gluing(self, tet: int, face: int) -> Gluing:
         return self.gluings[tet][face]
+
+    @cached_property
+    def combinatorics(self) -> Combinatorics:
+        """Derived data, computed on first use."""
+        return Combinatorics.of(self)
+
+
+Term = tuple[int, int, int]  # (tet, slot, weight)
+
+
+@dataclass(frozen=True)
+class Combinatorics:
+    """Data derived from the gluings alone, built once per triangulation."""
+
+    edges: list[EdgeClass]
+    vertices: list[list[tuple[int, int]]]
+    faces: list[tuple[tuple[int, int], tuple[int, int]]]
+    signs: list[int]
+    edge_of: dict[tuple[int, tuple[int, int]], int]
+    vertex_of: dict[tuple[int, int], int]
+    edge_terms: list[list[Term]]
+
+    @classmethod
+    def of(cls, tri: Triangulation) -> Combinatorics:
+        signs = orientation_signs(tri)  # raises for non-orientable complexes
+        edges = edge_classes(tri)
+        vertices = vertex_classes(tri)
+        return cls(
+            edges=edges,
+            vertices=vertices,
+            faces=face_classes(tri),
+            signs=signs,
+            edge_of={
+                (tet, pair): e.index
+                for e in edges
+                for tet, pair, _ in e.incidences
+            },
+            vertex_of={
+                slot: index
+                for index, orbit in enumerate(vertices)
+                for slot in orbit
+            },
+            edge_terms=[
+                [(tet, EDGE_SLOT[pair], signs[tet])
+                 for tet, pair, _ in e.incidences]
+                for e in edges
+            ],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +263,7 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
 
     tri = Triangulation(name=name, gluings=gluings)
 
-    orientation_signs(tri)  # raises for non-orientable complexes
+    tri.combinatorics  # derived once; raises for non-orientable complexes
 
     raw_paths = document.get("cusp_paths", [])
     if not isinstance(raw_paths, list):
@@ -279,17 +343,21 @@ def edge_classes(tri: Triangulation) -> list[EdgeClass]:
             if (t0, pair0) in seen:
                 continue
             incidences = []
+            exits = []
+            entries = []
             # walk around the edge: cross the face with the larger index
             # first; direction (+1) means the canonical (min, max) order.
             tet, pair, orient = t0, pair0, +1
             cross_face = max(set(range(4)) - set(pair))
             while True:
                 incidences.append((tet, pair, orient))
+                exits.append(cross_face)
                 seen.add((tet, pair))
                 g = tri.gluing(tet, cross_face)
                 directed = pair if orient > 0 else (pair[1], pair[0])
                 image = (g.perm[directed[0]], g.perm[directed[1]])
                 entered_through = g.image_of_face(cross_face)
+                entries.append(entered_through)
                 tet = g.tet
                 pair = edge_pair(*image)
                 orient = +1 if image[0] < image[1] else -1
@@ -302,8 +370,11 @@ def edge_classes(tri: Triangulation) -> list[EdgeClass]:
                     if orient != +1:
                         raise TriangulationError("edge link is not orientable")
                     break
+            # the face entered at an incidence is the one entered by the
+            # crossing before it; the last crossing closes the loop
+            faces = tuple(zip(entries[-1:] + entries[:-1], exits))
             classes.append(
-                EdgeClass(index=len(classes), incidences=tuple(incidences))
+                EdgeClass(len(classes), tuple(incidences), faces)
             )
     return classes
 
@@ -378,32 +449,11 @@ def orientation_signs(tri: Triangulation) -> list[int]:
 
 def edge_loop(tri: Triangulation, edge: EdgeClass) -> NormalPath:
     """The normal path that circles the edge, one step per incidence."""
-    t0, pair0, _ = edge.incidences[0]
-    tet, pair, orient = t0, pair0, +1
-    cross_face = max(set(range(4)) - set(pair))
-    exits: list[tuple[int, tuple[int, int], int]] = []
-    entries: list[int] = []
-    while True:
-        exits.append((tet, pair, cross_face))
-        g = tri.gluing(tet, cross_face)
-        entered = g.image_of_face(cross_face)
-        directed = pair if orient > 0 else (pair[1], pair[0])
-        image = (g.perm[directed[0]], g.perm[directed[1]])
-        tet, pair = g.tet, edge_pair(*image)
-        orient = +1 if image[0] < image[1] else -1
-        entries.append(entered)
-        cross_face = next(
-            f for f in set(range(4)) - set(pair) if f != entered
-        )
-        if (tet, pair) == (t0, pair0):
-            if orient != +1:
-                raise TriangulationError("edge link is not orientable")
-            break
-    steps = tuple(
-        PathStep(tet, entries[k - 1], exit_face)
-        for k, (tet, _pair, exit_face) in enumerate(exits)
-    )
-    return NormalPath(steps)
+    return NormalPath(tuple(
+        PathStep(tet, enter_face, exit_face)
+        for (tet, _pair, _), (enter_face, exit_face)
+        in zip(edge.incidences, edge.faces)
+    ))
 
 
 def infer_path_vertices(tri: Triangulation, path: NormalPath) -> list[int]:
@@ -452,6 +502,14 @@ def path_passes(
         sign = _rotation_sign(v, other, step.enter_face, step.exit_face)
         out.append((step.tet, pair, sign))
     return out
+
+
+def path_terms(tri: Triangulation, path: NormalPath) -> list[Term]:
+    """The path's log-parameter condition as (tet, slot, rotation sign)."""
+    return [
+        (tet, EDGE_SLOT[pair], rot)
+        for tet, pair, rot in path_passes(tri, path)
+    ]
 
 
 def vertex_link_cycles(

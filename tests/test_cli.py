@@ -61,13 +61,6 @@ class TestCvolCommand:
         assert code != 0
         assert "parse" in err
 
-    def test_eep_mode_rejected(self, fig8_path, capsys):
-        code, _, err = run_cli(
-            ["--mode", "eep", "cvol", str(fig8_path)], capsys
-        )
-        assert code != 0
-        assert "eep" in err
-
 
 class TestVerifyCommand:
     def test_default_run_passes(self, capsys):
@@ -147,6 +140,43 @@ class TestOtherCommands:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+class TestGoldenOutput:
+    """CLI JSON bytes on the fixtures against recorded golden files; a
+    deliberate change of output updates them and says why in CHANGES.md."""
+
+    @pytest.mark.parametrize(
+        "command,fixture",
+        [("cvol", "fig8"), ("flatten", "fig8"), ("edges", "fig8"),
+         ("homology", "fig8"), ("edges", "fig8_cover3"),
+         ("homology", "fig8_cover3")],
+    )
+    def test_bytes_match(self, command, fixture, capsys):
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        code, out, _ = run_cli(
+            ["--format", "json", command, str(fixtures / f"{fixture}.json")],
+            capsys,
+        )
+        assert code == 0
+        golden = fixtures / "golden" / f"{command}-{fixture}.json"
+        assert out == golden.read_text()
+
+    def test_combinatorics_derived_once(self, fig8_path, monkeypatch, capsys):
+        import cvol.triangulation as triangulation
+
+        calls = {"edge_classes": 0, "orientation_signs": 0}
+        for name in calls:
+            original = getattr(triangulation, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(triangulation, name, counted)
+        code, _, _ = run_cli(["cvol", str(fig8_path)], capsys)
+        assert code == 0
+        assert calls == {"edge_classes": 1, "orientation_signs": 1}
 
 
 class TestTextFormat:

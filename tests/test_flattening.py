@@ -185,6 +185,39 @@ class TestSolveFlattenings:
             residuals.append(abs(total))
         assert max(residuals) > 1.0  # some condition off by a pi multiple
 
+    def test_mixed_orientation_signs(self, fig8_doc):
+        # relabel tetrahedron 1 by the odd permutation (0 1): its sign turns
+        # to -1, its geometric shape moves to the lower half plane, and
+        # (vol, cs) stays that of the figure-eight
+        from cvol.gluing import solve_shapes
+
+        sigma = [[0, 1, 2, 3], [1, 0, 2, 3]]
+        tets = []
+        for t, entry in enumerate(fig8_doc["tetrahedra"]):
+            gluings = [None] * 4
+            for f, g in enumerate(entry["gluings"]):
+                perm = [0] * 4
+                for v in range(4):
+                    perm[sigma[t][v]] = sigma[g["tet"]][g["perm"][v]]
+                gluings[sigma[t][f]] = {"tet": g["tet"], "perm": perm}
+            tets.append({"gluings": gluings})
+        paths = [
+            [{"tet": s["tet"], "enter_face": sigma[s["tet"]][s["enter_face"]],
+              "exit_face": sigma[s["tet"]][s["exit_face"]]} for s in path]
+            for path in fig8_doc["cusp_paths"]
+        ]
+        tri = parse_triangulation(
+            {"name": "mixed", "tetrahedra": tets, "cusp_paths": paths}
+        )
+        solution = solve_shapes(tri)
+        assert solution.geometric
+        assignment = solve_flattenings(tri, solution.shapes)
+        assert assignment.signs == [1, -1]
+        assert assignment.max_residual() < 1e-12
+        vol, cs = complex_volume(tri, solution.shapes, assignment)
+        assert vol == pytest.approx(2.029883212819307, abs=1e-9)
+        assert min(cs, PI_SQUARED - cs) == pytest.approx(0.0, abs=1e-9)
+
     def test_no_cusp_paths_flagged(self, fig8_doc, fig8_shapes):
         import copy
 
