@@ -45,8 +45,8 @@ from .triangulation import (
     EdgeClass,
     Term,
     Triangulation,
+    link_arcs,
     path_terms,
-    vertex_link_cycles,
 )
 
 #: slot index 0..5 -> coefficients on the J_Delta basis (e_0, e_1)
@@ -255,10 +255,10 @@ class FlatteningAssignment:
     """Solved branch indices with a full residual report.
 
     ``kernel`` spans the solution-lattice directions that in addition
-    annihilate the log-parameter functionals of every vertex-link normal
-    path (found by enumerating simple link cycles); shifting the particular
-    solution by these keeps all path conditions valid.  ``raw_kernel`` is
-    the unpruned kernel of the enforced system.
+    annihilate the log-parameter functionals of every closed vertex-link
+    normal path (exactly, with no cap on the paths); shifting the
+    particular solution by these keeps all path conditions valid.
+    ``raw_kernel`` is the unpruned kernel of the enforced system.
     """
 
     params: list[ExtendedParam]
@@ -308,30 +308,43 @@ def _prune_kernel(
     tri: Triangulation, kernel: list[list[int]]
 ) -> list[list[int]]:
     """Sub-lattice of kernel vectors annihilating the log functionals of
-    all vertex-link simple cycles (every closed vertex-link path decomposes
-    into those)."""
+    all closed vertex-link paths, the closed walks of the link state graph.
+
+    Its states have in- and out-degree 2, so each component is strongly
+    connected and the fundamental cycles of a spanning forest span the
+    rational functionals of all closed walks; the sub-lattice depends on
+    that span only.  A state's potential is the functional of its tree path
+    on the kernel vectors; each arc off the tree gives one row.
+    """
     if not kernel:
         return []
-    width = len(kernel[0])
-    rows = [
-        pass_rows(path_terms(tri, path), width).pq
-        for path in vertex_link_cycles(tri)
-    ]
-    if not rows:
+    arcs = link_arcs(tri)
+    potential = {}
+    action = []
+    for root in arcs:
+        if root in potential:
+            continue
+        potential[root] = [0] * len(kernel)
+        queue = [root]
+        for state in queue:
+            for nxt, (tet, slot, weight) in arcs[state]:
+                cp, cq = SLOT_PQ_COEFF[slot]
+                value = [
+                    p + weight * (cp * k[2 * tet] + cq * k[2 * tet + 1])
+                    for p, k in zip(potential[state], kernel)
+                ]
+                if nxt not in potential:
+                    potential[nxt] = value
+                    queue.append(nxt)
+                elif value != potential[nxt]:
+                    action.append(
+                        [a - b for a, b in zip(value, potential[nxt])]
+                    )
+    if not action:
         return [list(v) for v in kernel]
-    action = [
-        [sum(r[i] * k[i] for i in range(width)) for k in kernel] for r in rows
-    ]
     combos = solve_integer_system(action, [0] * len(action))
     assert combos is not None  # homogeneous systems are always consistent
-    pruned = []
-    for c in combos.kernel:
-        vec = [
-            sum(c[j] * kernel[j][i] for j in range(len(kernel)))
-            for i in range(width)
-        ]
-        pruned.append(vec)
-    return pruned
+    return matmul(combos.kernel, kernel)
 
 
 def solve_flattenings(

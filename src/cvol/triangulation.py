@@ -8,10 +8,10 @@ relation must be a fixed-point-free involution with inverse permutations,
 and the complex must be orientable away from its vertices.
 
 Derived structure: edge classes (orbits of tetrahedron edges under the
-gluings), vertex classes, face classes, orientation signs, and normal
-paths.  A normal path is a closed sequence of steps (tet, enter_face,
-exit_face); within each tetrahedron it passes the unique edge shared by the
-two faces.
+gluings), vertex classes, face classes, orientation signs, normal paths
+and the vertex-link state graph.  A normal path is a closed sequence of
+steps (tet, enter_face, exit_face); within each tetrahedron it passes the
+unique edge shared by the two faces.
 
 What derives from the gluings alone is computed once per triangulation
 (``parse_triangulation`` does it) into a frozen ``Combinatorics``: the edge
@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 from .errors import TriangulationError
 from .geometry import EDGE_SLOT, edge_pair
@@ -482,11 +483,17 @@ def infer_path_vertices(tri: Triangulation, path: NormalPath) -> list[int]:
     raise TriangulationError("path does not stay in a single vertex link")
 
 
-def _rotation_sign(vertex: int, other: int, enter_face: int, exit_face: int) -> int:
-    """Sign of the step's turn around the passed edge as viewed from the
-    tracked vertex, +1 for counterclockwise: parity of the permutation
-    (vertex, other, enter_face, exit_face)."""
-    return perm_parity((vertex, other, enter_face, exit_face))
+def link_pass(
+    vertex: int, enter_face: int, exit_face: int
+) -> tuple[tuple[int, int], int]:
+    """The edge pair passed by a step that tracks ``vertex`` and the
+    step's rotation sign around that edge as viewed from the vertex, +1 for
+    counterclockwise: the parity of (vertex, other end, enter, exit)."""
+    other = 6 - vertex - enter_face - exit_face  # the fourth of 0..3
+    return (
+        edge_pair(vertex, other),
+        perm_parity((vertex, other, enter_face, exit_face)),
+    )
 
 
 def path_passes(
@@ -495,13 +502,10 @@ def path_passes(
     """Per step: (tet, passed edge pair, rotation sign as viewed from the
     tracked vertex)."""
     vertices = infer_path_vertices(tri, path)
-    out = []
-    for step, v in zip(path.steps, vertices):
-        pair = step.passed_pair()
-        other = pair[0] if pair[1] == v else pair[1]
-        sign = _rotation_sign(v, other, step.enter_face, step.exit_face)
-        out.append((step.tet, pair, sign))
-    return out
+    return [
+        (step.tet, *link_pass(v, step.enter_face, step.exit_face))
+        for step, v in zip(path.steps, vertices)
+    ]
 
 
 def path_terms(tri: Triangulation, path: NormalPath) -> list[Term]:
@@ -512,50 +516,24 @@ def path_terms(tri: Triangulation, path: NormalPath) -> list[Term]:
     ]
 
 
-def vertex_link_cycles(
-    tri: Triangulation, max_cycles: int = 4000
-) -> list[NormalPath]:
-    """All state-simple closed normal paths in the vertex links.
+LinkState = tuple[int, int, int]  # (tet, tracked vertex, enter face)
 
-    States are (tet, tracked vertex, enter face); every closed normal path
-    decomposes into these simple cycles, so their log-parameter functionals
-    span those of all vertex-link paths.  Cycles are deduplicated up to
-    rotation.
-    """
-    def successor(tet: int, v: int, f_in: int, f_out: int):
-        g = tri.gluing(tet, f_out)
-        return (g.tet, g.perm[v], g.image_of_face(f_out))
 
-    cycles: list[NormalPath] = []
-    seen: set[tuple] = set()
-    states = [
-        (t, v, f)
-        for t in range(tri.num_tetrahedra)
-        for v in range(4)
-        for f in range(4)
-        if f != v
-    ]
-    for start in states:
-        stack = [(start, [], {start})]
-        while stack and len(cycles) < max_cycles:
-            state, steps, visited = stack.pop()
-            tet, v, f_in = state
-            for f_out in range(4):
-                if f_out in (v, f_in):
-                    continue
-                nxt = successor(tet, v, f_in, f_out)
-                new_steps = steps + [(tet, f_in, f_out)]
-                if nxt == start:
-                    rotations = [
-                        tuple(new_steps[i:] + new_steps[:i])
-                        for i in range(len(new_steps))
-                    ]
-                    canon = min(rotations)
-                    if canon not in seen:
-                        seen.add(canon)
-                        cycles.append(
-                            NormalPath(tuple(PathStep(*s) for s in canon))
-                        )
-                elif nxt not in visited and nxt > start:
-                    stack.append((nxt, new_steps, visited | {nxt}))
-    return cycles
+def link_arcs(
+    tri: Triangulation,
+) -> dict[LinkState, list[tuple[LinkState, Term]]]:
+    """The vertex-link state graph: from each state, one arc per exit face
+    to the state entered across it, carrying the term of its pass.  Its
+    closed walks are the closed normal paths in the vertex links."""
+    arcs: dict[LinkState, list[tuple[LinkState, Term]]] = {}
+    for tet, v, f_in, f_out in product(
+        range(tri.num_tetrahedra), range(4), range(4), range(4)
+    ):
+        if len({v, f_in, f_out}) == 3:
+            g = tri.gluing(tet, f_out)
+            pair, rot = link_pass(v, f_in, f_out)
+            arcs.setdefault((tet, v, f_in), []).append((
+                (g.tet, g.perm[v], g.image_of_face(f_out)),
+                (tet, EDGE_SLOT[pair], rot),
+            ))
+    return arcs

@@ -28,3 +28,19 @@ def fig8_shapes(fig8):
     from cvol.gluing import solve_shapes
 
     return solve_shapes(fig8).shapes
+
+
+@pytest.fixture(scope="session")
+def fig8_cover3():
+    from cvol.triangulation import parse_triangulation
+
+    return parse_triangulation(
+        json.loads((FIXTURES / "fig8_cover3.json").read_text())
+    )
+
+
+@pytest.fixture(scope="session")
+def fig8_cover3_shapes(fig8_cover3):
+    from cvol.gluing import solve_shapes
+
+    return solve_shapes(fig8_cover3).shapes

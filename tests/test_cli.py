@@ -149,7 +149,8 @@ class TestGoldenOutput:
     @pytest.mark.parametrize(
         "command,fixture",
         [("cvol", "fig8"), ("flatten", "fig8"), ("edges", "fig8"),
-         ("homology", "fig8"), ("edges", "fig8_cover3"),
+         ("homology", "fig8"), ("cvol", "fig8_cover3"),
+         ("flatten", "fig8_cover3"), ("edges", "fig8_cover3"),
          ("homology", "fig8_cover3")],
     )
     def test_bytes_match(self, command, fixture, capsys):

@@ -22,14 +22,17 @@ from cvol.flattening import (
     homology_of_j,
     integral_defect,
     omega,
+    pass_rows,
     solve_flattenings,
     xi,
 )
 from cvol.intlinalg import AbelianGroup, matmul
 from cvol.params import ExtendedParam
 from cvol.polylog import PI_SQUARED, bloch_wigner, reduce_mod
-from cvol.triangulation import parse_triangulation
+from cvol.triangulation import parse_triangulation, path_terms
 from cvol.verify import random_ft_plus
+
+from oracles import random_link_walk
 
 PI = math.pi
 REGULAR = cmath.exp(1j * PI / 3)
@@ -284,18 +287,48 @@ class TestFundamentalElement:
         v2 = r_of_element(fundamental_element(tri2, a2))
         assert v1.is_close(v2, tol=1e-9)
 
-    def test_kernel_shift_keeps_value(self, fig8, fig8_shapes):
-        assignment = solve_flattenings(fig8, fig8_shapes)
-        base = r_of_element(fundamental_element(fig8, assignment))
-        rng = random.Random(7)
-        assert assignment.kernel, "solver reports invariance directions"
-        for _ in range(20):
-            coeffs = [rng.randint(-4, 4) for _ in assignment.kernel]
-            shifted = alternate_assignment(
-                fig8, fig8_shapes, assignment, coeffs
+    def test_kernel_shift_keeps_value(
+        self, fig8, fig8_shapes, fig8_cover3, fig8_cover3_shapes
+    ):
+        for tri, shapes in ((fig8, fig8_shapes),
+                            (fig8_cover3, fig8_cover3_shapes)):
+            assignment = solve_flattenings(tri, shapes)
+            base = r_of_element(fundamental_element(tri, assignment))
+            rng = random.Random(7)
+            assert assignment.kernel, "solver reports invariance directions"
+            for _ in range(20):
+                coeffs = [rng.randint(-4, 4) for _ in assignment.kernel]
+                shifted = alternate_assignment(
+                    tri, shapes, assignment, coeffs
+                )
+                value = r_of_element(fundamental_element(tri, shifted))
+                assert value.is_close(base, tol=1e-9)
+
+
+class TestPrunedKernel:
+    """The pruned kernel against closed vertex-link paths drawn as random
+    walks from the gluings alone: every pruned vector keeps every path
+    condition, while some raw kernel vector breaks one."""
+
+    @pytest.mark.parametrize("name", ["fig8", "fig8_cover3"])
+    def test_annihilates_random_link_walks(self, name, request):
+        tri = request.getfixturevalue(name)
+        shapes = request.getfixturevalue(f"{name}_shapes")
+        assignment = solve_flattenings(tri, shapes)
+        width = len(assignment.raw_kernel[0])
+        rng = random.Random(11)
+        raw_broken = False
+        for _ in range(200):
+            pq = pass_rows(path_terms(tri, random_link_walk(tri, rng)),
+                           width).pq
+            for vec in assignment.kernel:
+                assert sum(a * b for a, b in zip(pq, vec)) == 0
+            raw_broken |= any(
+                sum(a * b for a, b in zip(pq, vec))
+                for vec in assignment.raw_kernel
             )
-            value = r_of_element(fundamental_element(fig8, shifted))
-            assert value.is_close(base, tol=1e-9)
+        assert assignment.kernel
+        assert raw_broken
 
 
 class TestCycleRelation:

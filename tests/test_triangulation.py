@@ -11,11 +11,11 @@ from cvol.triangulation import (
     edge_classes,
     edge_loop,
     face_classes,
+    link_arcs,
     orientation_signs,
     parse_triangulation,
     path_passes,
     vertex_classes,
-    vertex_link_cycles,
 )
 
 
@@ -168,13 +168,15 @@ class TestNormalPaths:
             )
             assert count % 2 == 0
 
-    def test_vertex_link_cycles_close(self, fig8):
-        cycles = vertex_link_cycles(fig8)
-        assert cycles, "state graph has cycles"
-        from cvol.triangulation import validate_normal_path
-
-        for path in cycles[:50]:
-            validate_normal_path(fig8, path)
+    def test_link_state_graph_degrees(self, fig8, fig8_cover3):
+        # in- and out-degree 2 everywhere make every component strongly
+        # connected, which exact kernel pruning relies on
+        for tri in (fig8, fig8_cover3):
+            arcs = link_arcs(tri)
+            assert len(arcs) == 12 * tri.num_tetrahedra
+            heads = [nxt for out in arcs.values() for nxt, _ in out]
+            assert all(len(out) == 2 for out in arcs.values())
+            assert sorted(heads) == sorted(2 * list(arcs))
 
 
 class TestVertexClasses:
