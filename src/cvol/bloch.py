@@ -35,7 +35,7 @@ from .polylog import (
     principal_log,
     reduce_mod,
 )
-from .wedge import SymbolVector, WedgeExpr, combine, sym, wedge
+from .wedge import WedgeExpr
 
 MODES = ("ep", "eep")
 
@@ -219,58 +219,55 @@ def epsilon_parity(e: EBElement) -> int:
 #: symbol names over which five-term-family logarithms decompose
 LOG_SYMBOLS = ("log_x", "log_1mx", "log_y", "log_1my", "log_xmy")
 PI_I_SYMBOL = "pi_i"
+#: basis of the exponent vectors: the sorted log symbols, then pi_i
+_BASIS = (*sorted(LOG_SYMBOLS), PI_I_SYMBOL)
+#: the 15 wedge coordinates (s, t), s < t, and those of (s, pi_i)
+_PAIRS = tuple((s, t) for s in range(6) for t in range(s + 1, 6))
+_PI_I_PAIRS = tuple(_PAIRS.index((s, 5)) for s in range(5))
+#: exponent vectors over (log_1mx, log_1my, log_x, log_xmy, log_y) of the
+#: monomials x, 1-x (one base point), then y, 1-y, y/x, (x-y)/x,
+#: y(1-x)/(x(1-y)), (x-y)/(x(1-y)), (1-x)/(1-y), (x-y)/(1-y)
+_MONOMIALS = (
+    (0, 0, 1, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 1, 0, 0, 0),
+    (0, 0, -1, 0, 1), (0, 0, -1, 1, 0), (1, -1, -1, 0, 1), (0, -1, -1, 1, 0),
+    (1, -1, 0, 0, 0), (0, -1, 0, 1, 0),
+)
 
 
 def _log_candidates(
     x: complex, y: complex | None
-) -> tuple[list[tuple[complex, SymbolVector]], dict[str, complex]]:
-    """Values expressible as monomials in x, 1-x, y, 1-y, x-y, with their
-    exact exponent vectors and the numeric values of the base logarithms."""
-    numeric = {"log_x": principal_log(x), "log_1mx": principal_log(1 - x)}
-    cands: list[tuple[complex, SymbolVector]] = [
-        (x, sym("log_x")),
-        (1 - x, sym("log_1mx")),
-    ]
-    if y is not None:
-        numeric["log_y"] = principal_log(y)
-        numeric["log_1my"] = principal_log(1 - y)
-        numeric["log_xmy"] = principal_log(x - y)
-        lx, l1mx = sym("log_x"), sym("log_1mx")
-        ly, l1my, lxmy = sym("log_y"), sym("log_1my"), sym("log_xmy")
-        cands += [
-            (y, ly),
-            (1 - y, l1my),
-            (y / x, ly - lx),
-            ((x - y) / x, lxmy - lx),
-            (y * (1 - x) / (x * (1 - y)), ly + l1mx - lx - l1my),
-            ((x - y) / (x * (1 - y)), lxmy - lx - l1my),
-            ((1 - x) / (1 - y), l1mx - l1my),
-            ((x - y) / (1 - y), lxmy - l1my),
-        ]
-    return cands, numeric
+) -> list[tuple[complex, tuple[int, ...], complex]]:
+    """(value, exponent vector, symbolic log value) of every monomial in
+    x, 1-x, y, 1-y, x-y that a generator may match."""
+    if y is None:
+        values = (x, 1 - x)
+        logs = (principal_log(1 - x), 0j, principal_log(x), 0j, 0j)
+    else:
+        values = (x, 1 - x, y, 1 - y, y / x, (x - y) / x,
+                  y * (1 - x) / (x * (1 - y)), (x - y) / (x * (1 - y)),
+                  (1 - x) / (1 - y), (x - y) / (1 - y))
+        logs = tuple(principal_log(v) for v in (1 - x, 1 - y, x, x - y, y))
+    return [(value, vec, sum(c * lg for c, lg in zip(vec, logs) if c))
+            for value, vec in zip(values, _MONOMIALS)]
 
 
-def _decompose_log(
+def _log_vector(
     value: complex,
-    cands: list[tuple[complex, SymbolVector]],
-    numeric: dict[str, complex],
+    cands: list[tuple[complex, tuple[int, ...], complex]],
     match_tol: float,
     round_tol: float,
-) -> SymbolVector:
-    """Express log(value) as an exact symbol vector plus a pi_i correction
-    resolved by rounding."""
-    for cand_value, vec in cands:
+) -> tuple[int, ...]:
+    """Exponent vector of log(value) over ``_BASIS``: the first matching
+    monomial plus a pi_i correction resolved by rounding."""
+    for cand_value, vec, symbolic in cands:
         if abs(value - cand_value) <= match_tol * max(1.0, abs(cand_value)):
-            symbolic = sum(
-                (c * numeric[s] for s, c in vec.coeffs.items()), start=0j
-            )
             c_float = (principal_log(value) - symbolic) / (1j * math.pi)
             c = round(c_float.real)
             if abs(c_float - c) > round_tol:
                 raise SymbolMatchError(
                     "branch correction %r is not an integer" % (c_float,)
                 )
-            return vec + sym(PI_I_SYMBOL, c)
+            return (*vec, c)
     raise SymbolMatchError(
         "value %r is not a known monomial in the base point" % (value,)
     )
@@ -292,16 +289,23 @@ def nu_symbolic(
         x, y = base_point
     else:
         x, y = base_point, None
-    cands, numeric = _log_candidates(complex(x), None if y is None else complex(y))
-    pieces: list[tuple[int, WedgeExpr]] = []
+    cands = _log_candidates(complex(x), None if y is None else complex(y))
+    # the wedge is bilinear, so generators sharing z need one decomposition
+    # a, b of log z, -log(1-z) and the sums c, cp, cq of coeff, coeff*p,
+    # coeff*q: c a^b + cp pi_i^b + cq a^pi_i
+    sums: dict[complex, list[int]] = {}
     for param, coeff in e.terms.items():
-        z = param.numeric_z()
-        left = _decompose_log(z, cands, numeric, match_tol, round_tol) + sym(
-            PI_I_SYMBOL, param.p
-        )
-        right = -_decompose_log(1 - z, cands, numeric, match_tol, round_tol) + sym(
-            PI_I_SYMBOL, param.q
-        )
-        pieces.append((coeff, wedge(left, right)))
-    return combine(pieces)
-
+        acc = sums.setdefault(param.numeric_z(), [0, 0, 0])
+        acc[0] += coeff
+        acc[1] += coeff * param.p
+        acc[2] += coeff * param.q
+    coords = [0] * len(_PAIRS)
+    for z, (c, cp, cq) in sums.items():
+        a = _log_vector(z, cands, match_tol, round_tol)
+        b = [-v for v in _log_vector(1 - z, cands, match_tol, round_tol)]
+        for k, (s, t) in enumerate(_PAIRS):
+            coords[k] += c * (a[s] * b[t] - a[t] * b[s])
+        for s, k in enumerate(_PI_I_PAIRS):
+            coords[k] += cq * a[s] - cp * b[s]
+    return WedgeExpr({(_BASIS[s], _BASIS[t]): v
+                      for (s, t), v in zip(_PAIRS, coords) if v})

@@ -25,6 +25,7 @@ i(vol + i cs) modulo pi^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
@@ -432,14 +433,29 @@ def fundamental_element(
     return EBElement(terms, "ep")
 
 
+#: a cs representative within CS_ZERO_ULPS * T * eps * pi^2 of 0 or of pi^2
+#: is the class 0.  The Rogers sum adds T terms of size about pi^2, each
+#: off by a few ulps; on fig8 and its tetrahedron-shuffled covers up to
+#: T = 32 the class-0 representatives lie within 0.41 T eps pi^2 of 0 or pi^2.
+CS_ZERO_ULPS = 8
+
+
+def snap_cs(cs: float, tets: int) -> float:
+    """A cs representative in [0, pi^2), read as 0.0 when it lies within
+    the rounding bound of the class 0 for a sum of ``tets`` terms."""
+    bound = CS_ZERO_ULPS * tets * sys.float_info.epsilon * PI_SQUARED
+    return 0.0 if min(cs, PI_SQUARED - cs) <= bound else cs
+
+
 def complex_volume(
     tri: Triangulation, shapes: list[complex], assignment: FlatteningAssignment
 ) -> tuple[float, float]:
-    """(vol, cs) with vol = Im R and cs = -Re R reduced into [0, pi^2)."""
+    """(vol, cs) with vol = Im R and cs = -Re R reduced into [0, pi^2), a
+    class 0 up to rounding printed as 0.0 (``snap_cs``)."""
     value = r_of_element(fundamental_element(tri, assignment))
     vol = value.value.imag
     cs = reduce_mod(complex(-value.value.real, 0.0), PI_SQUARED).value.real
-    return vol, cs
+    return vol, snap_cs(cs, tri.num_tetrahedra)
 
 
 # ---------------------------------------------------------------------------

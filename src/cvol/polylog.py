@@ -17,10 +17,8 @@ hyperbolic volumes throughout the test suite.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 from .params import ExtendedParam
@@ -29,24 +27,24 @@ PI = math.pi
 PI_SQUARED = math.pi * math.pi
 TWO_PI_SQUARED = 2.0 * math.pi * math.pi
 
-_SERIES_MAX_TERMS = 500
-
-
-@functools.cache
-def _bernoulli_floats(n: int) -> tuple[float, ...]:
-    """First n Bernoulli numbers B_0 .. B_{n-1} (B_1 = -1/2 convention),
-    built on first use so that importing the package does not pay for the
-    exact arithmetic."""
-    frs: list[Fraction] = []
-    for m in range(n):
-        b = Fraction(1) if m == 0 else Fraction(0)
-        if m > 0:
-            total = Fraction(0)
-            for k in range(m):
-                total += Fraction(math.comb(m + 1, k)) * frs[k]
-            b = -total / (m + 1)
-        frs.append(b)
-    return tuple(float(b) for b in frs)
+#: B_2k / (2k+1)! for k = 1..10, the odd coefficients of the Bernoulli
+#: series Li2(1 - exp(-u)) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!
+_B3, _B5, _B7, _B9, _B11, _B13, _B15, _B17, _B19, _B21 = _LI2_COEFFS = (
+    0.027777777777777776,
+    -0.0002777777777777778,
+    4.72411186696901e-06,
+    -9.185773074661964e-08,
+    1.8978869988971e-09,
+    -4.0647616451442256e-11,
+    8.921691020456452e-13,
+    -1.9939295860721074e-14,
+    4.518980029619918e-16,
+    -1.0356517612181247e-17,
+)
+#: |u|^2 up to which the series is taken at w = z; the inversion, which
+#: otherwise serves |z| slightly above 1, costs up to 4 ulps near the sixth
+#: roots of unity through its log(-z)^2 term
+_U2_DIRECT = 1.25
 
 
 def _normalize(z: complex) -> complex:
@@ -73,62 +71,44 @@ def _reject_dilog_cut(z: complex) -> complex:
     return z
 
 
-def _li2_maclaurin(z: complex) -> complex:
-    total = 0j
-    term = z
-    k = 1
-    while k < _SERIES_MAX_TERMS:
-        add = term / (k * k)
-        total += add
-        if abs(add) < 1e-18 * max(1e-300, abs(total)) or add == 0:
-            break
-        term *= z
-        k += 1
-    return total
-
-
-def _li2_log_series(z: complex) -> complex:
-    """Expansion of Li2 in u = -log(1-z); converges for |u| < 2*pi."""
-    u = -cmath.log(1 - z)
-    total = 0j
-    upow = u
-    for k, bk in enumerate(_bernoulli_floats(80)):
-        if bk != 0.0:
-            add = bk * upow / math.factorial(k + 1)
-            total += add
-            if k > 2 and abs(add) < 1e-18 * max(1e-300, abs(total)):
-                break
-        upow *= u
-    return total
-
-
 def dilog(z: complex) -> complex:
     """Li2(z) = -integral_0^z log(1-t)/t dt on the principal branch.
 
-    The cut is [1, inf).  Accuracy is ~1e-14 relative in double precision:
-    Maclaurin series for |z| <= 1/2, inversion for |z| >= 2, reflection
-    near 1, and the log series in -log(1-z) on the remaining annulus
-    (where inversion/reflection alone cannot shrink the argument, e.g. at
-    the sixth roots of unity).
+    The cut is [1, inf).  Li2(w) is the Bernoulli series in u = -log(1-w)
+    ('t Hooft-Veltman 1979; Zagier 2007), summed to its fixed u^21 term.
+    The series is taken at w = z where |u| <= 1.12, which holds on
+    |z| <= 1, Re z <= 1/2 and near it; elsewhere one reflection (w = 1-z,
+    where |1-z| <= 1) or one inversion (w = 1/z, where |z| > 1) takes z
+    into |w| <= 1, Re w <= 1/2, where |u| <= pi/3.  The series has radius
+    2 pi, so the truncation is below 1e-17, and the result is within a few
+    ulps of max(1, |Li2(z)|).
     """
     z = _reject_dilog_cut(z)
     return _dilog(z)
 
 
-def _dilog(z: complex) -> complex:
-    az = abs(z)
-    if az <= 0.5:
-        return _li2_maclaurin(z)
-    if az >= 2.0:
-        # Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
-        lz = cmath.log(_normalize(-z))
-        return -_dilog(1.0 / z) - PI_SQUARED / 6.0 - 0.5 * lz * lz
-    if abs(1 - z) <= 0.5:
-        # Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z)
-        w = _normalize(1 - z)
-        correction = cmath.log(z) * cmath.log(w) if w != 0 else 0j
-        return PI_SQUARED / 6.0 - correction - _dilog(w)
-    return _li2_log_series(z)
+def _dilog(z: complex, log_z: complex | None = None,
+           log_1mz: complex | None = None) -> complex:
+    """Li2 of a normalized z off the cut; a caller that has log z and
+    log(1-z) passes both."""
+    if log_1mz is None:
+        log_1mz = cmath.log(1 - z)
+    if log_1mz.real * log_1mz.real + log_1mz.imag * log_1mz.imag <= _U2_DIRECT:
+        u, sign, rest = -log_1mz, 1.0, 0.0
+    elif log_1mz.real <= 0.0:
+        # |1-z| <= 1: Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z)
+        if log_z is None:
+            log_z = cmath.log(z)
+        u, sign, rest = -log_z, -1.0, PI_SQUARED / 6.0 - log_z * log_1mz
+    else:
+        # |z| > 1: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
+        log_mz = cmath.log(-z)
+        u, sign = -cmath.log(1 - 1 / z), -1.0
+        rest = -PI_SQUARED / 6.0 - 0.5 * log_mz * log_mz
+    u2 = u * u
+    tail = _B3 + u2 * (_B5 + u2 * (_B7 + u2 * (_B9 + u2 * (_B11 + u2 * (
+        _B13 + u2 * (_B15 + u2 * (_B17 + u2 * (_B19 + u2 * _B21))))))))
+    return sign * u * (1.0 + u * (-0.25 + u * tail)) + rest
 
 
 def _reject_rogers_cuts(z: complex) -> complex:
@@ -140,20 +120,26 @@ def _reject_rogers_cuts(z: complex) -> complex:
     return z
 
 
+def _rogers_logs(z: complex) -> tuple[complex, complex, complex]:
+    """(R(z), log z, log(1-z)), each logarithm computed once."""
+    z = _reject_rogers_cuts(z)
+    log_z, log_1mz = cmath.log(z), cmath.log(1 - z)
+    return 0.5 * log_z * log_1mz + _dilog(z, log_z, log_1mz), log_z, log_1mz
+
+
 def rogers(z: complex) -> complex:
     """Rogers dilogarithm R(z) = log(z) log(1-z) / 2 + Li2(z).
 
     Defined for z off both cuts; R(1/2) = pi^2 / 12.
     """
-    z = _reject_rogers_cuts(z)
-    return 0.5 * principal_log(z) * principal_log(1 - z) + _dilog(z)
+    return _rogers_logs(z)[0]
 
 
 def lifted_rogers_raw(z: complex, p: int, q: int) -> complex:
     """Unreduced value of R(z; p, q) as a plain complex number."""
-    z = _reject_rogers_cuts(z)
-    correction = 0.5j * PI * (p * principal_log(1 - z) + q * principal_log(z))
-    return rogers(z) + correction - PI_SQUARED / 6.0
+    value, log_z, log_1mz = _rogers_logs(z)
+    correction = 0.5j * PI * (p * log_1mz + q * log_z)
+    return value + correction - PI_SQUARED / 6.0
 
 
 def lifted_rogers(param: ExtendedParam, mode: str = "ep") -> "ModPiSquared":

@@ -2,16 +2,27 @@
 
 The dilogarithm oracle integrates -log(1-t)/t along the straight segment
 from 0 to z by adaptive quadrature; it shares no code with the series
-implementation under test.  The link-walk oracle draws closed normal paths
+implementation under test.  ``dilog_mp`` evaluates Li2 in 72-bit mpmath
+arithmetic with exact Bernoulli coefficients, about 1e-21 relative; it is
+the accuracy reference, itself checked against ``mpmath.polylog``, which
+takes milliseconds a call.  The link-walk oracle draws closed normal paths
 in the vertex links from the gluings alone, sharing no code with the state
-graph that the flattening solver prunes its kernel with.
+graph that the flattening solver prunes its kernel with.  ``nu_reference``
+is the symbolic wedge map written generator by generator on
+``SymbolVector``s, ``wedge`` and ``combine``; ``nu_symbolic`` computes the
+same exact image on flat integer vectors.
 """
 
 import cmath
+import math
 
+import mpmath
 from scipy.integrate import quad
 
+from cvol.errors import SymbolMatchError
+from cvol.polylog import principal_log
 from cvol.triangulation import NormalPath, PathStep
+from cvol.wedge import combine, sym, wedge
 
 
 def dilog_quadrature(z: complex, tol: float = 1e-13) -> complex:
@@ -29,6 +40,37 @@ def dilog_quadrature(z: complex, tol: float = 1e-13) -> complex:
     im, _ = quad(lambda s: integrand(s).imag, 0.0, 1.0,
                  epsabs=tol, epsrel=tol, limit=300)
     return complex(re, im)
+
+
+_MP = mpmath.MPContext()
+_MP.prec = 72
+#: B_2k / (2k+1)! for k = 14 .. 1: the series below is exact to 6^-28
+#: relative on |u| <= pi/3
+_MP_COEFFS = [_MP.bernoulli(2 * k) / _MP.factorial(2 * k + 1)
+              for k in range(14, 0, -1)]
+
+
+def _mp_series(u):
+    """Li2(1 - exp(-u)) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!."""
+    u2 = u * u
+    acc = 0
+    for c in _MP_COEFFS:
+        acc = acc * u2 + c
+    return u * (1 + u * (-0.25 + u * acc))
+
+
+def dilog_mp(z: complex):
+    """Li2(z) as a 72-bit mpmath number (z off the cut [1, inf))."""
+    z = complex(z)
+    w = _MP.mpc(z)
+    pi2_6 = _MP.pi ** 2 / 6
+    if z.real <= 0.5 and abs(z) <= 1:
+        return _mp_series(-_MP.log(1 - w))
+    if abs(1 - z) <= 1:
+        log_w = _MP.log(w)
+        return pi2_6 - log_w * _MP.log(1 - w) - _mp_series(-log_w)
+    log_mw = _MP.log(-w)
+    return -_mp_series(-_MP.log(1 - 1 / w)) - pi2_6 - log_mw * log_mw / 2
 
 
 def rogers_quadrature(z: complex) -> complex:
@@ -61,3 +103,58 @@ def random_link_walk(tri, rng) -> NormalPath:
         state = (g.tet, g.perm[v], g.perm[exit_])
         if state == start:
             return NormalPath(tuple(steps))
+
+
+def _reference_candidates(x, y):
+    """Monomials in x, 1-x, y, 1-y, x-y with their symbol vectors, and the
+    numeric values of the base logarithms."""
+    numeric = {"log_x": principal_log(x), "log_1mx": principal_log(1 - x)}
+    cands = [(x, sym("log_x")), (1 - x, sym("log_1mx"))]
+    if y is not None:
+        numeric["log_y"] = principal_log(y)
+        numeric["log_1my"] = principal_log(1 - y)
+        numeric["log_xmy"] = principal_log(x - y)
+        lx, l1mx = sym("log_x"), sym("log_1mx")
+        ly, l1my, lxmy = sym("log_y"), sym("log_1my"), sym("log_xmy")
+        cands += [
+            (y, ly),
+            (1 - y, l1my),
+            (y / x, ly - lx),
+            ((x - y) / x, lxmy - lx),
+            (y * (1 - x) / (x * (1 - y)), ly + l1mx - lx - l1my),
+            ((x - y) / (x * (1 - y)), lxmy - lx - l1my),
+            ((1 - x) / (1 - y), l1mx - l1my),
+            ((x - y) / (1 - y), lxmy - l1my),
+        ]
+    return cands, numeric
+
+
+def _reference_decompose(value, cands, numeric, match_tol, round_tol):
+    for cand_value, vec in cands:
+        if abs(value - cand_value) <= match_tol * max(1.0, abs(cand_value)):
+            symbolic = sum(
+                (c * numeric[s] for s, c in vec.coeffs.items()), start=0j
+            )
+            c_float = (principal_log(value) - symbolic) / (1j * math.pi)
+            c = round(c_float.real)
+            if abs(c_float - c) > round_tol:
+                raise SymbolMatchError(f"branch correction {c_float!r}")
+            return vec + sym("pi_i", c)
+    raise SymbolMatchError(f"value {value!r} is not a known monomial")
+
+
+def nu_reference(e, base_point, match_tol=1e-9, round_tol=1e-6):
+    """sum coeff * (log z + p pi i) ^ (-log(1-z) + q pi i), one generator
+    at a time."""
+    x, y = base_point if isinstance(base_point, tuple) else (base_point, None)
+    cands, numeric = _reference_candidates(
+        complex(x), None if y is None else complex(y)
+    )
+    pieces = []
+    for param, coeff in e.terms.items():
+        z = param.numeric_z()
+        left = _reference_decompose(z, cands, numeric, match_tol, round_tol)
+        right = _reference_decompose(1 - z, cands, numeric, match_tol, round_tol)
+        pieces.append((coeff, wedge(left + sym("pi_i", param.p),
+                                    -right + sym("pi_i", param.q))))
+    return combine(pieces)

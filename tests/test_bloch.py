@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import cvol.bloch as bloch
+import cvol.polylog as polylog
 from cvol.bloch import (
     EBElement,
     FiveTermTuple,
@@ -20,10 +22,19 @@ from cvol.bloch import (
     transfer_instance,
 )
 from cvol.errors import DegenerateGeometryError, DomainError
+from cvol.geometry import five_point_shapes
 from cvol.params import ExtendedParam
 from cvol.polylog import PI_SQUARED, TWO_PI_SQUARED, principal_log, reduce_mod
-from cvol.verify import random_ft_plus, random_offsets
+from cvol.verify import (
+    _random_shape,
+    random_ft_plus,
+    random_offsets,
+    suite_five_term_nu,
+    suite_five_term_rogers,
+)
 from cvol.wedge import sym, wedge
+
+from oracles import nu_reference
 
 PI = math.pi
 
@@ -236,3 +247,69 @@ class TestNuSymbolic:
             )
             assert r_of_element(element).distance_to_zero() < 1e-9
             assert nu_symbolic(element, (x, y)).is_zero()
+
+
+def _indices(rng: random.Random) -> tuple[int, int]:
+    return rng.randint(-4, 4), rng.randint(-4, 4)
+
+
+def _nu_cases(rng: random.Random):
+    """(element, base point) pairs: single generators, chi, kappa
+    differences, and random integer combinations over one and two points."""
+    for _ in range(50):
+        z = _random_shape(rng)
+        yield generator(z, *_indices(rng)), z
+        yield chi(z), z
+        w = _random_shape(rng)
+        yield kappa_element(z) - kappa_element(w), (z, w)
+        terms = {}
+        for _ in range(rng.randint(2, 6)):
+            key = ExtendedParam(rng.choice((z, 1 - z)), *_indices(rng))
+            terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
+        yield EBElement(terms), z
+        x, y = random_ft_plus(rng)
+        terms = {}
+        for _ in range(rng.randint(2, 8)):
+            key = ExtendedParam(rng.choice(five_point_shapes(x, y)),
+                                *_indices(rng))
+            terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
+        yield EBElement(terms), (x, y)
+
+
+class TestNuAgainstReference:
+    def test_equals_generator_by_generator_image(self):
+        nonzero = 0
+        for element, base in _nu_cases(random.Random(31)):
+            expected = nu_reference(element, base)
+            assert nu_symbolic(element, base) == expected
+            nonzero += not expected.is_zero()
+        assert nonzero >= 180  # of 250; kappa differences vanish
+
+    def test_rejects_what_the_reference_rejects(self):
+        from cvol.errors import SymbolMatchError
+
+        element = generator(0.9 + 0.9j, 0, 0)
+        for nu in (nu_symbolic, nu_reference):
+            with pytest.raises(SymbolMatchError):
+                nu(element, (0.2 + 0.3j, 0.5 + 1j))
+
+
+class TestSuitesCatchFaults:
+    def test_dilog_off_by_1e7_fails_five_term_rogers(self, monkeypatch):
+        assert suite_five_term_rogers(20, random.Random(0), 1e-9).passed
+        original = polylog._dilog
+        monkeypatch.setattr(
+            polylog, "_dilog", lambda *args: original(*args) + 1e-7
+        )
+        assert not suite_five_term_rogers(20, random.Random(0), 1e-9).passed
+
+    def test_branch_correction_off_by_one_fails_five_term_nu(self, monkeypatch):
+        assert suite_five_term_nu(20, random.Random(0), 1e-9).passed
+        original = bloch._log_vector
+
+        def off_by_one(*args):
+            vec = original(*args)
+            return (*vec[:-1], vec[-1] + 1)
+
+        monkeypatch.setattr(bloch, "_log_vector", off_by_one)
+        assert not suite_five_term_nu(20, random.Random(0), 1e-9).passed

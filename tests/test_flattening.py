@@ -23,6 +23,7 @@ from cvol.flattening import (
     integral_defect,
     omega,
     pass_rows,
+    snap_cs,
     solve_flattenings,
     xi,
 )
@@ -386,6 +387,28 @@ class TestComplexVolume:
         assert vol == pytest.approx(2.029883212819307, abs=1e-9)
         cs_class = reduce_mod(complex(cs), PI_SQUARED)
         assert cs_class.distance_to_zero() < 1e-9
+
+    def test_cover_cs_class_zero_prints_zero(self, fig8_cover3, fig8_cover3_shapes):
+        # unsnapped, the Rogers sum leaves cs = 1.78e-15 here
+        assignment = solve_flattenings(fig8_cover3, fig8_cover3_shapes)
+        vol, cs = complex_volume(fig8_cover3, fig8_cover3_shapes, assignment)
+        assert vol == pytest.approx(3 * 2.029883212819307, abs=1e-12)
+        assert cs == 0.0
+
+    def test_snap_just_below_pi_squared(self):
+        assert snap_cs(math.nextafter(PI_SQUARED, 0.0), 2) == 0.0
+        assert snap_cs(PI_SQUARED - 1e-15, 2) == 0.0
+
+    def test_snap_just_above_zero(self):
+        assert snap_cs(1e-15, 2) == 0.0
+        assert snap_cs(5e-324, 1) == 0.0
+
+    def test_snap_keeps_values_beyond_the_bound(self):
+        # the bound is CS_ZERO_ULPS * T * eps * pi^2: 3.5e-14 at T = 2
+        for cs in (1e-12, PI_SQUARED - 1e-12, PI_SQUARED / 2, 1.0):
+            assert snap_cs(cs, 2) == cs
+        assert snap_cs(5e-14, 6) == 0.0
+        assert snap_cs(5e-14, 2) == 5e-14
 
 
 class TestNuInvisibility:

@@ -3,11 +3,14 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvol import polylog
 from cvol.errors import DomainError
 from cvol.params import ExtendedParam
 from cvol.polylog import (
@@ -22,7 +25,12 @@ from cvol.polylog import (
     rogers,
 )
 
-from oracles import alternating_series_dilog_minus_one, dilog_quadrature, rogers_quadrature
+from oracles import (
+    alternating_series_dilog_minus_one,
+    dilog_mp,
+    dilog_quadrature,
+    rogers_quadrature,
+)
 
 PI = math.pi
 
@@ -113,6 +121,81 @@ class TestDilog:
             lhs = dilog(z) + dilog(1 / z)
             rhs = -PI_SQUARED / 6 - 0.5 * principal_log(-z) ** 2
             assert abs(lhs - rhs) < 1e-11
+
+
+def _accuracy_points(rng: random.Random) -> list[complex]:
+    """10^4 + 2 points: a box around all four regions of the kernel, the
+    neighbourhoods of 0, 1 and the sixth roots of unity, the unit circle and
+    the circle |1-z| = 1 where the regions meet, |z| up to 10^6, both sides
+    of the negative real axis and the real segment (-3, 1)."""
+    def polar(r):
+        return cmath.rect(r, rng.uniform(-PI, PI))
+
+    def side(x):
+        return complex(x, rng.choice((-1, 1)) * 10 ** rng.uniform(-20, -10) * abs(x))
+
+    draws = [
+        lambda: complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)),
+        lambda: polar(10 ** rng.uniform(-15, -1)),
+        lambda: 1 + polar(10 ** rng.uniform(-15, -1)),
+        lambda: cmath.exp(1j * rng.choice((PI, -PI)) / 3)
+        + polar(10 ** rng.uniform(-15, -2)),
+        lambda: polar(1.0),
+        lambda: polar(1 + rng.uniform(-1e-3, 1e-3)),
+        lambda: 1 + polar(1 + rng.uniform(-1e-3, 1e-3)),
+        lambda: polar(10 ** rng.uniform(0.3, 6)),
+        lambda: side(-(10 ** rng.uniform(-3, 6))),
+        lambda: complex(rng.uniform(-3, 1), 0.0),
+    ]
+    points = [cmath.exp(1j * PI / 3), cmath.exp(-1j * PI / 3)]
+    for draw in draws:
+        points += [draw() for _ in range(1000)]
+    return points
+
+
+def _region(z: complex) -> str:
+    """The four parts of the plane that the standard map tells apart."""
+    if abs(z) <= 1:
+        return "|z| <= 1, Re z <= 1/2" if z.real <= 0.5 else "|1-z| <= 1"
+    if abs(1 - z) <= 1:
+        return "|1-z| <= 1"
+    return "|z| > 1, Re z <= 1/2" if z.real <= 0.5 else "|z|, |1-z| > 1"
+
+
+class TestDilogAccuracy:
+    def test_coefficients_are_bernoulli(self):
+        # B_2k / (2k+1)! for k = 1..10 from the exact recurrence
+        # sum_{j<=m} C(m+1, j) B_j = 0
+        bern = [Fraction(1)]
+        for m in range(1, 21):
+            bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m))
+                        / (m + 1))
+        expected = tuple(
+            float(bern[2 * k] / math.factorial(2 * k + 1)) for k in range(1, 11)
+        )
+        assert polylog._LI2_COEFFS == expected
+
+    def test_reference_matches_mpmath_polylog(self):
+        rng = random.Random(41)
+        points = _accuracy_points(rng)
+        sample = points[:2] + [points[2 + 1000 * k + j]
+                               for k in range(10) for j in range(3)]
+        with mpmath.workprec(80):
+            for z in sample:
+                exact = mpmath.polylog(2, z)
+                assert abs(dilog_mp(z) - exact) <= 1e-19 * max(1, abs(exact))
+
+    def test_max_error_within_four_ulps(self):
+        points = _accuracy_points(random.Random(41))
+        assert len(points) >= 10_000
+        regions = [_region(z) for z in points]
+        assert all(regions.count(r) >= 500 for r in set(regions))
+        assert len(set(regions)) == 4
+        worst = 0.0
+        for z in points:
+            exact = dilog_mp(z)
+            worst = max(worst, abs(exact - dilog(z)) / max(1, abs(exact)))
+        assert worst <= 4 * 2.0 ** -52
 
 
 class TestRogers:
