@@ -10,10 +10,13 @@ in the vertex links from the gluings alone, sharing no code with the state
 graph that the flattening solver prunes its kernel with.  ``nu_reference``
 is the symbolic wedge map written generator by generator on
 ``SymbolVector``s, ``wedge`` and ``combine``; ``nu_symbolic`` computes the
-same exact image on flat integer vectors.
+same exact image on flat integer vectors.  ``relabel_document`` renames the
+tetrahedra and vertices of a triangulation document, for checks that a
+result does not depend on the labels.
 """
 
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -103,6 +106,42 @@ def random_link_walk(tri, rng) -> NormalPath:
         state = (g.tet, g.perm[v], g.perm[exit_])
         if state == start:
             return NormalPath(tuple(steps))
+
+
+EVEN_PERMS = [
+    p for p in itertools.permutations(range(4))
+    if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+]
+
+
+def relabel_document(doc: dict, rng) -> dict:
+    """The triangulation document with its tetrahedra shuffled and the
+    vertices of each renamed by a random even permutation sigma_t, which
+    keeps every orientation sign: the gluing of face f of t becomes the
+    gluing of face sigma_t(f), with permutation sigma_u o perm o sigma_t^-1
+    into tetrahedron u."""
+    n = len(doc["tetrahedra"])
+    new_index = list(range(n))
+    rng.shuffle(new_index)
+    sigma = [rng.choice(EVEN_PERMS) for _ in range(n)]
+    tets = [None] * n
+    for t, entry in enumerate(doc["tetrahedra"]):
+        gluings = [None] * 4
+        for f, g in enumerate(entry["gluings"]):
+            u = g["tet"]
+            perm = [0] * 4
+            for v in range(4):
+                perm[sigma[t][v]] = sigma[u][g["perm"][v]]
+            gluings[sigma[t][f]] = {"tet": new_index[u], "perm": perm}
+        tets[new_index[t]] = {"gluings": gluings}
+    paths = [
+        [{"tet": new_index[s["tet"]],
+          "enter_face": sigma[s["tet"]][s["enter_face"]],
+          "exit_face": sigma[s["tet"]][s["exit_face"]]} for s in path]
+        for path in doc.get("cusp_paths", [])
+    ]
+    return {"name": doc.get("name", ""), "tetrahedra": tets,
+            "cusp_paths": paths}
 
 
 def _reference_candidates(x, y):

@@ -129,8 +129,8 @@ class TestOtherCommands:
         )
         assert result.returncode == 0
 
-    def test_import_does_not_load_numpy(self):
-        # numpy is needed by Newton only; the other commands skip its import.
+    def test_import_does_not_load_numpy(self, fig8_path):
+        # no command needs numpy: Newton's step is sparse pure Python.
         # fractions and decimal are not needed at all: the dilogarithm's
         # Bernoulli coefficients are float constants
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -144,6 +144,22 @@ class TestOtherCommands:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+        # a full cvol run, Newton included, leaves numpy unloaded at exit
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cvol.cli; "
+             "code = cvol.cli.main(sys.argv[1:]); "
+             "print('numpy' in sys.modules, file=sys.stderr); "
+             "sys.exit(code)",
+             "--format", "json", "cvol", str(fig8_path)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["volume"] == pytest.approx(
+            2.029883212819307, abs=1e-9
+        )
+        assert result.stderr.strip() == "False"
 
 
 class TestGoldenOutput:
