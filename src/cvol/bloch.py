@@ -21,6 +21,7 @@ five-parameter integer index family.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -46,8 +47,29 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _check_indices(p: int, q: int, mode: str) -> None:
+    if mode == "eep" and (p % 2 or q % 2):
+        raise DomainError("eep elements need even branch indices")
+
+
+def _integer(coeff) -> int:
+    """``coeff`` as an int; a float such as 0.5 or 2.7 is refused rather
+    than truncated."""
+    try:
+        return operator.index(coeff)
+    except TypeError:
+        raise DomainError(
+            "coefficient %r is not an integer" % (coeff,)
+        ) from None
+
+
 class EBElement:
-    """Finite integer combination of ExtendedParam generators."""
+    """Finite integer combination of ExtendedParam generators.
+
+    The constructor validates its input; arithmetic and the builders below
+    make their result dict once from operands that are already valid and
+    wrap it with ``_trusted``, so no term is checked twice.
+    """
 
     __slots__ = ("terms", "mode")
 
@@ -59,12 +81,20 @@ class EBElement:
         self.mode = _check_mode(mode)
         clean: dict[ExtendedParam, int] = {}
         for param, coeff in (terms or {}).items():
+            coeff = _integer(coeff)
             if coeff == 0:
                 continue
-            if mode == "eep" and (param.p % 2 or param.q % 2):
-                raise DomainError("eep elements need even branch indices")
-            clean[param] = clean.get(param, 0) + int(coeff)
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+            _check_indices(param.p, param.q, mode)
+            clean[param] = coeff
+        self.terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict[ExtendedParam, int], mode: str) -> "EBElement":
+        """Wrap ``terms`` as is: valid for ``mode`` and free of zeros."""
+        element = object.__new__(cls)
+        element.terms = terms
+        element.mode = mode
+        return element
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -74,8 +104,12 @@ class EBElement:
             raise ValueError("cannot combine elements of different modes")
         out = dict(self.terms)
         for param, coeff in other.terms.items():
-            out[param] = out.get(param, 0) + s * coeff
-        return EBElement(out, self.mode)
+            value = out.get(param, 0) + s * coeff
+            if value:
+                out[param] = value
+            else:
+                del out[param]
+        return EBElement._trusted(out, self.mode)
 
     def __add__(self, other: "EBElement") -> "EBElement":
         return self._binop(other, +1)
@@ -87,7 +121,9 @@ class EBElement:
         return (-1) * self
 
     def __rmul__(self, n: int) -> "EBElement":
-        return EBElement({k: n * c for k, c in self.terms.items()}, self.mode)
+        n = _integer(n)
+        terms = {k: n * c for k, c in self.terms.items()} if n else {}
+        return EBElement._trusted(terms, self.mode)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -110,7 +146,9 @@ def generator(
     z: complex, p: int, q: int, mode: str = "ep", cut_side: int | None = None
 ) -> EBElement:
     """Single-generator element [z, p, q]."""
-    return EBElement({ExtendedParam(z, p, q, cut_side): 1}, mode)
+    param = ExtendedParam(z, p, q, cut_side)
+    _check_indices(p, q, _check_mode(mode))
+    return EBElement._trusted({param: 1}, mode)
 
 
 @dataclass(frozen=True)
@@ -148,7 +186,7 @@ def five_term_instance(t: FiveTermTuple) -> EBElement:
     terms: dict[ExtendedParam, int] = {}
     for i, (shape, (p, q)) in enumerate(zip(shapes, t.indices())):
         terms[ExtendedParam(shape, p, q)] = (-1) ** i
-    return EBElement(terms, "ep")
+    return EBElement._trusted(terms, "ep")
 
 
 def transfer_instance(z: complex, p: int, q: int, p2: int, q2: int) -> EBElement:
@@ -187,14 +225,14 @@ def kappa_element(z: complex) -> EBElement:
 
 def super_transfer_rhs(z: complex, p: int, q: int) -> EBElement:
     """pq[z,1,1] - (pq-p)[z,1,0] - (pq-q)[z,0,1] + (pq-p-q+1)[z,0,0]."""
-    return EBElement(
-        {
-            ExtendedParam(z, 1, 1): p * q,
-            ExtendedParam(z, 1, 0): -(p * q - p),
-            ExtendedParam(z, 0, 1): -(p * q - q),
-            ExtendedParam(z, 0, 0): p * q - p - q + 1,
-        },
-        "ep",
+    coeffs = {
+        (1, 1): p * q,
+        (1, 0): -(p * q - p),
+        (0, 1): -(p * q - q),
+        (0, 0): p * q - p - q + 1,
+    }
+    return EBElement._trusted(
+        {ExtendedParam(z, i, j): c for (i, j), c in coeffs.items() if c}, "ep"
     )
 
 
@@ -221,9 +259,11 @@ LOG_SYMBOLS = ("log_x", "log_1mx", "log_y", "log_1my", "log_xmy")
 PI_I_SYMBOL = "pi_i"
 #: basis of the exponent vectors: the sorted log symbols, then pi_i
 _BASIS = (*sorted(LOG_SYMBOLS), PI_I_SYMBOL)
-#: the 15 wedge coordinates (s, t), s < t, and those of (s, pi_i)
-_PAIRS = tuple((s, t) for s in range(6) for t in range(s + 1, 6))
-_PI_I_PAIRS = tuple(_PAIRS.index((s, 5)) for s in range(5))
+_PI_I = 5
+#: the 15 wedge coordinates (s, t), s < t, as (symbol pair, 6 s + t,
+#: 6 t + s): the pair and its two cells in nu_symbolic's 6x6 table
+_PAIRS = tuple(((_BASIS[s], _BASIS[t]), 6 * s + t, 6 * t + s)
+               for s in range(6) for t in range(s + 1, 6))
 #: exponent vectors over (log_1mx, log_1my, log_x, log_xmy, log_y) of the
 #: monomials x, 1-x (one base point), then y, 1-y, y/x, (x-y)/x,
 #: y(1-x)/(x(1-y)), (x-y)/(x(1-y)), (1-x)/(1-y), (x-y)/(1-y)
@@ -292,20 +332,26 @@ def nu_symbolic(
     cands = _log_candidates(complex(x), None if y is None else complex(y))
     # the wedge is bilinear, so generators sharing z need one decomposition
     # a, b of log z, -log(1-z) and the sums c, cp, cq of coeff, coeff*p,
-    # coeff*q: c a^b + cp pi_i^b + cq a^pi_i
+    # coeff*q: c a^b + cp pi_i^b + cq a^pi_i.  ``table[6 s + t]`` collects
+    # the coefficient of basis_s (x) basis_t from the few nonzero entries
+    # of a and b; the wedge coordinate (s, t) is its antisymmetric part.
     sums: dict[complex, list[int]] = {}
     for param, coeff in e.terms.items():
         acc = sums.setdefault(param.numeric_z(), [0, 0, 0])
         acc[0] += coeff
         acc[1] += coeff * param.p
         acc[2] += coeff * param.q
-    coords = [0] * len(_PAIRS)
+    table = [0] * 36
     for z, (c, cp, cq) in sums.items():
         a = _log_vector(z, cands, match_tol, round_tol)
-        b = [-v for v in _log_vector(1 - z, cands, match_tol, round_tol)]
-        for k, (s, t) in enumerate(_PAIRS):
-            coords[k] += c * (a[s] * b[t] - a[t] * b[s])
-        for s, k in enumerate(_PI_I_PAIRS):
-            coords[k] += cq * a[s] - cp * b[s]
-    return WedgeExpr({(_BASIS[s], _BASIS[t]): v
-                      for (s, t), v in zip(_PAIRS, coords) if v})
+        b = [(t, -v) for t, v in
+             enumerate(_log_vector(1 - z, cands, match_tol, round_tol)) if v]
+        for s, va in enumerate(a):
+            if va:
+                for t, vb in b:
+                    table[6 * s + t] += c * va * vb
+                table[6 * s + _PI_I] += cq * va
+        for t, vb in b:
+            table[6 * _PI_I + t] += cp * vb
+    return WedgeExpr({key: v for key, st, ts in _PAIRS
+                      if (v := table[st] - table[ts])})

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bloch import EBElement, nu_symbolic, r_of_element
@@ -382,7 +382,7 @@ def _assignment_from_vector(
     params = [
         ExtendedParam(shapes[t], x[2 * t], x[2 * t + 1]) for t in range(n)
     ]
-    components = [astuple(flatten(param)) for param in params]
+    components = [(f.w0, f.w1, f.w2) for f in map(flatten, params)]
 
     edge_residuals = [
         pass_rows(terms, 2 * n, components).value
@@ -504,7 +504,7 @@ def cycle_relation_check(
     edge = pass_rows(
         [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)],
         2 * len(simplices),
-        [astuple(flatten(param)) for param in params],
+        [(f.w0, f.w1, f.w2) for f in map(flatten, params)],
     )
     if abs(edge.value) > tol:
         raise NonIntegralError(

@@ -45,6 +45,13 @@ class ExtendedParam:
                 )
         elif self.cut_side is not None:
             raise DomainError("cut_side tag only allowed on the real cut rays")
+        # generators are dict keys in every element, so hash once
+        object.__setattr__(
+            self, "_hash", hash((z, self.p, self.q, self.cut_side))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def numeric_z(self) -> complex:
         """Shape value used by numeric evaluation; tagged cut values are

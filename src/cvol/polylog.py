@@ -208,7 +208,9 @@ class ModPiSquared:
         return math.hypot(min(r, self.modulus - r), d.imag)
 
     def distance_to_zero(self) -> float:
-        return self.distance_to(ModPiSquared(0j, self.modulus))
+        """``distance_to`` the class of 0, without building it."""
+        r = self.value.real % self.modulus
+        return math.hypot(min(r, self.modulus - r), self.value.imag)
 
     def is_close(self, other: "ModPiSquared", tol: float = 1e-9) -> bool:
         return self.distance_to(other) < tol

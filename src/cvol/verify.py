@@ -151,30 +151,37 @@ def suite_transfer(count: int, rng: random.Random, tol: float) -> SuiteResult:
     return out
 
 
+def three_equations_elements(
+    z: complex, p: int, q: int, p2: int, q2: int, s: int
+) -> tuple[tuple[str, EBElement], ...]:
+    """The q-, p- and diagonal instances of the three equations at z."""
+    first = (
+        generator(z, p, q)
+        - generator(z, p, q2)
+        - generator(z, p, q - 1)
+        + generator(z, p, q2 - 1)
+    )
+    second = (
+        generator(z, p, q)
+        - generator(z, p2, q)
+        - generator(z, p - 1, q)
+        + generator(z, p2 - 1, q)
+    )
+    third = (
+        generator(z, p, q)
+        - generator(z, p + s, q - s)
+        - generator(z, p + 1, q - 1)
+        + generator(z, p + s + 1, q - s - 1)
+    )
+    return ("q", first), ("p", second), ("diag", third)
+
+
 def suite_three_equations(count: int, rng: random.Random, tol: float) -> SuiteResult:
     out = SuiteResult("three_equations", count, True)
     for _ in range(count):
         z = _random_shape(rng)
         p, q, p2, q2, s = (rng.randint(-4, 4) for _ in range(5))
-        first = (
-            generator(z, p, q)
-            - generator(z, p, q2)
-            - generator(z, p, q - 1)
-            + generator(z, p, q2 - 1)
-        )
-        second = (
-            generator(z, p, q)
-            - generator(z, p2, q)
-            - generator(z, p - 1, q)
-            + generator(z, p2 - 1, q)
-        )
-        third = (
-            generator(z, p, q)
-            - generator(z, p + s, q - s)
-            - generator(z, p + 1, q - 1)
-            + generator(z, p + s + 1, q - s - 1)
-        )
-        for label, element in (("q", first), ("p", second), ("diag", third)):
+        for label, element in three_equations_elements(z, p, q, p2, q2, s):
             residual = r_of_element(element).distance_to_zero()
             out.record(residual, tol, {"z": str(z), "which": label})
             out.record_exact(
@@ -183,28 +190,36 @@ def suite_three_equations(count: int, rng: random.Random, tol: float) -> SuiteRe
     return out
 
 
+def homo_element(
+    x: complex, y: complex, p0: int, p1: int, q0: int, q1: int, q2: int
+) -> EBElement:
+    """[x,p0,q0]-[y,p1,q1]+[y/x,p2,q2] with p2 = p1-p0, minus the same
+    with every q lowered by one."""
+    p2 = p1 - p0
+    lhs = (
+        generator(x, p0, q0)
+        - generator(y, p1, q1)
+        + generator(y / x, p2, q2)
+    )
+    rhs = (
+        generator(x, p0, q0 - 1)
+        - generator(y, p1, q1 - 1)
+        + generator(y / x, p2, q2 - 1)
+    )
+    return lhs - rhs
+
+
 def suite_homo(count: int, rng: random.Random, tol: float) -> SuiteResult:
     """[x,p0,q0]-[y,p1,q1]+[y/x,p2,q2] with p2 = p1-p0 is invariant under
     lowering every q by one."""
     out = SuiteResult("homo", count, True)
     for _ in range(count):
         x, y = random_ft_plus(rng)
-        p0, p1, q0, q1, q2 = (rng.randint(-3, 3) for _ in range(5))
-        p2 = p1 - p0
-        lhs = (
-            generator(x, p0, q0)
-            - generator(y, p1, q1)
-            + generator(y / x, p2, q2)
-        )
-        rhs = (
-            generator(x, p0, q0 - 1)
-            - generator(y, p1, q1 - 1)
-            + generator(y / x, p2, q2 - 1)
-        )
-        residual = r_of_element(lhs - rhs).distance_to_zero()
+        element = homo_element(x, y, *(rng.randint(-3, 3) for _ in range(5)))
+        residual = r_of_element(element).distance_to_zero()
         out.record(residual, tol, {"x": str(x), "y": str(y)})
         out.record_exact(
-            nu_symbolic(lhs - rhs, (x, y)).is_zero(), {"x": str(x), "y": str(y)}
+            nu_symbolic(element, (x, y)).is_zero(), {"x": str(x), "y": str(y)}
         )
     return out
 

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvol.bloch as bloch
 import cvol.polylog as polylog
@@ -27,10 +29,12 @@ from cvol.params import ExtendedParam
 from cvol.polylog import PI_SQUARED, TWO_PI_SQUARED, principal_log, reduce_mod
 from cvol.verify import (
     _random_shape,
+    homo_element,
     random_ft_plus,
     random_offsets,
     suite_five_term_nu,
     suite_five_term_rogers,
+    three_equations_elements,
 )
 from cvol.wedge import sym, wedge
 
@@ -57,6 +61,32 @@ class TestExtendedParam:
         ExtendedParam(0.5, 0, 0)
         with pytest.raises(DomainError):
             ExtendedParam(0.5, 0, 0, cut_side=+1)
+
+    def test_hash_agrees_with_eq_across_signed_zero(self):
+        for z, cut_side in ((0.5, None), (-2.0, +1), (3.0, -1)):
+            plus = ExtendedParam(complex(z, 0.0), 1, 2, cut_side)
+            minus = ExtendedParam(complex(z, -0.0), 1, 2, cut_side)
+            plain = ExtendedParam(z, 1, 2, cut_side)
+            assert plus == minus == plain
+            assert hash(plus) == hash(minus) == hash(plain)
+            assert {plus: 1}[minus] == 1
+
+    def test_cut_side_tags_differ(self):
+        above = ExtendedParam(-2.0, 0, 0, cut_side=+1)
+        below = ExtendedParam(-2.0, 0, 0, cut_side=-1)
+        assert above != below
+        assert hash(above) != hash(below)
+        assert len({above: 1, below: 1}) == 2
+
+    def test_hash_follows_fields(self):
+        base = ExtendedParam(0.3 + 0.4j, 1, 2)
+        assert base == ExtendedParam(0.3 + 0.4j, 1, 2)
+        assert hash(base) == hash(ExtendedParam(0.3 + 0.4j, 1, 2))
+        for other in (ExtendedParam(0.3 + 0.4j, 2, 2),
+                      ExtendedParam(0.3 + 0.4j, 1, 3),
+                      ExtendedParam(0.3 - 0.4j, 1, 2)):
+            assert other != base
+            assert hash(other) != hash(base)
 
     def test_cut_perturbation(self):
         p = ExtendedParam(-2.0, 0, 0, cut_side=-1)
@@ -205,6 +235,116 @@ class TestEBElement:
         assert (g - g).is_zero()
         assert (2 * g - g - g).is_zero()
 
+    @pytest.mark.parametrize("coeff", [0.5, 2.7, -1.5, 2.0])
+    def test_non_integral_coefficient_rejected(self, coeff):
+        param = ExtendedParam(0.3 + 0.4j, 1, 2)
+        with pytest.raises(DomainError):
+            EBElement({param: coeff})
+        with pytest.raises(DomainError):
+            coeff * generator(0.3 + 0.4j, 1, 2)
+
+    def test_int_and_bool_coefficients_accepted(self):
+        param = ExtendedParam(0.3 + 0.4j, 1, 2)
+        assert EBElement({param: 3}).terms == {param: 3}
+        assert EBElement({param: True}).terms == {param: 1}
+        assert EBElement({param: False}).is_zero()
+        assert EBElement({param: 0}).is_zero()
+
+    def test_generator_checks_eep_parity_and_mode(self):
+        for p, q in ((1, 0), (0, 1), (1, 1), (-3, 2)):
+            with pytest.raises(DomainError):
+                generator(0.3 + 0.4j, p, q, mode="eep")
+        generator(0.3 + 0.4j, 2, -4, mode="eep")
+        with pytest.raises(ValueError):
+            generator(0.3 + 0.4j, 0, 0, mode="odd")
+        with pytest.raises(DomainError):
+            generator(1, 0, 0, mode="eep")
+
+    def test_mixing_modes_rejected_by_every_operation(self):
+        ep = generator(0.3 + 0.4j, 0, 0)
+        eep = generator(0.3 + 0.4j, 0, 0, mode="eep")
+        for combine in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ValueError):
+                combine(ep, eep)
+            with pytest.raises(ValueError):
+                combine(eep, ep)
+        with pytest.raises(ValueError):
+            ep - (-eep)
+
+
+#: shapes the arithmetic sequences draw from; repeats make terms collide
+_SHAPES = (0.3 + 0.4j, -1.2 + 0.7j, 2.0 - 0.5j)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("gen"), st.integers(0, 2), st.integers(-2, 2),
+                  st.integers(-2, 2)),
+        st.tuples(st.sampled_from(("add", "sub")), st.integers(0, 40),
+                  st.integers(0, 40)),
+        st.tuples(st.just("neg"), st.integers(0, 40)),
+        st.tuples(st.just("mul"), st.integers(0, 40), st.integers(-3, 3)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _validated_binop(a: EBElement, b: EBElement, s: int) -> EBElement:
+    """a + s*b merged term by term and passed through the validating
+    constructor."""
+    out = dict(a.terms)
+    for param, coeff in b.terms.items():
+        out[param] = out.get(param, 0) + s * coeff
+    return EBElement(out, a.mode)
+
+
+class TestArithmeticMatchesConstructor:
+    """Arithmetic skips re-validation; its results must be exactly what the
+    validating constructor makes of the same combination, key order
+    included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from(("ep", "eep")), ops=_OPS)
+    def test_random_sequences(self, mode, ops):
+        scale = 2 if mode == "eep" else 1
+        fast = [generator(z, 0, 0, mode=mode) for z in _SHAPES]
+        slow = [EBElement({ExtendedParam(z, 0, 0): 1}, mode) for z in _SHAPES]
+        for op in ops:
+            kind, *args = op
+            if kind == "gen":
+                z, p, q = _SHAPES[args[0]], scale * args[1], scale * args[2]
+                f = generator(z, p, q, mode=mode)
+                r = EBElement({ExtendedParam(z, p, q): 1}, mode)
+            elif kind in ("add", "sub"):
+                i, j = args[0] % len(fast), args[1] % len(fast)
+                s = 1 if kind == "add" else -1
+                f = fast[i] + fast[j] if s == 1 else fast[i] - fast[j]
+                r = _validated_binop(slow[i], slow[j], s)
+            elif kind == "neg":
+                i = args[0] % len(fast)
+                f = -fast[i]
+                r = EBElement({k: -c for k, c in slow[i].terms.items()}, mode)
+            else:
+                i, n = args[0] % len(fast), args[1]
+                f = n * fast[i]
+                r = EBElement({k: n * c for k, c in slow[i].terms.items()},
+                              mode)
+            assert f.mode == r.mode == mode
+            assert list(f.terms.items()) == list(r.terms.items())
+            assert 0 not in f.terms.values()
+            fast.append(f)
+            slow.append(r)
+
+    def test_builders_match_constructor(self):
+        z = -1.2 + 0.7j
+        for element in (chi(z), kappa_element(z), transfer_instance(z, 1, 2, 2, 1),
+                        super_transfer_rhs(z, 0, 3), super_transfer_rhs(z, 2, -1),
+                        five_term_instance(FiveTermTuple(0.4 + 0.3j, 0.5 + 1j,
+                                                         1, 0, -1, 2, 0))):
+            rebuilt = EBElement(element.terms, element.mode)
+            assert list(element.terms.items()) == list(rebuilt.terms.items())
+            assert 0 not in element.terms.values()
+        assert transfer_instance(z, 1, 2, 1, 2).is_zero()
+
 
 class TestNuSymbolic:
     def test_single_generator(self):
@@ -222,29 +362,16 @@ class TestNuSymbolic:
         rng = random.Random(5)
         for _ in range(100):
             z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.5))
-            p, q, q2 = rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)
-            element = (
-                generator(z, p, q)
-                - generator(z, p, q2)
-                - generator(z, p, q - 1)
-                + generator(z, p, q2 - 1)
-            )
-            assert r_of_element(element).distance_to_zero() < 1e-9
-            assert nu_symbolic(element, z).is_zero()
+            indices = (rng.randint(-4, 4) for _ in range(5))
+            for _, element in three_equations_elements(z, *indices):
+                assert r_of_element(element).distance_to_zero() < 1e-9
+                assert nu_symbolic(element, z).is_zero()
 
     def test_homo_through_r_and_nu(self):
         rng = random.Random(6)
         for _ in range(100):
             x, y = random_ft_plus(rng)
-            p0, p1, q0, q1, q2 = (rng.randint(-3, 3) for _ in range(5))
-            element = (
-                generator(x, p0, q0)
-                - generator(y, p1, q1)
-                + generator(y / x, p1 - p0, q2)
-                - generator(x, p0, q0 - 1)
-                + generator(y, p1, q1 - 1)
-                - generator(y / x, p1 - p0, q2 - 1)
-            )
+            element = homo_element(x, y, *(rng.randint(-3, 3) for _ in range(5)))
             assert r_of_element(element).distance_to_zero() < 1e-9
             assert nu_symbolic(element, (x, y)).is_zero()
 
@@ -274,6 +401,18 @@ def _nu_cases(rng: random.Random):
                                 *_indices(rng))
             terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
         yield EBElement(terms), (x, y)
+        # the elements the identity suites build, whole and with one
+        # generator left out so that the image is not zero
+        p, q, p2, q2, shift = (rng.randint(-4, 4) for _ in range(5))
+        for _, element in three_equations_elements(z, p, q, p2, q2, shift):
+            yield element, z
+            yield element - generator(z, p, q), z
+        yield kappa_element(z), z
+        yield kappa_element(z) - generator(w, 1, 1), (z, w)
+        offsets = [rng.randint(-3, 3) for _ in range(5)]
+        element = homo_element(x, y, *offsets)
+        yield element, (x, y)
+        yield element - generator(y / x, offsets[1] - offsets[0], 0), (x, y)
 
 
 class TestNuAgainstReference:
@@ -283,7 +422,7 @@ class TestNuAgainstReference:
             expected = nu_reference(element, base)
             assert nu_symbolic(element, base) == expected
             nonzero += not expected.is_zero()
-        assert nonzero >= 180  # of 250; kappa differences vanish
+        assert nonzero >= 400  # of 750; identity instances vanish
 
     def test_rejects_what_the_reference_rejects(self):
         from cvol.errors import SymbolMatchError

@@ -183,6 +183,15 @@ class TestGoldenOutput:
         golden = fixtures / "golden" / f"{command}-{fixture}.json"
         assert out == golden.read_text()
 
+    def test_verify_bytes_match(self, capsys):
+        code, out, _ = run_cli(
+            ["--format", "json", "--seed", "0", "verify", "--count", "50"],
+            capsys,
+        )
+        assert code == 0
+        golden = pathlib.Path(__file__).parent / "fixtures" / "golden"
+        assert out == (golden / "verify-seed0.json").read_text()
+
     def test_combinatorics_derived_once(self, fig8_path, monkeypatch, capsys):
         import cvol.triangulation as triangulation
 
