@@ -8,18 +8,19 @@ With C_0 and C_1 the free modules on vertex and edge classes, the sequence
     J-complex:  0 -> C_0 --alpha--> C_1 --beta--> J --beta*--> C_1
                   --alpha*--> C_0 -> 0
 
-is a chain complex (spots indexed 5..1).  ``omega`` is the element of
-J (x) C whose Delta-component is -(log(1-z) e_0 + log(z) e_1); at a solution
-of the gluing equations (1/pi i) beta*(omega) is an even integer vector.
+is a chain complex (spots indexed 5..1); beta* is the adjoint of beta under
+the skew form.  ``omega`` is the element of J (x) C whose Delta-component
+is -(log(1-z) e_0 + log(z) e_1); at a solution of the gluing equations
+(1/pi i) beta*(omega) is an even integer vector.
 
 ``solve_flattenings`` finds integer branch indices (p_i, q_i) such that
 every edge class has zero signed log-parameter sum and every supplied cusp
 path has zero log-parameter and zero parity, by solving one combined
 integer linear system in Hermite normal form.  Each condition is a list of
-(tet, slot, weight) terms (see ``cvol.triangulation``) that ``pass_rows``
-turns into integer rows.  The resulting fundamental element
-sum_i eps_i [z_i, p_i, q_i] evaluates under the lifted Rogers sum to
-i(vol + i cs) modulo pi^2.
+(tet, slot, weight) terms, derived at parse (``Combinatorics``), that
+``cvol.geometry.pass_rows`` turns into integer rows.  The resulting
+fundamental element sum_i eps_i [z_i, p_i, q_i] evaluates under the lifted
+Rogers sum to i(vol + i cs) modulo pi^2.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .bloch import EBElement, nu_symbolic, r_of_element
 from .errors import InconsistentSystemError, NonIntegralError
-from .geometry import EDGE_OF_SLOT6, flatten
+from .geometry import SLOT_PQ_COEFF, pass_rows, slot_values
 from .intlinalg import (
     AbelianGroup,
     gf2_rank,
@@ -42,16 +42,7 @@ from .intlinalg import (
 )
 from .params import ExtendedParam
 from .polylog import PI_SQUARED, principal_log, reduce_mod
-from .triangulation import (
-    EdgeClass,
-    Term,
-    Triangulation,
-    link_arcs,
-    path_terms,
-)
-
-#: slot index 0..5 -> coefficients on the J_Delta basis (e_0, e_1)
-SLOT_BASIS = [(1, 0), (0, 1), (-1, -1), (1, 0), (0, 1), (-1, -1)]
+from .triangulation import EdgeClass, Triangulation, link_arcs
 
 
 @dataclass
@@ -74,12 +65,8 @@ class JComplex:
 def build_j_complex(tri: Triangulation) -> JComplex:
     """Assemble alpha, beta, beta* and alpha* as exact integer matrices."""
     comb = tri.combinatorics
-    edges, vertices = comb.edges, comb.vertices
-    edge_of, vertex_of = comb.edge_of, comb.vertex_of
+    edges, vertices, vertex_of = comb.edges, comb.vertices, comb.vertex_of
     ne, nv, nt = len(edges), len(vertices), tri.num_tetrahedra
-
-    def j_of(tet: int, slot: int) -> int:
-        return edge_of[(tet, EDGE_OF_SLOT6[slot])]
 
     # alpha: vertex -> sum of incident edges (loops counted twice);
     # alpha*: edge -> sum of its endpoints.  Both from the same incidences.
@@ -90,22 +77,21 @@ def build_j_complex(tri: Triangulation) -> JComplex:
             alpha[e.index][vertex_of[(tet, endpoint)]] += 1
     alpha_star = [list(col) for col in zip(*alpha)]
 
-    # beta: edge class -> sum of the slots identified with it, per simplex.
+    # beta: edge class -> sum of the slots identified with it (the edge's
+    # terms, unsigned), per simplex.
     beta = [[0] * ne for _ in range(2 * nt)]
-    for tet in range(nt):
-        for slot in range(6):
-            c0, c1 = SLOT_BASIS[slot]
-            col = j_of(tet, slot)
+    for col, terms in enumerate(comb.edge_terms):
+        for tet, slot, _ in terms:
+            c0, c1 = SLOT_PQ_COEFF[slot]
             beta[2 * tet][col] += c0
             beta[2 * tet + 1][col] += c1
 
-    # beta*(e_i) = j(e_{i+1}) - j(e_{i+2}) + j(e_{i+4}) - j(e_{i+5})
-    beta_star = [[0] * (2 * nt) for _ in range(ne)]
-    for tet in range(nt):
-        for basis_idx in (0, 1):
-            for offset, sign in ((1, 1), (2, -1), (4, 1), (5, -1)):
-                row = j_of(tet, (basis_idx + offset) % 6)
-                beta_star[row][2 * tet + basis_idx] += sign
+    # beta* is beta's adjoint under <e_0, e_1> = 1: (c0, c1) -> (c1, -c0)
+    beta_star = [
+        [v for t in range(nt)
+         for v in (beta[2 * t + 1][col], -beta[2 * t][col])]
+        for col in range(ne)
+    ]
     return JComplex(tri, edges, vertices, alpha, beta, beta_star, alpha_star)
 
 
@@ -162,21 +148,20 @@ def integral_defect(
 def homology_of_j(jc: JComplex) -> dict[int, AbelianGroup]:
     """Homology at the five spots (keys 5..1) via Smith normal form.
 
-    Each map goes through the Smith form once: its rank is the number of
-    invariant factors, which also present the homology where it comes in.
+    A map's rank is the number of its invariant factors, which also present
+    the homology where it comes in.  alpha* = alpha^T and beta* = beta^T
+    times the unimodular skew form share the factors of alpha and beta.
     """
     nv = len(jc.vertices)
     ne = len(jc.edges)
     alpha = smith_invariant_factors(jc.alpha)
     beta = smith_invariant_factors(jc.beta)
-    beta_star = smith_invariant_factors(jc.beta_star)
-    alpha_star = smith_invariant_factors(jc.alpha_star)
     return {
         5: AbelianGroup(nv - len(alpha)),
         4: AbelianGroup.from_factors(ne - len(beta), alpha),
-        3: AbelianGroup.from_factors(jc.j_rank - len(beta_star), beta),
-        2: AbelianGroup.from_factors(ne - len(alpha_star), beta_star),
-        1: AbelianGroup.from_factors(nv, alpha_star),
+        3: AbelianGroup.from_factors(jc.j_rank - len(beta), beta),
+        2: AbelianGroup.from_factors(ne - len(alpha), beta),
+        1: AbelianGroup.from_factors(nv, alpha),
     }
 
 
@@ -203,53 +188,6 @@ def h1_mod2(jc: JComplex) -> int:
 # ---------------------------------------------------------------------------
 # Flattening solver
 # ---------------------------------------------------------------------------
-
-#: pi*i coefficient of slot w on (p, q): w0 -> p, w1 -> q, w2 -> -(p+q)
-SLOT_PQ_COEFF = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}
-
-
-def _slot_constants(z: complex) -> tuple[complex, complex, complex]:
-    """Principal-branch log-parameters (w0, w1, w2) of z at p = q = 0."""
-    lz, l1mz = principal_log(z), principal_log(1 - z)
-    return (lz, -l1mz, l1mz - lz)
-
-
-class PassRows(NamedTuple):
-    """A condition sum weight * w_slot(tet) over (tet, slot, weight) terms,
-    on the unknowns (p_0, q_0, p_1, q_1, ...)."""
-
-    pq: list[int]        # pi*i coefficients of the condition
-    parity: list[int]    # branch indices whose sum is the condition's parity
-    parity_const: int    # one per w2 pass: its parity parameter is p + q + 1
-    value: complex       # sum of weight * values[tet][slot], in term order
-
-
-def pass_rows(
-    terms: list[Term],
-    width: int,
-    values: list[tuple[complex, complex, complex]] | None = None,
-) -> PassRows:
-    """Integer rows of a condition and, given per-tetrahedron slot values
-    (log constants or flattening components), its value."""
-    pq = [0] * width
-    parity = [0] * width
-    parity_const = 0
-    value = 0j
-    for tet, slot, weight in terms:
-        cp, cq = SLOT_PQ_COEFF[slot]
-        pq[2 * tet] += weight * cp
-        pq[2 * tet + 1] += weight * cq
-        parity[2 * tet] += abs(cp)
-        parity[2 * tet + 1] += abs(cq)
-        parity_const += slot == 2
-        if values is not None:
-            value += weight * values[tet][slot]
-    return PassRows(pq, parity, parity_const, value)
-
-
-def _parity(rows: PassRows, x: list[int]) -> int:
-    return (sum(a * b for a, b in zip(rows.parity, x)) + rows.parity_const) % 2
-
 
 @dataclass
 class FlatteningAssignment:
@@ -285,18 +223,19 @@ def _build_system(
 ) -> tuple[list[list[int]], list[int], int]:
     """Integer rows for edge conditions, path log conditions and path parity
     conditions (the latter with an auxiliary doubled unknown each)."""
+    comb = tri.combinatorics
     n = tri.num_tetrahedra
-    width = 2 * n + len(tri.cusp_paths)
-    constants = [_slot_constants(z) for z in shapes]
+    width = 2 * n + len(comb.cusp_terms)
+    constants = slot_values(ExtendedParam(z, 0, 0) for z in shapes)
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for k, terms in enumerate(tri.combinatorics.edge_terms):
+    for k, terms in enumerate(comb.edge_terms):
         edge = pass_rows(terms, width, constants)
         rows.append(edge.pq)
         rhs.append(-_pi_i_multiple(edge.value, tol, f"edge {k} constant"))
 
-    for k, path in enumerate(tri.cusp_paths):
-        cusp = pass_rows(path_terms(tri, path), width, constants)
+    for k, terms in enumerate(comb.cusp_terms):
+        cusp = pass_rows(terms, width, constants)
         rows.append(cusp.pq)
         rhs.append(-_pi_i_multiple(cusp.value, tol, f"cusp path {k} constant"))
         cusp.parity[2 * n + k] = 2
@@ -382,22 +321,19 @@ def _assignment_from_vector(
     params = [
         ExtendedParam(shapes[t], x[2 * t], x[2 * t + 1]) for t in range(n)
     ]
-    components = [(f.w0, f.w1, f.w2) for f in map(flatten, params)]
+    components = slot_values(params)
 
     edge_residuals = [
         pass_rows(terms, 2 * n, components).value
         for terms in comb.edge_terms
     ]
-    paths = [
-        pass_rows(path_terms(tri, path), 2 * n, components)
-        for path in tri.cusp_paths
-    ]
+    paths = [pass_rows(terms, 2 * n, components) for terms in comb.cusp_terms]
     return FlatteningAssignment(
         params=params,
         signs=comb.signs,
         edge_residuals=edge_residuals,
         path_residuals=[path.value for path in paths],
-        path_parities=[_parity(path, x) for path in paths],
+        path_parities=[path.parity_of(x) for path in paths],
         defect=defect,
         edge_flattened_only=not tri.cusp_paths,
         kernel=_prune_kernel(tri, kernel),
@@ -504,14 +440,14 @@ def cycle_relation_check(
     edge = pass_rows(
         [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)],
         2 * len(simplices),
-        [(f.w0, f.w1, f.w2) for f in map(flatten, params)],
+        slot_values(params),
     )
     if abs(edge.value) > tol:
         raise NonIntegralError(
             f"signed log-parameter sum around the edge is {edge.value!r}, "
             "not 0"
         )
-    if _parity(edge, [v for s in simplices for v in (s.p, s.q)]):
+    if edge.parity_of([v for s in simplices for v in (s.p, s.q)]):
         raise NonIntegralError("parity sum around the edge is odd")
 
     original: dict[ExtendedParam, int] = {}

@@ -11,18 +11,27 @@ branches: the map
 is a bijection onto zero-sum log-parameter triples, inverted by
 ``unflatten``.
 
+The slot convention of the integer conditions lives here: ``EDGE_SLOT``
+(vertex pair -> slot) and ``SLOT_PQ_COEFF`` (slot -> pi*i coefficients on
+(p, q), equally its (e_0, e_1) coordinates in the J-complex).
+``pass_rows`` turns a condition, a list of (tet, slot, weight) terms, into
+integer rows and a value.
+
 Five-point configurations: five points on the sphere at infinity span five
-ideal simplices whose shapes are ``five_point_shapes``; the ten signed
-three-term log-parameter sums over the connecting edges are computed by
-``five_point_edge_conditions``, and their integer coefficient matrix by
-``five_point_edge_rows``.
+ideal simplices whose shapes are ``five_point_shapes``; one walk of the ten
+connecting edges (``FIVE_POINT_EDGES``) gives their signed log-parameter
+sums (``five_point_edge_conditions``) and integer rows
+(``five_point_edge_rows``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
+from typing import NamedTuple
 
 from .errors import DegenerateGeometryError, DomainError, NonIntegralError
 from .params import ExtendedParam, Flattening
@@ -35,8 +44,11 @@ EDGE_SLOT = {
     (0, 2): 2, (1, 3): 2,
 }
 
-#: slot index 0..5 -> vertex pair, opposite edges three apart
-EDGE_OF_SLOT6 = [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 3)]
+#: pi*i coefficient of slot w on (p, q): w0 -> p, w1 -> q, w2 -> -(p+q);
+#: equally the coordinates of the slot's edge on the J_Delta basis (e_0, e_1)
+SLOT_PQ_COEFF = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}
+
+Term = tuple[int, int, int]  # (tet, slot, weight)
 
 
 def edge_pair(a: int, b: int) -> tuple[int, int]:
@@ -131,6 +143,51 @@ def flatten(param: ExtendedParam) -> Flattening:
     return Flattening.from_components(w0, w1)
 
 
+def slot_values(
+    params: Iterable[ExtendedParam],
+) -> list[tuple[complex, complex, complex]]:
+    """Flattening components (w0, w1, w2) per parameter, for ``pass_rows``."""
+    return [(f.w0, f.w1, f.w2) for f in map(flatten, params)]
+
+
+class PassRows(NamedTuple):
+    """A condition sum weight * w_slot(tet) over (tet, slot, weight) terms,
+    on the unknowns (p_0, q_0, p_1, q_1, ...)."""
+
+    pq: list[int]        # pi*i coefficients of the condition
+    parity: list[int]    # branch indices whose sum is the condition's parity
+    parity_const: int    # one per w2 pass: its parity parameter is p + q + 1
+    value: complex       # sum of weight * values[tet][slot], in term order
+
+    def parity_of(self, x: list[int]) -> int:
+        """The condition's parity at the branch indices x."""
+        return (sum(a * b for a, b in zip(self.parity, x))
+                + self.parity_const) % 2
+
+
+def pass_rows(
+    terms: list[Term],
+    width: int,
+    values: list[tuple[complex, complex, complex]] | None = None,
+) -> PassRows:
+    """Integer rows of a condition and, given per-tetrahedron slot values
+    (``slot_values``), its value."""
+    pq = [0] * width
+    parity = [0] * width
+    parity_const = 0
+    value = 0j
+    for tet, slot, weight in terms:
+        cp, cq = SLOT_PQ_COEFF[slot]
+        pq[2 * tet] += weight * cp
+        pq[2 * tet + 1] += weight * cq
+        parity[2 * tet] += abs(cp)
+        parity[2 * tet + 1] += abs(cq)
+        parity_const += slot == 2
+        if values is not None:
+            value += weight * values[tet][slot]
+    return PassRows(pq, parity, parity_const, value)
+
+
 def unflatten(w: Flattening, tol: float = 1e-9) -> ExtendedParam:
     """Recover (z; p, q) from a flattening using z = +-e^{w0} and
     1 - z = +-e^{-w1}; non-integer branch residuals are rejected."""
@@ -196,9 +253,14 @@ def in_ft_plus(x: complex, y: complex, margin: float = 0.0) -> bool:
     return min(a, b, c) > margin
 
 
-def _positions(a: int, b: int, omitted: int) -> tuple[int, int]:
-    verts = [v for v in range(5) if v != omitted]
-    return verts.index(a), verts.index(b)
+#: edge (a, b) of a five-point configuration -> (simplex i, slot of the
+#: edge in simplex i) over the three simplices containing it; simplex i
+#: omits point i and renumbers the other four in order
+FIVE_POINT_EDGES = {
+    (a, b): [(i, EDGE_SLOT[(a - (a > i), b - (b > i))])
+             for i in range(5) if i not in (a, b)]
+    for a, b in combinations(range(5), 2)
+}
 
 
 def five_point_edge_conditions(
@@ -210,40 +272,24 @@ def five_point_edge_conditions(
     satisfy the flattening condition."""
     if len(flats) != 5 or len(signs) != 5:
         raise ValueError("need five flattenings and five signs")
-    out: dict[tuple[int, int], complex] = {}
-    for a in range(5):
-        for b in range(a + 1, 5):
-            total = 0j
-            for i in range(5):
-                if i in (a, b):
-                    continue
-                slot = EDGE_SLOT[edge_pair(*_positions(a, b, i))]
-                total += signs[i] * flats[i].component(slot)
-            out[(a, b)] = total
-    return out
+    return {
+        edge: sum((signs[i] * flats[i].component(slot) for i, slot in terms),
+                  0j)
+        for edge, terms in FIVE_POINT_EDGES.items()
+    }
 
 
 def five_point_edge_rows() -> dict[tuple[int, int], list[int]]:
     """Integer coefficient rows of the ten edge conditions in the unknowns
-    (p0..p4, q0..q4): slot w0 contributes p_i, slot w1 contributes q_i and
-    slot w2 contributes -(p_i + q_i), with alternating signs."""
+    (p0..p4, q0..q4), from ``SLOT_PQ_COEFF`` with alternating signs."""
     rows: dict[tuple[int, int], list[int]] = {}
-    for a in range(5):
-        for b in range(a + 1, 5):
-            vec = [0] * 10
-            for i in range(5):
-                if i in (a, b):
-                    continue
-                slot = EDGE_SLOT[edge_pair(*_positions(a, b, i))]
-                sign = (-1) ** i
-                if slot == 0:
-                    vec[i] += sign
-                elif slot == 1:
-                    vec[5 + i] += sign
-                else:
-                    vec[i] -= sign
-                    vec[5 + i] -= sign
-            rows[(a, b)] = vec
+    for edge, terms in FIVE_POINT_EDGES.items():
+        vec = [0] * 10
+        for i, slot in terms:
+            cp, cq = SLOT_PQ_COEFF[slot]
+            vec[i] += (-1) ** i * cp
+            vec[5 + i] += (-1) ** i * cq
+        rows[edge] = vec
     return rows
 
 

@@ -11,8 +11,9 @@ logarithmic form with principal branches,
 Each log term is a * log z + b * log z' + c * log z'' with integer exponents
 a, b, c, so an equation is a sparse row of (tet, a, b, c) terms, one per
 tetrahedron it involves, plus a constant target.  The rows come from the
-(tet, slot, weight) terms of ``cvol.triangulation``.  A negatively oriented
-tetrahedron (eps = -1) has its geometric shape in the lower half plane.
+(tet, slot, weight) terms derived at parse (``Combinatorics``).  A
+negatively oriented tetrahedron (eps = -1) has its geometric shape in the
+lower half plane.
 
 Newton iterates in the shape variables with a halving line search.  The
 Jacobian J is short of full row rank in every system the solver meets
@@ -41,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DegenerateGeometryError
-from .triangulation import Triangulation, path_terms
+from .triangulation import Triangulation
 
 TWO_PI_I = 2j * math.pi
 FLAT_IM_MARGIN = 1e-10
@@ -116,9 +117,10 @@ def gluing_equations(tri: Triangulation) -> GluingSystem:
         return [(tet, *abc) for tet, abc in sorted(exponents.items())
                 if any(abc)]
 
+    comb = tri.combinatorics
     return GluingSystem(
-        [exponent_row(terms) for terms in tri.combinatorics.edge_terms],
-        [exponent_row(path_terms(tri, p)) for p in tri.cusp_paths],
+        [exponent_row(terms) for terms in comb.edge_terms],
+        [exponent_row(terms) for terms in comb.cusp_terms],
     )
 
 

@@ -122,7 +122,6 @@ def solve_integer_system(
     c = transpose(h)                       # m x n, columns in echelon order
     ut = transpose(u)                      # columns are the change of basis
     y = [0] * n
-    used_rows: set[int] = set()
     r = 0
     for j in range(n):
         col = [c[i][j] for i in range(m)]
@@ -135,7 +134,6 @@ def solve_integer_system(
         if residual % col[pivot_row]:
             return None
         y[j] = residual // col[pivot_row]
-        used_rows.add(pivot_row)
         r = j + 1
     x = matvec(ut, y)
     if matvec(a, x) != list(map(int, b)):

@@ -13,18 +13,21 @@ and the vertex-link state graph.  A normal path is a closed sequence of
 steps (tet, enter_face, exit_face); within each tetrahedron it passes the
 unique edge shared by the two faces.
 
-What derives from the gluings alone is computed once per triangulation
-(``parse_triangulation`` does it) into a frozen ``Combinatorics``: the edge
-classes with the faces crossed on the walk around each edge (``edge_loop``
-reads them), the vertex and face classes, the orientation signs, the
-(tet, pair) -> edge and (tet, vertex) -> vertex lookups, and the edge
-conditions as (tet, slot, weight) terms.
+What derives from the gluings and the cusp paths is computed once per
+triangulation (``parse_triangulation`` does it) into a frozen
+``Combinatorics``: the edge classes with the faces crossed on the walk
+around each edge (``edge_loop`` reads them), the vertex and face classes,
+the orientation signs, the (tet, pair) -> edge and (tet, vertex) -> vertex
+lookups, and the edge and cusp-path conditions as (tet, slot, weight)
+terms (``edge_terms``, ``cusp_terms``).  A cusp path that leaves its vertex
+link fails there, at parse.
 
 Conditions on log-parameters are lists of (tet, slot, weight) terms,
-meaning sum weight * w_slot(tet).  One weight rule holds everywhere: the
-terms of an edge carry the orientation sign eps of their tetrahedron, and
-the terms of a normal path carry the rotation sign of the step, which is
-already measured in the tetrahedron's own vertex order.
+meaning sum weight * w_slot(tet), slots as in ``cvol.geometry``.  One
+weight rule holds everywhere: the terms of an edge carry the orientation
+sign eps of their tetrahedron, and the terms of a normal path carry the
+rotation sign of the step, which is already measured in the tetrahedron's
+own vertex order.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import TriangulationError
-from .geometry import EDGE_SLOT, edge_pair
+from .geometry import EDGE_SLOT, Term, edge_pair
 
 _PERM_PARITY_CACHE: dict[tuple[int, ...], int] = {}
 
@@ -138,12 +141,10 @@ class Triangulation:
         return Combinatorics.of(self)
 
 
-Term = tuple[int, int, int]  # (tet, slot, weight)
-
-
 @dataclass(frozen=True)
 class Combinatorics:
-    """Data derived from the gluings alone, built once per triangulation."""
+    """Data derived from the gluings and the cusp paths, built once per
+    triangulation."""
 
     edges: list[EdgeClass]
     vertices: list[list[tuple[int, int]]]
@@ -152,6 +153,7 @@ class Combinatorics:
     edge_of: dict[tuple[int, tuple[int, int]], int]
     vertex_of: dict[tuple[int, int], int]
     edge_terms: list[list[Term]]
+    cusp_terms: list[list[Term]]
 
     @classmethod
     def of(cls, tri: Triangulation) -> Combinatorics:
@@ -178,6 +180,7 @@ class Combinatorics:
                  for tet, pair, _ in e.incidences]
                 for e in edges
             ],
+            cusp_terms=[path_terms(tri, path) for path in tri.cusp_paths],
         )
 
 
@@ -194,12 +197,17 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise TriangulationError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true and false parse to bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_triangulation(document: dict | str | bytes) -> Triangulation:
     """Parse and validate the JSON triangulation format.
 
     Checks: schema strictness, permutation validity, fixed-point-free
     involution with inverse permutations, face carried to face, orientability
-    and cusp path connectivity.
+    and that each cusp path is linked, closed and stays in one vertex link.
     """
     if isinstance(document, (str, bytes)):
         document = json.loads(document)
@@ -233,11 +241,11 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
             _require_keys(g, {"tet", "perm"}, {"tet", "perm"}, f"gluing ({t},{f})")
             target = g["tet"]
             perm = g["perm"]
-            if not isinstance(target, int) or not 0 <= target < len(tets):
+            if not _is_int(target) or not 0 <= target < len(tets):
                 raise TriangulationError(f"gluing ({t},{f}) targets bad tet")
             if (
                 not isinstance(perm, list)
-                or len(perm) != 4
+                or not all(map(_is_int, perm))
                 or sorted(perm) != [0, 1, 2, 3]
             ):
                 raise TriangulationError(
@@ -262,13 +270,10 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
                     "permutation"
                 )
 
-    tri = Triangulation(name=name, gluings=gluings)
-
-    tri.combinatorics  # derived once; raises for non-orientable complexes
-
     raw_paths = document.get("cusp_paths", [])
     if not isinstance(raw_paths, list):
         raise TriangulationError("cusp_paths must be a list")
+    paths = []
     for k, raw_path in enumerate(raw_paths):
         if not isinstance(raw_path, list) or not raw_path:
             raise TriangulationError(f"cusp path {k} must be a non-empty list")
@@ -283,14 +288,13 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
                 f"cusp path {k} step {s}",
             )
             tet, fin, fout = step["tet"], step["enter_face"], step["exit_face"]
-            if not all(isinstance(v, int) for v in (tet, fin, fout)):
+            if not all(map(_is_int, (tet, fin, fout))):
                 raise TriangulationError(f"cusp path {k} step {s}: ints required")
             steps.append(PathStep(tet, fin, fout))
-        path = NormalPath(tuple(steps))
-        validate_normal_path(tri, path)
-        tri.cusp_paths.append(path)
+        paths.append(NormalPath(tuple(steps)))
 
     shapes = document.get("shapes")
+    hints = None
     if shapes is not None:
         if not isinstance(shapes, list) or len(shapes) != len(tets):
             raise TriangulationError("shapes must list one [re, im] per tet")
@@ -299,11 +303,15 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(_is_int(v) or isinstance(v, float) for v in entry)
             ):
                 raise TriangulationError("shapes entries must be [re, im]")
             hints.append(complex(entry[0], entry[1]))
-        tri.shape_hints = hints
+
+    tri = Triangulation(name, gluings, paths, hints)
+    # derived once; raises for non-orientable complexes and for cusp paths
+    # that are not closed normal paths in one vertex link
+    tri.combinatorics
     return tri
 
 

@@ -61,6 +61,24 @@ class TestCvolCommand:
         assert code != 0
         assert "parse" in err
 
+    def test_path_leaving_vertex_link_fails_at_parse(
+        self, fig8_doc, tmp_path, capsys
+    ):
+        # linked and closed, but the vertex it tracks comes back as another
+        doc = dict(fig8_doc)
+        doc["cusp_paths"] = [[
+            {"tet": 0, "enter_face": 0, "exit_face": 1},
+            {"tet": 1, "enter_face": 1, "exit_face": 0},
+        ]]
+        path = tmp_path / "off_link.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["--format", "json", "cvol", str(path)],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "error at stage parse" in err
+        assert "vertex link" in err
+
 
 class TestVerifyCommand:
     def test_default_run_passes(self, capsys):
@@ -168,10 +186,9 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize(
         "command,fixture",
-        [("cvol", "fig8"), ("flatten", "fig8"), ("edges", "fig8"),
-         ("homology", "fig8"), ("cvol", "fig8_cover3"),
-         ("flatten", "fig8_cover3"), ("edges", "fig8_cover3"),
-         ("homology", "fig8_cover3")],
+        [(command, fixture)
+         for fixture in ("fig8", "fig8_cover3", "fig8_cover8")
+         for command in ("cvol", "flatten", "edges", "homology")],
     )
     def test_bytes_match(self, command, fixture, capsys):
         fixtures = pathlib.Path(__file__).parent / "fixtures"
@@ -195,7 +212,7 @@ class TestGoldenOutput:
     def test_combinatorics_derived_once(self, fig8_path, monkeypatch, capsys):
         import cvol.triangulation as triangulation
 
-        calls = {"edge_classes": 0, "orientation_signs": 0}
+        calls = {"edge_classes": 0, "orientation_signs": 0, "path_passes": 0}
         for name in calls:
             original = getattr(triangulation, name)
 
@@ -206,7 +223,9 @@ class TestGoldenOutput:
             monkeypatch.setattr(triangulation, name, counted)
         code, _, _ = run_cli(["cvol", str(fig8_path)], capsys)
         assert code == 0
-        assert calls == {"edge_classes": 1, "orientation_signs": 1}
+        # one path_passes per cusp path: the terms are derived at parse
+        assert calls == {"edge_classes": 1, "orientation_signs": 1,
+                         "path_passes": 2}
 
 
 class TestTextFormat:

@@ -22,18 +22,18 @@ from cvol.flattening import (
     homology_of_j,
     integral_defect,
     omega,
-    pass_rows,
     snap_cs,
     solve_flattenings,
     xi,
 )
-from cvol.intlinalg import AbelianGroup, matmul
+from cvol.geometry import pass_rows
+from cvol.intlinalg import AbelianGroup, matmul, smith_invariant_factors
 from cvol.params import ExtendedParam
 from cvol.polylog import PI_SQUARED, bloch_wigner, reduce_mod
 from cvol.triangulation import parse_triangulation, path_terms
 from cvol.verify import random_ft_plus
 
-from oracles import random_link_walk
+from oracles import random_link_walk, relabel_document
 
 PI = math.pi
 REGULAR = cmath.exp(1j * PI / 3)
@@ -66,6 +66,64 @@ class TestJComplex:
         candidate = matmul(bt, omega_form)
         neg = [[-v for v in row] for row in candidate]
         assert jc.beta_star in (candidate, neg)
+
+
+def _mixed_orientation(doc):
+    """The document with tetrahedron 1 relabeled by the odd permutation
+    (0 1): its orientation sign turns to -1."""
+    sigma = [[0, 1, 2, 3], [1, 0, 2, 3]]
+    tets = []
+    for t, entry in enumerate(doc["tetrahedra"]):
+        gluings = [None] * 4
+        for f, g in enumerate(entry["gluings"]):
+            perm = [0] * 4
+            for v in range(4):
+                perm[sigma[t][v]] = sigma[g["tet"]][g["perm"][v]]
+            gluings[sigma[t][f]] = {"tet": g["tet"], "perm": perm}
+        tets.append({"gluings": gluings})
+    paths = [
+        [{"tet": s["tet"], "enter_face": sigma[s["tet"]][s["enter_face"]],
+          "exit_face": sigma[s["tet"]][s["exit_face"]]} for s in path]
+        for path in doc["cusp_paths"]
+    ]
+    return {"name": "mixed", "tetrahedra": tets, "cusp_paths": paths}
+
+
+def _load(name, seed=None):
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    if seed is not None:
+        doc = relabel_document(doc, random.Random(seed))
+    return parse_triangulation(doc)
+
+
+class TestStarredMapsShareSmithForms:
+    """alpha* = alpha^T and beta* = beta^T times a unimodular skew form have
+    the invariant factors of alpha and beta, which ``homology_of_j`` relies
+    on to take two Smith forms instead of four."""
+
+    @pytest.mark.parametrize("seed", [None, 3, 17])
+    @pytest.mark.parametrize("name", ["fig8", "fig8_cover3", "fig8_cover8"])
+    def test_invariant_factors_agree(self, name, seed):
+        jc = build_j_complex(_load(name, seed))
+        assert smith_invariant_factors(jc.beta_star) == \
+            smith_invariant_factors(jc.beta)
+        assert smith_invariant_factors(jc.alpha_star) == \
+            smith_invariant_factors(jc.alpha)
+
+    def test_homology_takes_two_smith_forms(self, fig8_cover3, monkeypatch):
+        import cvol.flattening as flattening
+
+        seen = []
+
+        def counted(m):
+            seen.append(m)
+            return smith_invariant_factors(m)
+
+        monkeypatch.setattr(flattening, "smith_invariant_factors", counted)
+        jc = build_j_complex(fig8_cover3)
+        groups = homology_of_j(jc)
+        assert seen == [jc.alpha, jc.beta]
+        assert str(groups[2]) == "Z/2 + Z/2"
 
 
 class TestOmega:
@@ -117,6 +175,24 @@ class TestHomology:
         assert groups[5] == AbelianGroup(0)
         assert groups[4] == AbelianGroup(0, (2,))
         assert groups[1] == AbelianGroup(0, (2,))
+
+    def test_odd_relabeling_keeps_groups_and_defect(
+        self, fig8, fig8_doc, fig8_shapes
+    ):
+        # beta reads an edge's slots unsigned.  A tetrahedron relabeled by an
+        # odd permutation gets sign -1 and the conjugate shape, whose logs
+        # are the conjugates, so beta*(omega) stays fig8's
+        from cvol.gluing import solve_shapes
+
+        mixed = parse_triangulation(_mixed_orientation(fig8_doc))
+        assert mixed.combinatorics.signs == [1, -1]
+        jc = build_j_complex(mixed)
+        for composite in chain_complex_composites(jc):
+            assert all(v == 0 for row in composite for v in row)
+        fig8_jc = build_j_complex(fig8)
+        assert homology_of_j(jc) == homology_of_j(fig8_jc)
+        assert integral_defect(jc, omega(mixed, solve_shapes(mixed).shapes)) \
+            == integral_defect(fig8_jc, omega(fig8, fig8_shapes)) == [2, -2]
 
     def test_h2_matches_h1_mod2(self, fig8):
         jc = build_j_complex(fig8)
@@ -195,24 +271,7 @@ class TestSolveFlattenings:
         # (vol, cs) stays that of the figure-eight
         from cvol.gluing import solve_shapes
 
-        sigma = [[0, 1, 2, 3], [1, 0, 2, 3]]
-        tets = []
-        for t, entry in enumerate(fig8_doc["tetrahedra"]):
-            gluings = [None] * 4
-            for f, g in enumerate(entry["gluings"]):
-                perm = [0] * 4
-                for v in range(4):
-                    perm[sigma[t][v]] = sigma[g["tet"]][g["perm"][v]]
-                gluings[sigma[t][f]] = {"tet": g["tet"], "perm": perm}
-            tets.append({"gluings": gluings})
-        paths = [
-            [{"tet": s["tet"], "enter_face": sigma[s["tet"]][s["enter_face"]],
-              "exit_face": sigma[s["tet"]][s["exit_face"]]} for s in path]
-            for path in fig8_doc["cusp_paths"]
-        ]
-        tri = parse_triangulation(
-            {"name": "mixed", "tetrahedra": tets, "cusp_paths": paths}
-        )
+        tri = parse_triangulation(_mixed_orientation(fig8_doc))
         solution = solve_shapes(tri)
         assert solution.geometric
         assignment = solve_flattenings(tri, solution.shapes)

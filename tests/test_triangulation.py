@@ -73,6 +73,40 @@ class TestParser:
         tri = parse_triangulation(json.dumps(fig8_doc))
         assert tri.num_tetrahedra == 2
 
+    @pytest.mark.parametrize(
+        "where",
+        [
+            ("tetrahedra", 0, "gluings", 0, "tet"),
+            ("tetrahedra", 0, "gluings", 0, "perm", 0),
+            ("cusp_paths", 0, 1, "tet"),
+            ("cusp_paths", 0, 0, "enter_face"),
+            ("cusp_paths", 0, 1, "exit_face"),
+            ("shapes", 1, 0),
+        ],
+    )
+    def test_json_boolean_is_not_a_number(self, fig8_doc, where):
+        # each entry is 0 or 1, and the document parses with it; the JSON
+        # boolean of the same truth value must not
+        doc = copy.deepcopy(fig8_doc)
+        doc["shapes"] = [[0.5, 0.8], [1, 0.9]]
+        *outer, key = where
+        container = doc
+        for k in outer:
+            container = container[k]
+        assert container[key] in (0, 1)
+        parse_triangulation(doc)
+        container[key] = bool(container[key])
+        with pytest.raises(TriangulationError):
+            parse_triangulation(doc)
+
+    def test_cusp_terms_are_the_path_passes(self, fig8):
+        comb = fig8.combinatorics
+        assert comb.cusp_terms == [
+            [(tet, EDGE_SLOT[pair], rot)
+             for tet, pair, rot in path_passes(fig8, path)]
+            for path in fig8.cusp_paths
+        ]
+
 
 class TestEdgeClasses:
     def test_two_classes_of_valence_six(self, fig8):
