@@ -1,29 +1,27 @@
 """Exact linear algebra over the integers and over GF(2).
 
 Matrices are lists of lists of Python ints, so intermediate entries can grow
-without overflow.  Provides Hermite normal form with transform, solution of
-A x = b over Z with kernel basis, Smith normal form invariant factors, and a
-small descriptor type for finitely generated abelian groups.
+without overflow.  Provides row Hermite normal form, solution of A x = b
+over Z with kernel basis, Smith normal form invariant factors, and a small
+descriptor type for finitely generated abelian groups.
 
 The Smith form works in two steps, because the matrices of a triangulation
 are very sparse and almost all their pivots are units.  A sparse pass
-eliminates +-1 pivots in Markowitz order on dict rows; only the small dense
-core that is left goes through classic diagonalization.  Both steps are
-exact: no modular or floating-point shortcut is taken.
+eliminates +-1 pivots in Markowitz order on dict rows; the small dense core
+that is left is diagonalized by alternating row Hermite forms of the matrix
+and of its transpose (Kannan-Bachem).  Both steps are exact: no modular or
+floating-point shortcut is taken.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 
 def _copy(m: list[list[int]]) -> list[list[int]]:
     return [list(map(int, row)) for row in m]
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def transpose(m: list[list[int]]) -> list[list[int]]:
@@ -43,56 +41,51 @@ def matvec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def row_hnf(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style Hermite normal form.
+def row_hnf(m: list[list[int]], limit: int | None = None) -> list[list[int]]:
+    """Row-style Hermite normal form H = U * m with U unimodular.
 
-    Returns (H, U) with H = U * m, U unimodular, H in row echelon form with
-    positive pivots and entries above each pivot reduced into [0, pivot).
+    H is in row echelon form with positive pivots and entries above each
+    pivot reduced into [0, pivot).  Pivots are sought in the first ``limit``
+    columns only (all by default); the row operations still act on whole
+    rows, so for m = [a | I] with limit = width of a the result is [H | U].
     """
     h = _copy(m)
     rows = len(h)
     cols = len(h[0]) if rows else 0
-    u = _identity(rows)
     pivot_row = 0
-    for col in range(cols):
+    for col in range(cols if limit is None else limit):
         if pivot_row >= rows:
             break
         # eliminate below via gcd row operations
         nonzero = [r for r in range(pivot_row, rows) if h[r][col] != 0]
         if not nonzero:
             continue
-        while True:
-            nonzero = [r for r in range(pivot_row, rows) if h[r][col] != 0]
-            if len(nonzero) == 1:
-                break
+        while len(nonzero) > 1:
             nonzero.sort(key=lambda r: abs(h[r][col]))
             r0 = nonzero[0]
             for r in nonzero[1:]:
                 f = h[r][col] // h[r0][col]
                 h[r] = [a - f * b for a, b in zip(h[r], h[r0])]
-                u[r] = [a - f * b for a, b in zip(u[r], u[r0])]
+            # only these rows can still be nonzero; ties go by row index
+            nonzero = sorted(r for r in nonzero if h[r][col] != 0)
         r0 = nonzero[0]
         if r0 != pivot_row:
             h[r0], h[pivot_row] = h[pivot_row], h[r0]
-            u[r0], u[pivot_row] = u[pivot_row], u[r0]
         if h[pivot_row][col] < 0:
             h[pivot_row] = [-a for a in h[pivot_row]]
-            u[pivot_row] = [-a for a in u[pivot_row]]
         piv = h[pivot_row][col]
         for r in range(pivot_row):
             f = h[r][col] // piv
             if f:
                 h[r] = [a - f * b for a, b in zip(h[r], h[pivot_row])]
-                u[r] = [a - f * b for a, b in zip(u[r], u[pivot_row])]
         pivot_row += 1
-    return h, u
+    return h
 
 
 def rank(m: list[list[int]]) -> int:
     if not m or not m[0]:
         return 0
-    h, _ = row_hnf(m)
-    return sum(1 for row in h if any(row))
+    return sum(1 for row in row_hnf(m) if any(row))
 
 
 @dataclass
@@ -108,9 +101,11 @@ def solve_integer_system(
 ) -> IntegerSolution | None:
     """Solve a x = b over Z.  Returns None when the system is inconsistent.
 
-    Uses a column Hermite form a * U^T = C: forward substitution on the
-    echelon columns with exact divisibility checks yields a particular
-    solution, and the columns of U^T beyond the rank span the kernel.
+    Uses a column Hermite form a * U^T = C, found as the row HNF
+    [C^T | U] of [a^T | I] with pivots in the first m columns: forward
+    substitution on the echelon columns with exact divisibility checks
+    yields a particular solution, and the columns of U^T beyond the rank
+    span the kernel.
     """
     m = len(a)
     n = len(a[0]) if a else 0
@@ -118,9 +113,10 @@ def solve_integer_system(
         if any(b):
             return None
         return IntegerSolution([], [])
-    h, u = row_hnf(transpose(a))           # h = u * a^T, so a * u^T = h^T
-    c = transpose(h)                       # m x n, columns in echelon order
-    ut = transpose(u)                      # columns are the change of basis
+    eye = [[int(i == k) for k in range(n)] for i in range(n)]
+    hu = row_hnf([r + e for r, e in zip(transpose(a), eye)], m)  # [h | u]
+    c = transpose([row[:m] for row in hu])  # m x n, columns in echelon order
+    ut = transpose([row[m:] for row in hu])  # columns are the change of basis
     y = [0] * n
     r = 0
     for j in range(n):
@@ -150,9 +146,8 @@ def reduce_mod_lattice(x: list[int], basis: list[list[int]]) -> list[int]:
     """
     if not basis:
         return list(map(int, x))
-    h, _ = row_hnf(basis)
     out = list(map(int, x))
-    for row in h:
+    for row in row_hnf(basis):
         piv_col = next((j for j, v in enumerate(row) if v != 0), None)
         if piv_col is None:
             continue
@@ -258,69 +253,26 @@ def _eliminate_unit_pivots(m: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 def _dense_smith_factors(a: list[list[int]]) -> list[int]:
-    """Smith invariant factors of a dense matrix, modified in place.
+    """Smith invariant factors of a dense matrix by alternating Hermite forms.
 
-    Classic diagonalization with a minimal pivot re-selected after every
-    Euclidean round, which keeps the entries from blowing up.
+    Row HNF of the matrix, then row HNF of the transpose of its nonzero
+    rows, until every nonzero row has a single entry.  This terminates:
+    each round's first pivot divides the one before, and once it stops
+    shrinking its row and column are clear; the rest follows by induction.
+    The diagonal is then turned into a divisibility chain by gcd / lcm.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    factors: list[int] = []
-    t = 0
-    while t < min(rows, cols):
-        while True:
-            # move a minimal nonzero entry of the remaining block to (t, t)
-            pivot = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    v = a[i][j]
-                    if v and (pivot is None or abs(v) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                return factors
-            i0, j0 = pivot
-            if i0 != t:
-                a[t], a[i0] = a[i0], a[t]
-            if j0 != t:
-                for row in a:
-                    row[t], row[j0] = row[j0], row[t]
-            piv = a[t][t]
-            # one Euclidean reduction round on column t and row t
-            exact = True
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    f = a[i][t] // piv
-                    if f:
-                        a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        exact = False
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    f = a[t][j] // piv
-                    if f:
-                        for row in a:
-                            row[j] -= f * row[t]
-                    if a[t][j]:
-                        exact = False
-            if not exact:
-                continue  # smaller remainders exist; re-select the pivot
-            # column and row are clear; enforce divisibility of the block
-            piv = abs(a[t][t])
-            offender = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    if any(a[i][j] % piv for j in range(t + 1, cols))
-                ),
-                None,
-            )
-            if offender is not None:
-                a[t] = [x + y for x, y in zip(a[t], a[offender])]
-                continue
-            factors.append(piv)
-            t += 1
+    h = row_hnf(a)
+    while True:
+        h = [row for row in h if any(row)]
+        if all(sum(1 for v in row if v) == 1 for row in h):
             break
-    return factors
+        h = row_hnf(transpose(h))
+    d = [next(v for v in row if v) for row in h]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
 
 
 def gf2_rank(m: list[list[int]]) -> int:
@@ -348,24 +300,12 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     @classmethod
-    def from_presentation(
-        cls, ambient_nullity: int, relations: list[list[int]]
-    ) -> "AbelianGroup":
-        """Group ker/im for a chain spot: ambient_nullity = dim ker of the
-        outgoing map, relations = matrix of the incoming map."""
-        factors = smith_invariant_factors(relations) if relations else []
-        return cls.from_factors(ambient_nullity, factors)
-
-    @classmethod
     def from_factors(
         cls, ambient_nullity: int, factors: list[int]
     ) -> "AbelianGroup":
         """Group ker/im from the invariant factors of the incoming map."""
         torsion = tuple(sorted(f for f in factors if f > 1))
         return cls(ambient_nullity - len(factors), torsion)
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
@@ -374,9 +314,7 @@ class AbelianGroup:
 
 def lattice_equal(basis_a: list[list[int]], basis_b: list[list[int]]) -> bool:
     """Whether two integer row spans define the same lattice."""
-    ha, _ = row_hnf(basis_a)
-    hb, _ = row_hnf(basis_b)
-    ha = [row for row in ha if any(row)]
-    hb = [row for row in hb if any(row)]
+    ha = [row for row in row_hnf(basis_a) if any(row)]
+    hb = [row for row in row_hnf(basis_b) if any(row)]
     return ha == hb
 

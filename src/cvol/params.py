@@ -11,7 +11,6 @@ w0 + w1 + w2 = 0.  Conversion in both directions lives in ``cvol.geometry``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -93,10 +92,3 @@ class Flattening:
 
     def component(self, slot: int) -> complex:
         return (self.w0, self.w1, self.w2)[slot]
-
-    def adjusted(self, slot_up: int, slot_down: int, units: int = 1) -> "Flattening":
-        """Add units*pi*i to one slot and subtract it from another."""
-        delta = [0j, 0j, 0j]
-        delta[slot_up] += 1j * math.pi * units
-        delta[slot_down] -= 1j * math.pi * units
-        return Flattening(self.w0 + delta[0], self.w1 + delta[1], self.w2 + delta[2])

@@ -33,6 +33,7 @@ own vertex order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -202,6 +203,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number that is a finite float: JSON parsers admit NaN,
+    Infinity and integers too large for a float."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def parse_triangulation(document: dict | str | bytes) -> Triangulation:
     """Parse and validate the JSON triangulation format.
 
@@ -303,9 +315,11 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(_is_int(v) or isinstance(v, float) for v in entry)
+                or not all(map(_is_finite_number, entry))
             ):
-                raise TriangulationError("shapes entries must be [re, im]")
+                raise TriangulationError(
+                    "shapes entries must be [re, im] of finite numbers"
+                )
             hints.append(complex(entry[0], entry[1]))
 
     tri = Triangulation(name, gluings, paths, hints)

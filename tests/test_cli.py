@@ -80,6 +80,22 @@ class TestCvolCommand:
         assert "vertex link" in err
 
 
+    @pytest.mark.parametrize(
+        "value", ["NaN", "Infinity", "-Infinity", "9" * 401],
+        ids=["nan", "inf", "-inf", "401-digit"],
+    )
+    def test_non_finite_shape_fails_at_parse(self, fig8_doc, tmp_path,
+                                             capsys, value):
+        doc = dict(fig8_doc, shapes=[[0.5, 0.8], [0.5, 0.9]])
+        path = tmp_path / "bad_shape.json"
+        path.write_text(json.dumps(doc).replace("0.9", value))
+        code, out, err = run_cli(["--format", "json", "cvol", str(path)],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "error at stage parse" in err
+
+
 class TestVerifyCommand:
     def test_default_run_passes(self, capsys):
         code, out, _ = run_cli(

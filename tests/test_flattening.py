@@ -1,6 +1,7 @@
 """J-complex structure, flattening solver, homology, cycle relation."""
 
 import cmath
+import dataclasses
 import json
 import math
 import pathlib
@@ -8,7 +9,7 @@ import random
 
 import pytest
 
-from cvol.bloch import r_of_element
+from cvol.bloch import EBElement, nu_symbolic, r_of_element
 from cvol.errors import NonIntegralError
 from cvol.flattening import (
     CycleSimplex,
@@ -216,11 +217,26 @@ class TestHomologyOfCovers:
               1: "Z/2"}, 2),
             ("fig8_cover8.json",
              {5: "0", 4: "Z/2", 3: "Z + Z", 2: "0", 1: "Z/2"}, 0),
+            ("fig8_cover32.json",
+             {5: "0", 4: "Z/2", 3: "Z + Z", 2: "0", 1: "Z/2"}, 0),
         ],
     )
     def test_groups(self, name, expected, rank_mod2):
         doc = json.loads((FIXTURES / name).read_text())
         jc = build_j_complex(parse_triangulation(doc))
+        self.check(jc, expected, rank_mod2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabeled_cover_keeps_torsion(self, seed):
+        # relabeling leaves dense Smith cores with large entries
+        doc = json.loads((FIXTURES / "fig8_cover3.json").read_text())
+        doc = relabel_document(doc, random.Random(seed))
+        jc = build_j_complex(parse_triangulation(doc))
+        self.check(jc, {5: "0", 4: "Z/2", 3: "Z + Z + Z/2 + Z/2",
+                        2: "Z/2 + Z/2", 1: "Z/2"}, 2)
+
+    @staticmethod
+    def check(jc, expected, rank_mod2):
         groups = homology_of_j(jc)
         assert {k: str(g) for k, g in groups.items()} == expected
         assert h1_mod2(jc) == rank_mod2
@@ -430,13 +446,21 @@ class TestCycleRelation:
             cycle_relation_check(simplices, (z, None))
 
     def test_homo_special_case(self):
-        # lowering every q by one around the edge is an instance
+        # lowering every q by one around the edge is an instance, and the
+        # lowered element equals the original in the extended Bloch group
         rng = random.Random(10)
-        simplices, base = self.three_term(rng)
-        element_before = {
-            (s.shape, s.p, s.q): s.sign for s in simplices
-        }
-        assert cycle_relation_check(simplices, base)
+        for _ in range(10):
+            simplices, base = self.three_term(rng)
+            lowered = [dataclasses.replace(s, q=s.q - 1) for s in simplices]
+            assert cycle_relation_check(lowered, base)
+            terms = {}
+            for s, t in zip(simplices, lowered):
+                for key, coeff in ((ExtendedParam(s.shape, s.p, s.q), s.sign),
+                                   (ExtendedParam(t.shape, t.p, t.q), -t.sign)):
+                    terms[key] = terms.get(key, 0) + coeff
+            difference = EBElement(terms)
+            assert r_of_element(difference).distance_to_zero() < 1e-9
+            assert nu_symbolic(difference, base).is_zero()
 
 
 class TestComplexVolume:

@@ -1,0 +1,33 @@
+"""Every function the benchmark traces is still defined by its module.
+
+``perfbench/tracer.py`` wraps functions by (module, name) and counts a name
+that is gone as absent instead of failing, so a rename or a deletion in
+``cvol`` would silently drop that layer's figures.
+"""
+
+import importlib
+import inspect
+import pathlib
+import sys
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+# replaced by triangulation.link_arcs when kernel pruning moved to one
+# spanning forest of the vertex-link state graph
+KNOWN_ABSENT = {"triangulation.vertex_link_cycles"}
+
+
+def test_traced_functions_are_defined():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    missing = {
+        name
+        for name, (module, func) in tracer.LAYER_FUNCTIONS.items()
+        if not inspect.isfunction(
+            getattr(importlib.import_module(f"cvol.{module}"), func, None)
+        )
+    }
+    assert missing <= KNOWN_ABSENT

@@ -69,6 +69,20 @@ class TestParser:
         tri = parse_triangulation(doc)
         assert tri.shape_hints == [0.5 + 0.8j, 0.5 + 0.9j]
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["nan", "inf", "-inf", "401-digit"],
+    )
+    def test_shapes_must_be_finite_floats(self, fig8_doc, value):
+        # Python's json reads NaN, Infinity and -Infinity, and integers of
+        # any length
+        doc = copy.deepcopy(fig8_doc)
+        doc["shapes"] = [[0.5, 0.8], [0.5, value]]
+        with pytest.raises(TriangulationError, match="finite"):
+            parse_triangulation(doc)
+        with pytest.raises(TriangulationError, match="finite"):
+            parse_triangulation(json.dumps(doc))
+
     def test_json_string_accepted(self, fig8_doc):
         tri = parse_triangulation(json.dumps(fig8_doc))
         assert tri.num_tetrahedra == 2
