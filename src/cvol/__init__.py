@@ -9,79 +9,89 @@ Chern-Simons invariant, well defined modulo pi^2.
 
 The formal layer (wedge expressions and pre-Bloch elements) verifies the
 algebraic identities the construction rests on at desk scale.
+
+``import cvol`` loads no submodule: each name below is resolved on first
+use (PEP 562), so ``cvol.solve_shapes`` imports ``cvol.gluing`` when it is
+first read, and a command loads only the modules it runs.
 """
 
-from .bloch import (
-    EBElement,
-    FiveTermTuple,
-    chi,
-    chi_hat,
-    epsilon_parity,
-    five_term_instance,
-    generator,
-    kappa_element,
-    nu_symbolic,
-    r_of_element,
-    super_transfer_rhs,
-    transfer_instance,
-)
-from .errors import (
-    ConvergenceError,
-    CVolError,
-    DegenerateGeometryError,
-    DomainError,
-    InconsistentSystemError,
-    NonIntegralError,
-    SymbolMatchError,
-    TriangulationError,
-)
-from .flattening import (
-    CycleSimplex,
-    FlatteningAssignment,
-    JComplex,
-    build_j_complex,
-    complex_volume,
-    cycle_relation_check,
-    fundamental_element,
-    homology_of_j,
-    integral_defect,
-    omega,
-    solve_flattenings,
-)
-from .geometry import (
-    IdealSimplexShape,
-    cross_ratio,
-    edge_parameter,
-    five_point_edge_conditions,
-    five_point_shapes,
-    flatten,
-    unflatten,
-)
-from .gluing import GluingSystem, ShapeSolution, gluing_equations, solve_shapes
-from .params import ExtendedParam, Flattening
-from .polylog import (
-    ModPiSquared,
-    bloch_wigner,
-    dilog,
-    lifted_rogers,
-    principal_log,
-    reduce_mod,
-    rogers,
-)
-from .triangulation import (
-    Combinatorics,
-    EdgeClass,
-    NormalPath,
-    PathStep,
-    Triangulation,
-    edge_classes,
-    edge_loop,
-    orientation_signs,
-    parse_triangulation,
-    path_passes,
-)
-from .wedge import SymbolVector, WedgeExpr, combine, is_zero, sym, wedge
+import importlib
+import sys
+import types
+
+#: defining module -> the names the package re-exports from it
+_EXPORTS = {
+    "bloch": (
+        "EBElement", "FiveTermTuple", "chi", "chi_hat", "epsilon_parity",
+        "five_term_instance", "generator", "kappa_element", "nu_symbolic",
+        "r_of_element", "super_transfer_rhs", "transfer_instance",
+    ),
+    "errors": (
+        "ConvergenceError", "CVolError", "DegenerateGeometryError",
+        "DomainError", "InconsistentSystemError", "NonIntegralError",
+        "SymbolMatchError", "TriangulationError",
+    ),
+    "flattening": (
+        "CycleSimplex", "FlatteningAssignment", "JComplex", "build_j_complex",
+        "complex_volume", "cycle_relation_check", "fundamental_element",
+        "homology_of_j", "integral_defect", "omega", "solve_flattenings",
+    ),
+    "geometry": (
+        "IdealSimplexShape", "cross_ratio", "edge_parameter",
+        "five_point_edge_conditions", "five_point_shapes", "flatten",
+        "unflatten",
+    ),
+    "gluing": (
+        "GluingSystem", "ShapeSolution", "gluing_equations", "solve_shapes",
+    ),
+    "params": ("ExtendedParam", "Flattening"),
+    "polylog": (
+        "ModPiSquared", "bloch_wigner", "dilog", "lifted_rogers",
+        "principal_log", "reduce_mod", "rogers",
+    ),
+    "triangulation": (
+        "Combinatorics", "EdgeClass", "NormalPath", "PathStep",
+        "Triangulation", "edge_classes", "edge_loop", "orientation_signs",
+        "parse_triangulation", "path_passes",
+    ),
+    "wedge": ("SymbolVector", "WedgeExpr", "combine", "is_zero", "sym",
+              "wedge"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+#: submodules the package has always bound as attributes
+_SUBMODULES = (*_EXPORTS, "intlinalg")
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({*_MODULE_OF, *_SUBMODULES})
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """The import system binds a submodule on its package when it first
+    loads it.  ``cvol.wedge`` names the function ``wedge.wedge``, so the
+    submodule of that name is not bound over it."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _MODULE_OF and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

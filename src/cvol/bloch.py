@@ -275,10 +275,11 @@ _MONOMIALS = (
 
 
 def _log_candidates(
-    x: complex, y: complex | None
-) -> list[tuple[complex, tuple[int, ...], complex]]:
-    """(value, exponent vector, symbolic log value) of every monomial in
-    x, 1-x, y, 1-y, x-y that a generator may match."""
+    x: complex, y: complex | None, match_tol: float
+) -> list[tuple[complex, float, tuple[int, ...], complex]]:
+    """(value, match radius, exponent vector, symbolic log value) of every
+    monomial in x, 1-x, y, 1-y, x-y that a generator may match; the radius
+    is ``match_tol`` relative to max(1, |value|)."""
     if y is None:
         values = (x, 1 - x)
         logs = (principal_log(1 - x), 0j, principal_log(x), 0j, 0j)
@@ -287,20 +288,20 @@ def _log_candidates(
                   y * (1 - x) / (x * (1 - y)), (x - y) / (x * (1 - y)),
                   (1 - x) / (1 - y), (x - y) / (1 - y))
         logs = tuple(principal_log(v) for v in (1 - x, 1 - y, x, x - y, y))
-    return [(value, vec, sum(c * lg for c, lg in zip(vec, logs) if c))
+    return [(value, match_tol * max(1.0, abs(value)), vec,
+             sum(c * lg for c, lg in zip(vec, logs) if c))
             for value, vec in zip(values, _MONOMIALS)]
 
 
 def _log_vector(
     value: complex,
-    cands: list[tuple[complex, tuple[int, ...], complex]],
-    match_tol: float,
+    cands: list[tuple[complex, float, tuple[int, ...], complex]],
     round_tol: float,
 ) -> tuple[int, ...]:
-    """Exponent vector of log(value) over ``_BASIS``: the first matching
-    monomial plus a pi_i correction resolved by rounding."""
-    for cand_value, vec, symbolic in cands:
-        if abs(value - cand_value) <= match_tol * max(1.0, abs(cand_value)):
+    """Exponent vector of log(value) over ``_BASIS``: the first monomial
+    within its match radius plus a pi_i correction resolved by rounding."""
+    for cand_value, radius, vec, symbolic in cands:
+        if abs(value - cand_value) <= radius:
             c_float = (principal_log(value) - symbolic) / (1j * math.pi)
             c = round(c_float.real)
             if abs(c_float - c) > round_tol:
@@ -329,7 +330,9 @@ def nu_symbolic(
         x, y = base_point
     else:
         x, y = base_point, None
-    cands = _log_candidates(complex(x), None if y is None else complex(y))
+    cands = _log_candidates(
+        complex(x), None if y is None else complex(y), match_tol
+    )
     # the wedge is bilinear, so generators sharing z need one decomposition
     # a, b of log z, -log(1-z) and the sums c, cp, cq of coeff, coeff*p,
     # coeff*q: c a^b + cp pi_i^b + cq a^pi_i.  ``table[6 s + t]`` collects
@@ -343,9 +346,9 @@ def nu_symbolic(
         acc[2] += coeff * param.q
     table = [0] * 36
     for z, (c, cp, cq) in sums.items():
-        a = _log_vector(z, cands, match_tol, round_tol)
+        a = _log_vector(z, cands, round_tol)
         b = [(t, -v) for t, v in
-             enumerate(_log_vector(1 - z, cands, match_tol, round_tol)) if v]
+             enumerate(_log_vector(1 - z, cands, round_tol)) if v]
         for s, va in enumerate(a):
             if va:
                 for t, vb in b:

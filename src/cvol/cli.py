@@ -13,6 +13,8 @@ Subcommands:
 Output is text or JSON; JSON field order is fixed and floats use the
 shortest round-trip decimal, so identical inputs (and seeds) give
 byte-identical output.  Exit code 0 means every requested check passed.
+A command loads only the modules it runs: the shape solver and the
+identity suites are imported by the handlers that use them.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .flattening import (
     h1_mod2,
     solve_flattenings,
 )
-from .gluing import solve_shapes
 from .triangulation import parse_triangulation
-from .verify import run_all
 
 
 def _load(path: str):
@@ -55,6 +55,8 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _solve(args):
     """Parse, solve the shapes, then the flattenings."""
+    from .gluing import solve_shapes
+
     tri = _stage("parse", _load, args.file)
     solution = _stage(
         "solve_shapes", solve_shapes, tri, None, args.tolerance_newton,
@@ -117,6 +119,8 @@ def cmd_cvol(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     results = run_all(count=args.count, seed=args.seed, tol=args.tolerance)
     report = {
         "seed": args.seed,

@@ -9,8 +9,12 @@ With C_0 and C_1 the free modules on vertex and edge classes, the sequence
                   --alpha*--> C_0 -> 0
 
 is a chain complex (spots indexed 5..1); beta* is the adjoint of beta under
-the skew form.  ``omega`` is the element of J (x) C whose Delta-component
-is -(log(1-z) e_0 + log(z) e_1); at a solution of the gluing equations
+the skew form.  The maps have O(T) nonzero entries (two per edge in alpha,
+at most eight per simplex in beta), so alpha and beta are stored as sparse
+``{col: value}`` rows and never as dense matrices; alpha* and beta* are
+read off them as adjoints on demand.
+``omega`` is the element of J (x) C whose Delta-component is
+-(log(1-z) e_0 + log(z) e_1); at a solution of the gluing equations
 (1/pi i) beta*(omega) is an even integer vector.
 
 ``solve_flattenings`` finds integer branch indices (p_i, q_i) such that
@@ -28,8 +32,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .bloch import EBElement, nu_symbolic, r_of_element
 from .errors import InconsistentSystemError, NonIntegralError
 from .geometry import SLOT_PQ_COEFF, pass_rows, slot_values
 from .intlinalg import (
@@ -44,63 +48,105 @@ from .params import ExtendedParam
 from .polylog import PI_SQUARED, principal_log, reduce_mod
 from .triangulation import EdgeClass, Triangulation, link_arcs
 
+# ``bloch`` (and through it ``wedge``) is imported inside the three
+# functions that evaluate elements, so ``homology`` and ``flatten`` never
+# load it.
+if TYPE_CHECKING:
+    from .bloch import EBElement
+
 
 @dataclass
 class JComplex:
-    """Integer matrices of the chain complex C0 -> C1 -> J -> C1 -> C0."""
+    """The chain complex C0 -> C1 -> J -> C1 -> C0 as sparse integer rows.
+
+    ``alpha`` and ``beta`` hold only their nonzero entries, one
+    ``{col: value}`` dict per row with its columns in increasing order.
+    ``alpha_star`` and ``beta_star`` are not stored: each access reads them
+    off as adjoints, alpha* = alpha^T and beta* = beta^T composed with the
+    skew form, in the same sparse form.
+    """
 
     tri: Triangulation
     edges: list[EdgeClass]
     vertices: list[list[tuple[int, int]]]
-    alpha: list[list[int]]        # (n_edges) x (n_vertices)
-    beta: list[list[int]]         # (2T) x (n_edges)
-    beta_star: list[list[int]]    # (n_edges) x (2T)
-    alpha_star: list[list[int]]   # (n_vertices) x (n_edges)
+    alpha: list[dict[int, int]]   # (n_edges) x (n_vertices)
+    beta: list[dict[int, int]]    # (2T) x (n_edges)
 
     @property
     def j_rank(self) -> int:
         return 2 * self.tri.num_tetrahedra
 
+    @property
+    def alpha_star(self) -> list[dict[int, int]]:
+        """(n_vertices) x (n_edges): edge -> sum of its endpoints."""
+        rows: list[dict[int, int]] = [{} for _ in self.vertices]
+        for e, row in enumerate(self.alpha):
+            for v, c in row.items():
+                rows[v][e] = c
+        return rows
+
+    @property
+    def beta_star(self) -> list[dict[int, int]]:
+        """(n_edges) x (2T): beta's adjoint under <e_0, e_1> = 1, which
+        sends the coordinates (c0, c1) of a simplex to (c1, -c0)."""
+        rows: list[dict[int, int]] = [{} for _ in self.edges]
+        for t in range(self.tri.num_tetrahedra):
+            for e, c in self.beta[2 * t + 1].items():
+                rows[e][2 * t] = c
+            for e, c in self.beta[2 * t].items():
+                rows[e][2 * t + 1] = -c
+        return rows
+
 
 def build_j_complex(tri: Triangulation) -> JComplex:
-    """Assemble alpha, beta, beta* and alpha* as exact integer matrices."""
+    """Assemble alpha and beta as sparse exact integer rows."""
     comb = tri.combinatorics
-    edges, vertices, vertex_of = comb.edges, comb.vertices, comb.vertex_of
-    ne, nv, nt = len(edges), len(vertices), tri.num_tetrahedra
+    vertex_of = comb.vertex_of
 
-    # alpha: vertex -> sum of incident edges (loops counted twice);
-    # alpha*: edge -> sum of its endpoints.  Both from the same incidences.
-    alpha = [[0] * nv for _ in range(ne)]
-    for e in edges:
+    # alpha: vertex -> sum of incident edges (loops counted twice), stored
+    # by rows: edge -> its two endpoints.
+    alpha: list[dict[int, int]] = []
+    for e in comb.edges:
         tet, (a, b), _ = e.incidences[0]
-        for endpoint in (a, b):
-            alpha[e.index][vertex_of[(tet, endpoint)]] += 1
-    alpha_star = [list(col) for col in zip(*alpha)]
+        row: dict[int, int] = {}
+        for endpoint in sorted((vertex_of[(tet, a)], vertex_of[(tet, b)])):
+            row[endpoint] = row.get(endpoint, 0) + 1
+        alpha.append(row)
 
     # beta: edge class -> sum of the slots identified with it (the edge's
-    # terms, unsigned), per simplex.
-    beta = [[0] * ne for _ in range(2 * nt)]
+    # terms, unsigned), per simplex.  Slots of one edge may cancel.
+    beta: list[dict[int, int]] = [{} for _ in range(2 * tri.num_tetrahedra)]
     for col, terms in enumerate(comb.edge_terms):
         for tet, slot, _ in terms:
-            c0, c1 = SLOT_PQ_COEFF[slot]
-            beta[2 * tet][col] += c0
-            beta[2 * tet + 1][col] += c1
+            for row, c in zip(beta[2 * tet:2 * tet + 2], SLOT_PQ_COEFF[slot]):
+                if c:
+                    row[col] = row.get(col, 0) + c
+    beta = [{j: v for j, v in row.items() if v} for row in beta]
+    return JComplex(tri, comb.edges, comb.vertices, alpha, beta)
 
-    # beta* is beta's adjoint under <e_0, e_1> = 1: (c0, c1) -> (c1, -c0)
-    beta_star = [
-        [v for t in range(nt)
-         for v in (beta[2 * t + 1][col], -beta[2 * t][col])]
-        for col in range(ne)
-    ]
-    return JComplex(tri, edges, vertices, alpha, beta, beta_star, alpha_star)
+
+def _compose(
+    a: list[dict[int, int]], b: list[dict[int, int]], width: int
+) -> list[list[int]]:
+    """The product of sparse rows a and b as a dense matrix."""
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def chain_complex_composites(jc: JComplex) -> tuple[list[list[int]], ...]:
-    """The three consecutive composites; all must be zero matrices."""
+    """The three consecutive composites, as dense matrices; all must be
+    zero."""
+    beta_star = jc.beta_star
     return (
-        matmul(jc.beta, jc.alpha),
-        matmul(jc.beta_star, jc.beta),
-        matmul(jc.alpha_star, jc.beta_star),
+        _compose(jc.beta, jc.alpha, len(jc.vertices)),
+        _compose(beta_star, jc.beta, len(jc.edges)),
+        _compose(jc.alpha_star, beta_star, jc.j_rank),
     )
 
 
@@ -138,7 +184,7 @@ def integral_defect(
     the gluing equations, and then even at every edge."""
     return [
         _pi_i_multiple(
-            sum(c * w for c, w in zip(row, omega_vec)), tol,
+            sum(c * omega_vec[j] for j, c in row.items()), tol,
             f"beta*(omega) at edge {k}",
         )
         for k, row in enumerate(jc.beta_star)
@@ -167,22 +213,23 @@ def homology_of_j(jc: JComplex) -> dict[int, AbelianGroup]:
 
 def h1_mod2(jc: JComplex) -> int:
     """dim_{Z/2} H_1(K; Z/2) computed from the simplicial chain complex of
-    the glued complex (vertex, edge and face classes).  The boundary of an
-    edge is its pair of endpoints, so d_1 is ``alpha_star``."""
-    faces = jc.tri.combinatorics.faces
-    edge_of = jc.tri.combinatorics.edge_of
+    the glued complex (vertex, edge and face classes).
 
-    d2 = [[0] * len(faces) for _ in range(len(jc.edges))]
-    for col, ((tet, f), _other) in enumerate(faces):
-        verts = [v for v in range(4) if v != f]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                pair = (verts[i], verts[j])
-                d2[edge_of[(tet, pair)]][col] += 1
-
-    rank_d1 = gf2_rank(jc.alpha_star) if jc.vertices else 0
-    rank_d2 = gf2_rank(d2) if faces else 0
-    return len(jc.edges) - rank_d1 - rank_d2
+    d_1 and d_2 are taken mod 2 as int bitmasks, one per edge and one per
+    face, so no dense matrix is formed.  A map and its transpose have the
+    same rank: the rows of d_1^T are alpha's (an edge's endpoints, which
+    cancel for a loop), and a face's row of d_2^T is the XOR of
+    ``1 << edge`` over its three edges.
+    """
+    comb = jc.tri.combinatorics
+    edge_of = comb.edge_of
+    d1 = [sum((c & 1) << v for v, c in row.items()) for row in jc.alpha]
+    d2 = []
+    for (tet, f), _other in comb.faces:
+        a, b, c = (v for v in range(4) if v != f)
+        d2.append((1 << edge_of[(tet, (a, b))]) ^ (1 << edge_of[(tet, (a, c))])
+                  ^ (1 << edge_of[(tet, (b, c))]))
+    return len(jc.edges) - gf2_rank(d1) - gf2_rank(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +410,8 @@ def fundamental_element(
     tri: Triangulation, assignment: FlatteningAssignment
 ) -> EBElement:
     """sum_i eps_i [z_i, p_i, q_i] in ep mode."""
+    from .bloch import EBElement
+
     terms: dict[ExtendedParam, int] = {}
     for sign, param in zip(assignment.signs, assignment.params):
         terms[param] = terms.get(param, 0) + sign
@@ -388,6 +437,8 @@ def complex_volume(
 ) -> tuple[float, float]:
     """(vol, cs) with vol = Im R and cs = -Re R reduced into [0, pi^2), a
     class 0 up to rounding printed as 0.0 (``snap_cs``)."""
+    from .bloch import r_of_element
+
     value = r_of_element(fundamental_element(tri, assignment))
     vol = value.value.imag
     cs = reduce_mod(complex(-value.value.real, 0.0), PI_SQUARED).value.real
@@ -436,6 +487,8 @@ def cycle_relation_check(
     elements must have equal lifted-Rogers values modulo pi^2 and equal
     symbolic wedge images.
     """
+    from .bloch import EBElement, nu_symbolic, r_of_element
+
     params = [ExtendedParam(s.shape, s.p, s.q) for s in simplices]
     edge = pass_rows(
         [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)],

@@ -2,15 +2,17 @@
 
 Matrices are lists of lists of Python ints, so intermediate entries can grow
 without overflow.  Provides row Hermite normal form, solution of A x = b
-over Z with kernel basis, Smith normal form invariant factors, and a small
-descriptor type for finitely generated abelian groups.
+over Z with kernel basis, Smith normal form invariant factors, rank over
+GF(2), and a small descriptor type for finitely generated abelian groups.
 
 The Smith form works in two steps, because the matrices of a triangulation
 are very sparse and almost all their pivots are units.  A sparse pass
 eliminates +-1 pivots in Markowitz order on dict rows; the small dense core
 that is left is diagonalized by alternating row Hermite forms of the matrix
 and of its transpose (Kannan-Bachem).  Both steps are exact: no modular or
-floating-point shortcut is taken.
+floating-point shortcut is taken.  The Smith form and the GF(2) rank also
+take sparse rows, ``{col: value}`` dicts, and int bitmasks respectively, so
+a caller holding a sparse matrix never builds the dense one.
 """
 
 from __future__ import annotations
@@ -157,8 +159,11 @@ def reduce_mod_lattice(x: list[int], basis: list[list[int]]) -> list[int]:
     return out
 
 
-def smith_invariant_factors(m: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_invariant_factors(
+    m: list[list[int]] | list[dict[int, int]]
+) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, given
+    as dense rows or as sparse ``{col: value}`` rows.
 
     First a sparse pass: while the matrix has a +-1 entry, take one of
     least Markowitz cost (row_nnz - 1) * (col_nnz - 1), clear its column
@@ -171,20 +176,24 @@ def smith_invariant_factors(m: list[list[int]]) -> list[int]:
     return [1] * units + _dense_smith_factors(core)
 
 
-def _eliminate_unit_pivots(m: list[list[int]]) -> tuple[list[list[int]], int]:
+def _eliminate_unit_pivots(
+    m: list[list[int]] | list[dict[int, int]]
+) -> tuple[list[list[int]], int]:
     """Markowitz-ordered elimination of +-1 pivots on sparse rows.
 
-    Rows are ``{col: value}`` dicts with a column -> rows index.  A heap
-    holds, for every unit entry, an item keyed by its current cost; items
-    go stale when a row or column count changes and are then pushed again,
-    so the popped item whose key is still current is a least-cost pivot.
+    Rows are copied into ``{col: value}`` dicts, from dense rows or from
+    sparse ones, with a column -> rows index.  A heap holds, for every unit
+    entry, an item keyed by its current cost; items go stale when a row or
+    column count changes and are then pushed again, so the popped item
+    whose key is still current is a least-cost pivot.
     Returns the dense Schur complement (rows and columns with a nonzero
     entry only) and the number of unit pivots taken.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(m):
-        entries = {j: int(v) for j, v in enumerate(row) if v}
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        entries = {j: int(v) for j, v in items if v}
         if entries:
             rows[i] = entries
             for j in entries:
@@ -275,21 +284,24 @@ def _dense_smith_factors(a: list[list[int]]) -> list[int]:
     return d
 
 
-def gf2_rank(m: list[list[int]]) -> int:
-    """Rank over GF(2); rows are given as integer vectors taken mod 2."""
-    rows = [sum((v & 1) << j for j, v in enumerate(row)) for row in m]
-    r = 0
-    for col in range(len(m[0]) if m else 0):
-        mask = 1 << col
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & mask), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & mask:
-                rows[i] ^= rows[r]
-        r += 1
-    return r
+def gf2_rank(m: list[list[int]] | list[int]) -> int:
+    """Rank over GF(2) of rows given as integer vectors taken mod 2, or as
+    int bitmasks (bit j is column j).
+
+    Each row is reduced against an XOR basis keyed on each member's top
+    bit; a row that does not vanish joins the basis under its own top bit.
+    """
+    basis: dict[int, int] = {}
+    for row in m:
+        if not isinstance(row, int):
+            row = sum((v & 1) << j for j, v in enumerate(row))
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
 
 
 @dataclass(frozen=True)

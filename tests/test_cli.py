@@ -11,6 +11,8 @@ import pytest
 
 from cvol.cli import main
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -167,14 +169,13 @@ class TestOtherCommands:
         # no command needs numpy: Newton's step is sparse pure Python.
         # fractions and decimal are not needed at all: the dilogarithm's
         # Bernoulli coefficients are float constants
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, cvol.cli; "
              "print([m for m in ('numpy', 'fractions', 'decimal') "
              "if m in sys.modules])"],
             capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
@@ -187,13 +188,128 @@ class TestOtherCommands:
              "sys.exit(code)",
              "--format", "json", "cvol", str(fig8_path)],
             capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["volume"] == pytest.approx(
             2.029883212819307, abs=1e-9
         )
         assert result.stderr.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "command,fixture,unloaded",
+        [("homology", "fig8_cover8.json", ("bloch", "wedge", "gluing",
+                                           "verify")),
+         ("cvol", "fig8.json", ("verify",))],
+    )
+    def test_command_loads_only_what_it_runs(self, command, fixture,
+                                             unloaded):
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cvol.cli; "
+             "code = cvol.cli.main(sys.argv[2:]); "
+             "print([m for m in sys.argv[1].split() "
+             "if f'cvol.{m}' in sys.modules], file=sys.stderr); "
+             "sys.exit(code)",
+             " ".join(unloaded), "--format", "json", command,
+             str(fixtures / fixture)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 0, result.stderr
+        golden = fixtures / "golden" / f"{command}-{fixture}"
+        assert result.stdout == golden.read_text()
+        assert result.stderr.strip() == "[]"
+
+
+#: ``cvol.__all__`` when the package imported every submodule eagerly
+PACKAGE_NAMES = {
+    "CVolError", "Combinatorics", "ConvergenceError", "CycleSimplex",
+    "DegenerateGeometryError", "DomainError", "EBElement", "EdgeClass",
+    "ExtendedParam", "FiveTermTuple", "Flattening", "FlatteningAssignment",
+    "GluingSystem", "IdealSimplexShape", "InconsistentSystemError",
+    "JComplex", "ModPiSquared", "NonIntegralError", "NormalPath", "PathStep",
+    "ShapeSolution", "SymbolMatchError", "SymbolVector", "Triangulation",
+    "TriangulationError", "WedgeExpr", "bloch", "bloch_wigner",
+    "build_j_complex", "chi", "chi_hat", "combine", "complex_volume",
+    "cross_ratio", "cycle_relation_check", "dilog", "edge_classes",
+    "edge_loop", "edge_parameter", "epsilon_parity", "errors",
+    "five_point_edge_conditions", "five_point_shapes", "five_term_instance",
+    "flatten", "flattening", "fundamental_element", "generator", "geometry",
+    "gluing", "gluing_equations", "homology_of_j", "integral_defect",
+    "intlinalg", "is_zero", "kappa_element", "lifted_rogers", "nu_symbolic",
+    "omega", "orientation_signs", "params", "parse_triangulation",
+    "path_passes", "polylog", "principal_log", "r_of_element", "reduce_mod",
+    "rogers", "solve_flattenings", "solve_shapes", "super_transfer_rhs",
+    "sym", "transfer_instance", "triangulation", "unflatten", "wedge",
+}
+
+#: the names in ``PACKAGE_NAMES`` that are submodules; ``wedge`` is the
+#: function ``cvol.wedge.wedge``
+PACKAGE_MODULES = {"bloch", "errors", "flattening", "geometry", "gluing",
+                   "intlinalg", "params", "polylog", "triangulation"}
+
+RESOLVE_NAMES = """
+import json, sys, types
+import cvol
+modules = set(sys.argv[2].split())
+if sys.argv[1] == "submodules first":
+    import cvol.verify  # loads every module, wedge and bloch included
+names = sorted(cvol.__all__, reverse=sys.argv[1] == "reversed")
+wrong = []
+for name in names:
+    value = getattr(cvol, name)
+    if name in modules:
+        ok = value is sys.modules[f"cvol.{name}"]
+    elif isinstance(value, types.ModuleType):
+        ok = False
+    else:
+        home = sys.modules[value.__module__]
+        ok = (value.__module__.startswith("cvol.")
+              and getattr(home, name) is value)
+    if not ok:
+        wrong.append(name)
+from cvol import *
+print(json.dumps({"all": cvol.__all__, "wrong": wrong,
+                  "star": sorted(n for n in cvol.__all__ if n in globals())}))
+"""
+
+
+class TestPackageSurface:
+    """``import cvol`` resolves its names on first use; the names and what
+    they resolve to are those of the eagerly importing package."""
+
+    @pytest.mark.parametrize("order",
+                             ["sorted", "reversed", "submodules first"])
+    def test_names_resolve_to_their_modules(self, order):
+        result = subprocess.run(
+            [sys.executable, "-c", RESOLVE_NAMES, order,
+             " ".join(PACKAGE_MODULES)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert set(report["all"]) == PACKAGE_NAMES
+        assert report["wrong"] == []
+        assert set(report["star"]) == PACKAGE_NAMES
+
+    def test_readme_library_surface_runs(self):
+        root = SRC.parent
+        readme = (root / "README.md").read_text()
+        section = readme.split("## Library surface", 1)[1]
+        snippet = section.split("```python", 1)[1].split("```", 1)[0]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             snippet + "\nprint(vol, cs, value.value.imag)"],
+            capture_output=True, text=True, cwd=root,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 0, result.stderr
+        vol, cs, imag = map(float, result.stdout.split())
+        assert vol == imag == pytest.approx(2.029883212819307, abs=1e-12)
+        assert cs == 0.0
 
 
 class TestGoldenOutput:

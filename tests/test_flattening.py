@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import random
+import types
 
 import pytest
 
@@ -41,6 +42,11 @@ REGULAR = cmath.exp(1j * PI / 3)
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
+def dense(rows, width):
+    """Sparse ``{col: value}`` rows of the J-complex as a dense matrix."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
 class TestJComplex:
     def test_j_rank(self, fig8):
         jc = build_j_complex(fig8)
@@ -53,7 +59,9 @@ class TestJComplex:
 
     def test_alpha_star_is_transpose(self, fig8):
         jc = build_j_complex(fig8)
-        assert jc.alpha_star == [list(col) for col in zip(*jc.alpha)]
+        alpha = dense(jc.alpha, len(jc.vertices))
+        assert dense(jc.alpha_star, len(jc.edges)) == \
+            [list(col) for col in zip(*alpha)]
 
     def test_beta_star_adjoint_of_beta(self, fig8):
         # beta* = beta^T composed with the block skew form on J
@@ -63,10 +71,50 @@ class TestJComplex:
         for t in range(nt):
             omega_form[2 * t][2 * t + 1] = 1
             omega_form[2 * t + 1][2 * t] = -1
-        bt = [list(col) for col in zip(*jc.beta)]
+        bt = [list(col) for col in zip(*dense(jc.beta, len(jc.edges)))]
         candidate = matmul(bt, omega_form)
         neg = [[-v for v in row] for row in candidate]
-        assert jc.beta_star in (candidate, neg)
+        assert dense(jc.beta_star, 2 * nt) in (candidate, neg)
+
+    def test_cancelling_slots_leave_no_entry(self, fig8):
+        # an edge class holding slots 0 and 2 of one simplex: its beta
+        # coordinates (1, 0) + (-1, -1) cancel in the first row
+        comb = dataclasses.replace(
+            fig8.combinatorics,
+            edge_terms=[[(0, 0, 1), (0, 2, 1)], [(1, 1, 1)]],
+        )
+        jc = build_j_complex(
+            types.SimpleNamespace(combinatorics=comb, num_tetrahedra=2)
+        )
+        assert jc.beta == [{}, {0: -1}, {}, {1: 1}]
+        assert jc.beta_star == [{0: -1}, {2: 1}]
+
+    @pytest.mark.parametrize("name", ["fig8", "fig8_cover3", "fig8_cover32"])
+    def test_rows_hold_only_nonzero_entries(self, name):
+        from cvol.geometry import SLOT_PQ_COEFF
+
+        tri = _load(name)
+        jc = build_j_complex(tri)
+        comb = tri.combinatorics
+        ne, nv = len(jc.edges), len(jc.vertices)
+        # the dense matrices, built entry by entry from the incidences
+        beta = [[0] * ne for _ in range(jc.j_rank)]
+        for col, terms in enumerate(comb.edge_terms):
+            for tet, slot, _ in terms:
+                c0, c1 = SLOT_PQ_COEFF[slot]
+                beta[2 * tet][col] += c0
+                beta[2 * tet + 1][col] += c1
+        alpha = [[0] * nv for _ in range(ne)]
+        for e in jc.edges:
+            tet, (a, b), _ = e.incidences[0]
+            alpha[e.index][comb.vertex_of[(tet, a)]] += 1
+            alpha[e.index][comb.vertex_of[(tet, b)]] += 1
+        assert dense(jc.beta, ne) == beta
+        assert dense(jc.alpha, nv) == alpha
+        for rows in (jc.alpha, jc.beta, jc.alpha_star, jc.beta_star):
+            for row in rows:
+                assert all(row.values())
+                assert list(row) == sorted(row)
 
 
 def _mixed_orientation(doc):
@@ -234,6 +282,15 @@ class TestHomologyOfCovers:
         jc = build_j_complex(parse_triangulation(doc))
         self.check(jc, {5: "0", 4: "Z/2", 3: "Z + Z + Z/2 + Z/2",
                         2: "Z/2 + Z/2", 1: "Z/2"}, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabeled_cover32_keeps_groups(self, seed):
+        # relabeled sparse rows of a 64-tetrahedron cover: the Smith and
+        # GF(2) ranks must not depend on the labels
+        doc = json.loads((FIXTURES / "fig8_cover32.json").read_text())
+        doc = relabel_document(doc, random.Random(seed))
+        jc = build_j_complex(parse_triangulation(doc))
+        self.check(jc, {5: "0", 4: "Z/2", 3: "Z + Z", 2: "0", 1: "Z/2"}, 0)
 
     @staticmethod
     def check(jc, expected, rank_mod2):

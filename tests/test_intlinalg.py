@@ -150,6 +150,15 @@ class TestSparseSmith:
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
 
+    def test_sparse_rows_match_dense(self):
+        # the same seeded matrices as {col: value} rows, zeros left out
+        rng = random.Random(21)
+        for _ in range(300):
+            m = random_sparse_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+            rows = [{j: v for j, v in enumerate(r) if v} for r in m]
+            assert smith_invariant_factors(rows) == smith_invariant_factors(m)
+        assert smith_invariant_factors([{}, {}]) == []
+
     def test_empty_shapes(self):
         assert smith_invariant_factors([]) == []
         for n in (1, 3):
@@ -169,11 +178,42 @@ class TestSparseSmith:
         ) == [1, 2, 2]
 
 
+def dense_gf2_rank(m):
+    """Gauss-Jordan elimination over GF(2) on dense 0/1 rows: the oracle."""
+    rows = [[v & 1 for v in row] for row in m]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 class TestGF2:
     def test_rank(self):
         assert gf2_rank([[1, 0], [0, 1]]) == 2
         assert gf2_rank([[1, 1], [1, 1]]) == 1
         assert gf2_rank([[2, 4], [6, 8]]) == 0  # even entries vanish mod 2
+
+    def test_matches_dense_oracle(self):
+        rng = random.Random(22)
+        for k in range(300):
+            rows, cols = rng.randint(0, 10), rng.randint(0, 10)
+            if k % 5 == 0:  # all entries even: rank 0
+                m = [[2 * rng.randint(-4, 4) for _ in range(cols)]
+                     for _ in range(rows)]
+            else:
+                m = random_matrix(rng, rows, cols, bound=rng.choice((1, 3)))
+            expected = dense_gf2_rank(m)
+            assert gf2_rank(m) == expected
+            masks = [sum((v & 1) << j for j, v in enumerate(row)) for row in m]
+            assert gf2_rank(masks) == expected
+            assert expected == 0 or k % 5
 
 
 class TestAbelianGroup:
