@@ -353,15 +353,19 @@ def solve_flattenings(
         )
     x = reduce_mod_lattice(solution.particular, solution.kernel)
     defect = integral_defect(build_j_complex(tri), omega(tri, shapes), tol)
-    return _assignment_from_vector(tri, shapes, x, solution.kernel, defect)
+    return _assignment_from_vector(
+        tri, shapes, x, defect,
+        _prune_kernel(tri, solution.kernel), solution.kernel,
+    )
 
 
 def _assignment_from_vector(
     tri: Triangulation,
     shapes: list[complex],
     x: list[int],
-    kernel: list[list[int]],
     defect: list[int],
+    kernel: list[list[int]],
+    raw_kernel: list[list[int]],
 ) -> FlatteningAssignment:
     comb = tri.combinatorics
     n = tri.num_tetrahedra
@@ -383,8 +387,8 @@ def _assignment_from_vector(
         path_parities=[path.parity_of(x) for path in paths],
         defect=defect,
         edge_flattened_only=not tri.cusp_paths,
-        kernel=_prune_kernel(tri, kernel),
-        raw_kernel=[list(v) for v in kernel],
+        kernel=kernel,
+        raw_kernel=raw_kernel,
     )
 
 
@@ -395,15 +399,18 @@ def alternate_assignment(
     kernel_coeffs: list[int],
 ) -> FlatteningAssignment:
     """Another particular solution: base + integer combination of kernel
-    vectors (used to exercise solver-choice invariance).  The defect
-    depends on the shapes only, so it is the base's."""
+    vectors (used to exercise solver-choice invariance).  The defect and
+    both kernels depend on the shapes and the system only, so they are the
+    base's."""
     if len(kernel_coeffs) != len(base.kernel):
         raise ValueError("need one coefficient per kernel vector")
     x = [p for pair in base.pq() for p in pair]
     x = x + [0] * (len(base.kernel[0]) - len(x) if base.kernel else 0)
     for c, vec in zip(kernel_coeffs, base.kernel):
         x = [a + c * b for a, b in zip(x, vec)]
-    return _assignment_from_vector(tri, shapes, x, base.kernel, base.defect)
+    return _assignment_from_vector(
+        tri, shapes, x, base.defect, base.kernel, base.raw_kernel
+    )
 
 
 def fundamental_element(

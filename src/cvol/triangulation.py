@@ -11,7 +11,10 @@ Derived structure: edge classes (orbits of tetrahedron edges under the
 gluings), vertex classes, face classes, orientation signs, normal paths
 and the vertex-link state graph.  A normal path is a closed sequence of
 steps (tet, enter_face, exit_face); within each tetrahedron it passes the
-unique edge shared by the two faces.
+unique edge shared by the two faces.  In a vertex link it walks the
+states (tet, tracked vertex, enter face); ``link_step``, the one transition
+from state to state, also says what each step passes, and ``path_passes``
+and ``link_arcs`` are built from it.
 
 What derives from the gluings and the cusp paths is computed once per
 triangulation (``parse_triangulation`` does it) into a frozen
@@ -36,27 +39,20 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import combinations, permutations, product
 
 from .errors import TriangulationError
 from .geometry import EDGE_SLOT, Term, edge_pair
 
-_PERM_PARITY_CACHE: dict[tuple[int, ...], int] = {}
+_PERM_PARITY = {
+    perm: (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(4), 2))
+    for perm in permutations(range(4))
+}
 
 
 def perm_parity(perm: tuple[int, ...]) -> int:
     """+1 for even permutations of (0,1,2,3), -1 for odd."""
-    if perm in _PERM_PARITY_CACHE:
-        return _PERM_PARITY_CACHE[perm]
-    inversions = sum(
-        1
-        for i in range(4)
-        for j in range(i + 1, 4)
-        if perm[i] > perm[j]
-    )
-    sign = -1 if inversions % 2 else 1
-    _PERM_PARITY_CACHE[perm] = sign
-    return sign
+    return _PERM_PARITY[perm]
 
 
 @dataclass(frozen=True)
@@ -64,19 +60,12 @@ class Gluing:
     tet: int
     perm: tuple[int, int, int, int]
 
-    def image_of_face(self, face: int) -> int:
-        return self.perm[face]
-
 
 @dataclass(frozen=True)
 class PathStep:
     tet: int
     enter_face: int
     exit_face: int
-
-    def passed_pair(self) -> tuple[int, int]:
-        a, b = sorted(set(range(4)) - {self.enter_face, self.exit_face})
-        return (a, b)
 
 
 @dataclass(frozen=True)
@@ -269,7 +258,7 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
     for t in range(len(tets)):
         for f in range(4):
             g = gluings[t][f]
-            f_img = g.image_of_face(f)
+            f_img = g.perm[f]
             if (g.tet, f_img) == (t, f):
                 raise TriangulationError(
                     f"face ({t},{f}) is glued to itself"
@@ -329,28 +318,6 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
     return tri
 
 
-def validate_normal_path(tri: Triangulation, path: NormalPath) -> None:
-    """Check step-face sanity, gluing linkage and closedness."""
-    n = len(path.steps)
-    if n == 0:
-        raise TriangulationError("normal path must have at least one step")
-    for i, step in enumerate(path.steps):
-        if not 0 <= step.tet < tri.num_tetrahedra:
-            raise TriangulationError(f"path step {i} references bad tet")
-        if not ({step.enter_face, step.exit_face} <= {0, 1, 2, 3}):
-            raise TriangulationError(f"path step {i} has bad faces")
-        if step.enter_face == step.exit_face:
-            raise TriangulationError(
-                f"path step {i} enters and exits the same face"
-            )
-        nxt = path.steps[(i + 1) % n]
-        g = tri.gluing(step.tet, step.exit_face)
-        if g.tet != nxt.tet or g.image_of_face(step.exit_face) != nxt.enter_face:
-            raise TriangulationError(
-                f"path steps {i} -> {(i + 1) % n} are not linked by a gluing"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Derived combinatorics
 # ---------------------------------------------------------------------------
@@ -358,47 +325,32 @@ def validate_normal_path(tri: Triangulation, path: NormalPath) -> None:
 def edge_classes(tri: Triangulation) -> list[EdgeClass]:
     """Orbits of (tet, edge) incidences, each in cyclic order around the
     edge with propagated direction signs."""
-    all_pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     seen: set[tuple[int, tuple[int, int]]] = set()
     classes: list[EdgeClass] = []
-    for t0 in range(tri.num_tetrahedra):
-        for pair0 in all_pairs:
-            if (t0, pair0) in seen:
-                continue
-            incidences = []
-            exits = []
-            entries = []
-            # walk around the edge: cross the face with the larger index
-            # first; direction (+1) means the canonical (min, max) order.
-            tet, pair, orient = t0, pair0, +1
-            cross_face = max(set(range(4)) - set(pair))
-            while True:
-                incidences.append((tet, pair, orient))
-                exits.append(cross_face)
-                seen.add((tet, pair))
-                g = tri.gluing(tet, cross_face)
-                directed = pair if orient > 0 else (pair[1], pair[0])
-                image = (g.perm[directed[0]], g.perm[directed[1]])
-                entered_through = g.image_of_face(cross_face)
-                entries.append(entered_through)
-                tet = g.tet
-                pair = edge_pair(*image)
-                orient = +1 if image[0] < image[1] else -1
-                cross_face = next(
-                    f
-                    for f in set(range(4)) - set(pair)
-                    if f != entered_through
-                )
-                if (tet, pair) == (t0, pair0):
-                    if orient != +1:
-                        raise TriangulationError("edge link is not orientable")
-                    break
-            # the face entered at an incidence is the one entered by the
-            # crossing before it; the last crossing closes the loop
-            faces = tuple(zip(entries[-1:] + entries[:-1], exits))
-            classes.append(
-                EdgeClass(len(classes), tuple(incidences), faces)
-            )
+    for t0, pair0 in product(
+        range(tri.num_tetrahedra), combinations(range(4), 2)
+    ):
+        if (t0, pair0) in seen:
+            continue
+        incidences, faces = [], []
+        # walk the directed edge tail -> head around itself, crossing the
+        # larger free face first; orientation +1 means tail < head
+        tet, (tail, head) = t0, pair0
+        enter = next(f for f in range(4) if f not in pair0)
+        while True:
+            pair = edge_pair(tail, head)
+            exit_ = 6 - tail - head - enter
+            incidences.append((tet, pair, 1 if tail < head else -1))
+            faces.append((enter, exit_))
+            seen.add((tet, pair))
+            g = tri.gluing(tet, exit_)
+            tet, tail, head = g.tet, g.perm[tail], g.perm[head]
+            enter = g.perm[exit_]
+            if (tet, edge_pair(tail, head)) == (t0, pair0):
+                if tail > head:
+                    raise TriangulationError("edge link is not orientable")
+                break
+        classes.append(EdgeClass(len(classes), tuple(incidences), tuple(faces)))
     return classes
 
 
@@ -433,7 +385,7 @@ def face_classes(tri: Triangulation) -> list[tuple[tuple[int, int], tuple[int, i
     for t in range(tri.num_tetrahedra):
         for f in range(4):
             g = tri.gluing(t, f)
-            other = (g.tet, g.image_of_face(f))
+            other = (g.tet, g.perm[f])
             if (t, f) <= other:
                 out.append(((t, f), other))
     return out
@@ -479,42 +431,22 @@ def edge_loop(tri: Triangulation, edge: EdgeClass) -> NormalPath:
     ))
 
 
-def infer_path_vertices(tri: Triangulation, path: NormalPath) -> list[int]:
-    """Vertex tracked by each step of a vertex-link normal path.
-
-    The vertex is an endpoint of every passed edge and must map to the next
-    step's vertex under the connecting gluing.  Edge loops admit both
-    endpoint choices; the first consistent one (smallest starting vertex)
-    is returned.
-    """
-    validate_normal_path(tri, path)
-    n = len(path.steps)
-    first = path.steps[0]
-    for v_start in first.passed_pair():
-        vertices = [v_start]
-        ok = True
-        for i, step in enumerate(path.steps):
-            v = vertices[-1]
-            if v in (step.enter_face, step.exit_face):
-                ok = False
-                break
-            g = tri.gluing(step.tet, step.exit_face)
-            vertices.append(g.perm[v])
-        if ok and vertices[-1] == v_start:
-            return vertices[:-1]
-    raise TriangulationError("path does not stay in a single vertex link")
+LinkState = tuple[int, int, int]  # (tet, tracked vertex, enter face)
 
 
-def link_pass(
-    vertex: int, enter_face: int, exit_face: int
-) -> tuple[tuple[int, int], int]:
-    """The edge pair passed by a step that tracks ``vertex`` and the
-    step's rotation sign around that edge as viewed from the vertex, +1 for
-    counterclockwise: the parity of (vertex, other end, enter, exit)."""
-    other = 6 - vertex - enter_face - exit_face  # the fourth of 0..3
+def link_step(
+    tri: Triangulation, tet: int, vertex: int, enter: int, exit_: int
+) -> tuple[LinkState, tuple[int, tuple[int, int], int]]:
+    """The state entered across face ``exit_`` from (tet, vertex, enter),
+    and what the step passes: (tet, edge pair, rotation sign around the
+    edge as viewed from the vertex, +1 for counterclockwise), which is the
+    parity of (vertex, other end, enter, exit)."""
+    other = 6 - vertex - enter - exit_  # the fourth of 0..3
+    g = tri.gluing(tet, exit_)
     return (
-        edge_pair(vertex, other),
-        perm_parity((vertex, other, enter_face, exit_face)),
+        (g.tet, g.perm[vertex], g.perm[exit_]),
+        (tet, edge_pair(vertex, other),
+         perm_parity((vertex, other, enter, exit_))),
     )
 
 
@@ -522,12 +454,46 @@ def path_passes(
     tri: Triangulation, path: NormalPath
 ) -> list[tuple[int, tuple[int, int], int]]:
     """Per step: (tet, passed edge pair, rotation sign as viewed from the
-    tracked vertex)."""
-    vertices = infer_path_vertices(tri, path)
-    return [
-        (step.tet, *link_pass(v, step.enter_face, step.exit_face))
-        for step, v in zip(path.steps, vertices)
-    ]
+    tracked vertex).
+
+    The steps must be linked by the gluings into a closed path in one
+    vertex link, whose vertex is an endpoint of every passed edge.  Edge
+    loops admit both endpoints; the smaller one of step 0's edge is taken.
+    """
+    steps = path.steps
+    if not steps:
+        raise TriangulationError("normal path must have at least one step")
+    for i, step in enumerate(steps):
+        if not 0 <= step.tet < tri.num_tetrahedra:
+            raise TriangulationError(f"path step {i} references bad tet")
+        if not ({step.enter_face, step.exit_face} <= {0, 1, 2, 3}):
+            raise TriangulationError(f"path step {i} has bad faces")
+        if step.enter_face == step.exit_face:
+            raise TriangulationError(
+                f"path step {i} enters and exits the same face"
+            )
+        j = (i + 1) % len(steps)
+        g = tri.gluing(step.tet, step.exit_face)
+        if (g.tet, g.perm[step.exit_face]) != (steps[j].tet,
+                                               steps[j].enter_face):
+            raise TriangulationError(
+                f"path steps {i} -> {j} are not linked by a gluing"
+            )
+    for start in range(4):
+        if start in (steps[0].enter_face, steps[0].exit_face):
+            continue
+        vertex, passes = start, []
+        for step in steps:
+            if vertex in (step.enter_face, step.exit_face):
+                break
+            (_, vertex, _), passed = link_step(
+                tri, step.tet, vertex, step.enter_face, step.exit_face
+            )
+            passes.append(passed)
+        else:
+            if vertex == start:
+                return passes
+    raise TriangulationError("path does not stay in a single vertex link")
 
 
 def path_terms(tri: Triangulation, path: NormalPath) -> list[Term]:
@@ -536,9 +502,6 @@ def path_terms(tri: Triangulation, path: NormalPath) -> list[Term]:
         (tet, EDGE_SLOT[pair], rot)
         for tet, pair, rot in path_passes(tri, path)
     ]
-
-
-LinkState = tuple[int, int, int]  # (tet, tracked vertex, enter face)
 
 
 def link_arcs(
@@ -552,10 +515,8 @@ def link_arcs(
         range(tri.num_tetrahedra), range(4), range(4), range(4)
     ):
         if len({v, f_in, f_out}) == 3:
-            g = tri.gluing(tet, f_out)
-            pair, rot = link_pass(v, f_in, f_out)
-            arcs.setdefault((tet, v, f_in), []).append((
-                (g.tet, g.perm[v], g.image_of_face(f_out)),
-                (tet, EDGE_SLOT[pair], rot),
-            ))
+            nxt, (_, pair, rot) = link_step(tri, tet, v, f_in, f_out)
+            arcs.setdefault((tet, v, f_in), []).append(
+                (nxt, (tet, EDGE_SLOT[pair], rot))
+            )
     return arcs

@@ -12,7 +12,12 @@ is the symbolic wedge map written generator by generator on
 ``SymbolVector``s, ``wedge`` and ``combine``; ``nu_symbolic`` computes the
 same exact image on flat integer vectors.  ``relabel_document`` renames the
 tetrahedra and vertices of a triangulation document, for checks that a
-result does not depend on the labels.
+result does not depend on the labels.  ``reference_edge_classes``,
+``reference_path_passes`` and ``reference_link_arcs`` are the earlier walks
+of ``cvol.triangulation``, kept as a differential reference: the edge walk
+that collects the entered and exited faces in separate lists, and the path
+passes from a validation pass, a vertex inference pass and a per-step
+lookup of the passed edge and its rotation sign.
 """
 
 import cmath
@@ -112,6 +117,118 @@ EVEN_PERMS = [
     p for p in itertools.permutations(range(4))
     if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
 ]
+
+
+def _pair(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def reference_edge_classes(tri):
+    """(incidences, faces) of every edge class: walk around the edge,
+    crossing the larger free face first, and pair the face entered by the
+    crossing before each incidence with the face it exits."""
+    seen = set()
+    classes = []
+    for t0 in range(tri.num_tetrahedra):
+        for pair0 in itertools.combinations(range(4), 2):
+            if (t0, pair0) in seen:
+                continue
+            incidences, exits, entries = [], [], []
+            tet, pair, orient = t0, pair0, +1
+            cross_face = max(set(range(4)) - set(pair))
+            while True:
+                incidences.append((tet, pair, orient))
+                exits.append(cross_face)
+                seen.add((tet, pair))
+                g = tri.gluing(tet, cross_face)
+                directed = pair if orient > 0 else (pair[1], pair[0])
+                image = (g.perm[directed[0]], g.perm[directed[1]])
+                entered_through = g.perm[cross_face]
+                entries.append(entered_through)
+                tet = g.tet
+                pair = _pair(*image)
+                orient = +1 if image[0] < image[1] else -1
+                cross_face = next(
+                    f for f in set(range(4)) - set(pair)
+                    if f != entered_through
+                )
+                if (tet, pair) == (t0, pair0):
+                    assert orient == +1, "edge link is not orientable"
+                    break
+            faces = tuple(zip(entries[-1:] + entries[:-1], exits))
+            classes.append((tuple(incidences), faces))
+    return classes
+
+
+def _reference_validate(tri, path):
+    n = len(path.steps)
+    if n == 0:
+        raise ValueError("normal path must have at least one step")
+    for i, step in enumerate(path.steps):
+        if not 0 <= step.tet < tri.num_tetrahedra:
+            raise ValueError(f"path step {i} references bad tet")
+        if not ({step.enter_face, step.exit_face} <= {0, 1, 2, 3}):
+            raise ValueError(f"path step {i} has bad faces")
+        if step.enter_face == step.exit_face:
+            raise ValueError(f"path step {i} enters and exits the same face")
+        nxt = path.steps[(i + 1) % n]
+        g = tri.gluing(step.tet, step.exit_face)
+        if g.tet != nxt.tet or g.perm[step.exit_face] != nxt.enter_face:
+            raise ValueError(
+                f"path steps {i} -> {(i + 1) % n} are not linked by a gluing"
+            )
+
+
+def _reference_vertices(tri, path):
+    """The tracked vertex of each step: the first endpoint of step 0's
+    passed edge that every step keeps off its faces and that comes back."""
+    first = path.steps[0]
+    for v_start in sorted(set(range(4)) - {first.enter_face,
+                                           first.exit_face}):
+        vertices = [v_start]
+        for step in path.steps:
+            v = vertices[-1]
+            if v in (step.enter_face, step.exit_face):
+                break
+            vertices.append(tri.gluing(step.tet, step.exit_face).perm[v])
+        else:
+            if vertices[-1] == v_start:
+                return vertices[:-1]
+    raise ValueError("path does not stay in a single vertex link")
+
+
+def _reference_pass(vertex, enter_face, exit_face):
+    """The edge pair passed while tracking ``vertex``, and the rotation
+    sign: the parity of (vertex, other end, enter, exit)."""
+    other = 6 - vertex - enter_face - exit_face
+    order = (vertex, other, enter_face, exit_face)
+    return _pair(vertex, other), 1 if order in EVEN_PERMS else -1
+
+
+def reference_path_passes(tri, path):
+    """Per step (tet, passed pair, rotation sign); raises ``ValueError``
+    with the program's message for a malformed path."""
+    _reference_validate(tri, path)
+    return [
+        (step.tet, *_reference_pass(v, step.enter_face, step.exit_face))
+        for step, v in zip(path.steps, _reference_vertices(tri, path))
+    ]
+
+
+def reference_link_arcs(tri):
+    """From each link state (tet, vertex, enter), per exit face in
+    increasing order: the state entered across it and the pass."""
+    arcs = {}
+    for tet, v, f_in, f_out in itertools.product(
+        range(tri.num_tetrahedra), range(4), range(4), range(4)
+    ):
+        if len({v, f_in, f_out}) == 3:
+            g = tri.gluing(tet, f_out)
+            arcs.setdefault((tet, v, f_in), []).append((
+                (g.tet, g.perm[v], g.perm[f_out]),
+                (tet, *_reference_pass(v, f_in, f_out)),
+            ))
+    return arcs
 
 
 def relabel_document(doc: dict, rng) -> dict:

@@ -81,6 +81,24 @@ class TestCvolCommand:
         assert "error at stage parse" in err
         assert "vertex link" in err
 
+    def test_unlinked_cusp_path_fails_at_parse(
+        self, fig8_doc, tmp_path, capsys
+    ):
+        # the fig8 meridian with its second step moved to tetrahedron 0
+        doc = dict(fig8_doc)
+        doc["cusp_paths"] = [[
+            {"tet": 0, "enter_face": 1, "exit_face": 3},
+            {"tet": 0, "enter_face": 2, "exit_face": 1},
+        ]]
+        path = tmp_path / "unlinked.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["--format", "json", "cvol", str(path)],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "error at stage parse" in err
+        assert "path steps 0 -> 1 are not linked by a gluing" in err
+
 
     @pytest.mark.parametrize(
         "value", ["NaN", "Infinity", "-Infinity", "9" * 401],
@@ -162,6 +180,7 @@ class TestOtherCommands:
             [sys.executable, "-m", "cvol.cli", "--format", "json",
              "edges", str(fig8_path)],
             capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert result.returncode == 0
 

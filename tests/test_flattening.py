@@ -438,6 +438,20 @@ class TestFundamentalElement:
                 assert value.is_close(base, tol=1e-9)
 
 
+    @pytest.mark.parametrize("name, raw_rank", [("fig8", 2),
+                                                ("fig8_cover3", 6)])
+    def test_alternate_keeps_both_kernels(self, name, raw_rank, request):
+        tri = request.getfixturevalue(name)
+        shapes = request.getfixturevalue(f"{name}_shapes")
+        assignment = solve_flattenings(tri, shapes)
+        shifted = alternate_assignment(
+            tri, shapes, assignment, [1 for _ in assignment.kernel]
+        )
+        assert len(assignment.raw_kernel) == raw_rank
+        assert shifted.raw_kernel == assignment.raw_kernel
+        assert shifted.kernel == assignment.kernel
+
+
 class TestPrunedKernel:
     """The pruned kernel against closed vertex-link paths drawn as random
     walks from the gluings alone: every pruned vector keeps every path

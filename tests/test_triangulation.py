@@ -2,12 +2,17 @@
 
 import copy
 import json
+import pathlib
+import random
+import re
 
 import pytest
 
 from cvol.errors import TriangulationError
 from cvol.geometry import EDGE_SLOT
 from cvol.triangulation import (
+    NormalPath,
+    PathStep,
     edge_classes,
     edge_loop,
     face_classes,
@@ -17,6 +22,16 @@ from cvol.triangulation import (
     path_passes,
     vertex_classes,
 )
+
+from oracles import (
+    random_link_walk,
+    reference_edge_classes,
+    reference_link_arcs,
+    reference_path_passes,
+    relabel_document,
+)
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 class TestParser:
@@ -111,6 +126,34 @@ class TestParser:
         parse_triangulation(doc)
         container[key] = bool(container[key])
         with pytest.raises(TriangulationError):
+            parse_triangulation(doc)
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ([(2, 1, 3), (1, 2, 1)], "path step 0 references bad tet"),
+            ([(0, 1, 4), (1, 2, 1)], "path step 0 has bad faces"),
+            ([(0, 3, 3), (1, 2, 1)],
+             "path step 0 enters and exits the same face"),
+            ([(0, 1, 3), (0, 2, 1)],
+             "path steps 0 -> 1 are not linked by a gluing"),
+            # linked and closed, but the vertex it tracks comes back as
+            # another
+            ([(0, 0, 1), (1, 1, 0)],
+             "path does not stay in a single vertex link"),
+        ],
+        ids=["bad-tet", "bad-faces", "same-face", "not-linked",
+             "leaves-vertex-link"],
+    )
+    def test_malformed_cusp_path_rejected(self, fig8_doc, steps, message):
+        # the fig8 meridian is [(0, 1, 3), (1, 2, 1)]; each case breaks it
+        doc = copy.deepcopy(fig8_doc)
+        doc["cusp_paths"] = [[
+            {"tet": tet, "enter_face": enter, "exit_face": exit_}
+            for tet, enter, exit_ in steps
+        ]]
+        with pytest.raises(TriangulationError,
+                           match=f"^{re.escape(message)}$"):
             parse_triangulation(doc)
 
     def test_cusp_terms_are_the_path_passes(self, fig8):
@@ -225,6 +268,89 @@ class TestNormalPaths:
             heads = [nxt for out in arcs.values() for nxt, _ in out]
             assert all(len(out) == 2 for out in arcs.values())
             assert sorted(heads) == sorted(2 * list(arcs))
+
+
+def _outcome(passes, tri, path):
+    """The passes of a path, or the message it is refused with."""
+    try:
+        return passes(tri, path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _closed_normal_path(tri, rng):
+    """A closed path linked by the gluings, exit faces drawn freely, so it
+    need not stay in one vertex link."""
+    start = state = (rng.randrange(tri.num_tetrahedra), rng.randrange(4))
+    steps = []
+    while True:
+        tet, enter = state
+        exit_ = rng.choice([f for f in range(4) if f != enter])
+        steps.append(PathStep(tet, enter, exit_))
+        g = tri.gluing(tet, exit_)
+        state = (g.tet, g.perm[exit_])
+        if state == start:
+            return NormalPath(tuple(steps))
+
+
+class TestReferenceWalks:
+    """The edge walk, the path passes and the link state graph against the
+    earlier walks kept in ``tests/oracles.py``, on seeded relabelings."""
+
+    @pytest.mark.parametrize("name", ["fig8", "fig8_cover3", "fig8_cover8"])
+    def test_walks_match_reference(self, name):
+        doc = json.loads((FIXTURES / f"{name}.json").read_text())
+        for seed in range(50):
+            rng = random.Random(seed)
+            tri = parse_triangulation(relabel_document(doc, rng))
+            edges = edge_classes(tri)
+            assert [(e.incidences, e.faces) for e in edges] == (
+                reference_edge_classes(tri)
+            )
+            paths = [
+                *tri.cusp_paths,
+                *(edge_loop(tri, e) for e in edges),
+                *(random_link_walk(tri, rng) for _ in range(20)),
+            ]
+            for path in paths:
+                assert path_passes(tri, path) == (
+                    reference_path_passes(tri, path)
+                )
+            reference = {
+                state: [(nxt, (tet, EDGE_SLOT[pair], rot))
+                        for nxt, (tet, pair, rot) in out]
+                for state, out in reference_link_arcs(tri).items()
+            }
+            arcs = link_arcs(tri)
+            assert list(arcs) == list(reference)
+            assert arcs == reference
+
+    def test_malformed_paths_match_reference(self, fig8_cover3):
+        tri = fig8_cover3
+        rng = random.Random(5)
+        refused = set()
+        for _ in range(500):
+            base = rng.choice([random_link_walk, _closed_normal_path])
+            steps = list(base(tri, rng).steps)
+            if rng.random() < 0.7:
+                k = rng.randrange(len(steps))
+                tet, enter, exit_ = (steps[k].tet, steps[k].enter_face,
+                                     steps[k].exit_face)
+                which = rng.randrange(3)
+                if which == 0:
+                    tet = rng.randrange(-1, tri.num_tetrahedra + 1)
+                elif which == 1:
+                    enter = rng.randrange(-1, 5)
+                else:
+                    exit_ = rng.randrange(-1, 5)
+                steps[k] = PathStep(tet, enter, exit_)
+            path = NormalPath(tuple(steps))
+            got = _outcome(path_passes, tri, path)
+            assert got == _outcome(reference_path_passes, tri, path)
+            if isinstance(got, str):
+                refused.add(re.sub(r"\d+", "#", got))
+        # every refusal kind came up
+        assert len(refused) == 5
 
 
 class TestVertexClasses:
