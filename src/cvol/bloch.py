@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import DegenerateGeometryError, DomainError, SymbolMatchError
 from .geometry import derived_indices, five_point_shapes, in_ft_plus
-from .params import ExtendedParam
+from .params import ExtendedParam, Value
 from .polylog import (
-    PI_SQUARED,
-    TWO_PI_SQUARED,
+    MODULI,
     ModPiSquared,
     lifted_rogers_raw,
     principal_log,
@@ -38,11 +36,9 @@ from .polylog import (
 )
 from .wedge import WedgeExpr
 
-MODES = ("ep", "eep")
-
 
 def _check_mode(mode: str) -> str:
-    if mode not in MODES:
+    if mode not in MODULI:
         raise ValueError("mode must be 'ep' or 'eep'")
     return mode
 
@@ -151,25 +147,21 @@ def generator(
     return EBElement._trusted({param: 1}, mode)
 
 
-@dataclass(frozen=True)
-class FiveTermTuple:
+class FiveTermTuple(Value):
     """Base point (x, y) with y upper-half-plane and x inside triangle(0,1,y),
     plus the five free integer offsets of the index family."""
 
-    x: complex
-    y: complex
-    p0: int = 0
-    p1: int = 0
-    q0: int = 0
-    q1: int = 0
-    q2: int = 0
+    __slots__ = ("x", "y", "p0", "p1", "q0", "q1", "q2")
 
-    def __post_init__(self) -> None:
-        if not in_ft_plus(complex(self.x), complex(self.y)):
+    def __init__(self, x: complex, y: complex, p0: int = 0, p1: int = 0,
+                 q0: int = 0, q1: int = 0, q2: int = 0) -> None:
+        if not in_ft_plus(complex(x), complex(y)):
             raise DegenerateGeometryError(
                 "base point must have y upper-half-plane and x inside "
                 "the triangle with vertices 0, 1, y"
             )
+        self.x, self.y = x, y
+        self.p0, self.p1, self.q0, self.q1, self.q2 = p0, p1, q0, q1, q2
 
     def indices(self) -> list[tuple[int, int]]:
         """The five (p_i, q_i) pairs determined by the free offsets."""
@@ -241,8 +233,7 @@ def r_of_element(e: EBElement) -> ModPiSquared:
     total = 0j
     for param, coeff in e.terms.items():
         total += coeff * lifted_rogers_raw(param.numeric_z(), param.p, param.q)
-    modulus = PI_SQUARED if e.mode == "ep" else TWO_PI_SQUARED
-    return reduce_mod(total, modulus)
+    return reduce_mod(total, MODULI[e.mode])
 
 
 def epsilon_parity(e: EBElement) -> int:
@@ -276,8 +267,8 @@ _MONOMIALS = (
 
 def _log_candidates(
     x: complex, y: complex | None, match_tol: float
-) -> list[tuple[complex, float, tuple[int, ...], complex]]:
-    """(value, match radius, exponent vector, symbolic log value) of every
+) -> list[tuple[complex, float, tuple[int, ...], tuple[complex, ...]]]:
+    """(value, match radius, exponent vector, logs of the symbols) of every
     monomial in x, 1-x, y, 1-y, x-y that a generator may match; the radius
     is ``match_tol`` relative to max(1, |value|)."""
     if y is None:
@@ -288,20 +279,21 @@ def _log_candidates(
                   y * (1 - x) / (x * (1 - y)), (x - y) / (x * (1 - y)),
                   (1 - x) / (1 - y), (x - y) / (1 - y))
         logs = tuple(principal_log(v) for v in (1 - x, 1 - y, x, x - y, y))
-    return [(value, match_tol * max(1.0, abs(value)), vec,
-             sum(c * lg for c, lg in zip(vec, logs) if c))
+    return [(value, match_tol * max(1.0, abs(value)), vec, logs)
             for value, vec in zip(values, _MONOMIALS)]
 
 
 def _log_vector(
     value: complex,
-    cands: list[tuple[complex, float, tuple[int, ...], complex]],
+    cands: list[tuple[complex, float, tuple[int, ...], tuple[complex, ...]]],
     round_tol: float,
 ) -> tuple[int, ...]:
     """Exponent vector of log(value) over ``_BASIS``: the first monomial
-    within its match radius plus a pi_i correction resolved by rounding."""
-    for cand_value, radius, vec, symbolic in cands:
+    within its match radius plus a pi_i correction resolved by rounding;
+    only the matched monomial's symbolic log is summed."""
+    for cand_value, radius, vec, logs in cands:
         if abs(value - cand_value) <= radius:
+            symbolic = sum(c * lg for c, lg in zip(vec, logs) if c)
             c_float = (principal_log(value) - symbolic) / (1j * math.pi)
             c = round(c_float.real)
             if abs(c_float - c) > round_tol:

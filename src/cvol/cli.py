@@ -42,6 +42,10 @@ def _load(path: str):
         raise CVolError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CVolError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CVolError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise CVolError(f"{path} nests too deeply to parse: {exc}") from exc
     return parse_triangulation(document)
 
 

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconsistentSystemError, NonIntegralError
 from .geometry import SLOT_PQ_COEFF, pass_rows, slot_values
@@ -44,7 +43,7 @@ from .intlinalg import (
     smith_invariant_factors,
     solve_integer_system,
 )
-from .params import ExtendedParam
+from .params import ExtendedParam, Value
 from .polylog import PI_SQUARED, principal_log, reduce_mod
 from .triangulation import EdgeClass, Triangulation, link_arcs
 
@@ -55,8 +54,7 @@ if TYPE_CHECKING:
     from .bloch import EBElement
 
 
-@dataclass
-class JComplex:
+class JComplex(NamedTuple):
     """The chain complex C0 -> C1 -> J -> C1 -> C0 as sparse integer rows.
 
     ``alpha`` and ``beta`` hold only their nonzero entries, one
@@ -236,8 +234,7 @@ def h1_mod2(jc: JComplex) -> int:
 # Flattening solver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FlatteningAssignment:
+class FlatteningAssignment(NamedTuple):
     """Solved branch indices with a full residual report.
 
     ``kernel`` spans the solution-lattice directions that in addition
@@ -254,8 +251,8 @@ class FlatteningAssignment:
     path_parities: list[int]
     defect: list[int]
     edge_flattened_only: bool
-    kernel: list[list[int]] = field(default_factory=list)
-    raw_kernel: list[list[int]] = field(default_factory=list)
+    kernel: list[list[int]]
+    raw_kernel: list[list[int]]
 
     def pq(self) -> list[tuple[int, int]]:
         return [(p.p, p.q) for p in self.params]
@@ -456,8 +453,7 @@ def complex_volume(
 # Cycle relation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CycleSimplex:
+class CycleSimplex(Value):
     """One simplex of a cyclic configuration around a common edge E.
 
     ``edge_slot`` is the log-parameter slot of E in this simplex;
@@ -466,19 +462,18 @@ class CycleSimplex:
     distinct.
     """
 
-    shape: complex
-    p: int
-    q: int
-    sign: int
-    edge_slot: int
-    top_slot: int
-    bottom_slot: int
+    __slots__ = ("shape", "p", "q", "sign", "edge_slot", "top_slot",
+                 "bottom_slot")
 
-    def __post_init__(self) -> None:
-        if {self.edge_slot, self.top_slot, self.bottom_slot} != {0, 1, 2}:
+    def __init__(self, shape: complex, p: int, q: int, sign: int,
+                 edge_slot: int, top_slot: int, bottom_slot: int) -> None:
+        if {edge_slot, top_slot, bottom_slot} != {0, 1, 2}:
             raise ValueError("edge, top and bottom slots must be distinct")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +-1")
+        self.shape, self.p, self.q, self.sign = shape, p, q, sign
+        self.edge_slot, self.top_slot = edge_slot, top_slot
+        self.bottom_slot = bottom_slot
 
 
 def cycle_relation_check(

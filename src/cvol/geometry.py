@@ -29,12 +29,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import DegenerateGeometryError, DomainError, NonIntegralError
-from .params import ExtendedParam, Flattening
+from .params import ExtendedParam, Flattening, Value
 from .polylog import principal_log
 
 #: unordered vertex pair -> log-parameter slot (w0, w1 or w2)
@@ -57,18 +56,17 @@ def edge_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class IdealSimplexShape:
+class IdealSimplexShape(Value):
     """Cross-ratio parameter z of an ideal simplex with its even-permutation
     companions z' = 1/(1-z) and z'' = 1 - 1/z; z z' z'' = -1."""
 
-    z: complex
+    __slots__ = ("z",)
 
-    def __post_init__(self) -> None:
-        z = complex(self.z)
-        object.__setattr__(self, "z", z)
+    def __init__(self, z: complex) -> None:
+        z = complex(z)
         if z == 0 or z == 1:
             raise DomainError("shape must avoid 0 and 1")
+        self.z = z
 
     @property
     def z_prime(self) -> complex:

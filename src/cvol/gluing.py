@@ -39,7 +39,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DegenerateGeometryError
 from .triangulation import Triangulation
@@ -62,8 +62,7 @@ Row = list[tuple[int, int, int, int]]
 SparseRow = list[tuple[int, complex]]
 
 
-@dataclass
-class GluingSystem:
+class GluingSystem(NamedTuple):
     """Sparse exponent rows with constant targets: 2 pi i for edges, 0 for
     cusp paths."""
 
@@ -226,8 +225,7 @@ def _back_substitute(pivots, rhs: list[complex], y: list[complex]):
     return y
 
 
-@dataclass
-class ShapeSolution:
+class ShapeSolution(NamedTuple):
     """``history`` holds, per Newton iteration, the residual reached and the
     number of line-search halvings it took."""
 
@@ -235,7 +233,7 @@ class ShapeSolution:
     residual: float
     iterations: int
     geometric: bool
-    history: list[tuple[float, int]] = field(default_factory=list)
+    history: list[tuple[float, int]]
 
 
 def _check_nondegenerate(shapes, what: str) -> None:

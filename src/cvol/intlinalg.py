@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 def _copy(m: list[list[int]]) -> list[list[int]]:
@@ -90,12 +90,11 @@ def rank(m: list[list[int]]) -> int:
     return sum(1 for row in row_hnf(m) if any(row))
 
 
-@dataclass
-class IntegerSolution:
+class IntegerSolution(NamedTuple):
     """Particular solution plus a basis of the integer kernel lattice."""
 
     particular: list[int]
-    kernel: list[list[int]] = field(default_factory=list)
+    kernel: list[list[int]]
 
 
 def solve_integer_system(
@@ -304,8 +303,7 @@ def gf2_rank(m: list[list[int]] | list[int]) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple):
     """Finitely generated abelian group Z^free + sum Z/d_i."""
 
     free_rank: int

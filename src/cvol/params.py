@@ -11,8 +11,6 @@ w0 + w1 + w2 = 0.  Conversion in both directions lives in ``cvol.geometry``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 CUT_EPS = 1e-12
@@ -23,31 +21,55 @@ def _on_cut(z: complex) -> bool:
     return z.imag == 0.0 and (z.real < 0.0 or z.real > 1.0)
 
 
-@dataclass(frozen=True)
+class Value:
+    """Base of the slotted value types: two instances of one class are
+    equal, and hash alike, when their ``__slots__`` fields are."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class ExtendedParam:
     """A point (z; p, q) of the branched log-cover of C - {0, 1}."""
 
-    z: complex
-    p: int
-    q: int
-    cut_side: int | None = None
+    __slots__ = ("z", "p", "q", "cut_side", "_hash")
 
-    def __post_init__(self) -> None:
-        z = complex(self.z)
-        object.__setattr__(self, "z", z)
+    def __init__(
+        self, z: complex, p: int, q: int, cut_side: int | None = None
+    ) -> None:
+        z = complex(z)
         if z == 0 or z == 1:
             raise DomainError("shape parameter must avoid 0 and 1")
         if _on_cut(z):
-            if self.cut_side not in (+1, -1):
+            if cut_side not in (+1, -1):
                 raise DomainError(
                     "real shape %r outside [0,1] needs cut_side +1 or -1" % z
                 )
-        elif self.cut_side is not None:
+        elif cut_side is not None:
             raise DomainError("cut_side tag only allowed on the real cut rays")
+        self.z, self.p, self.q, self.cut_side = z, p, q, cut_side
         # generators are dict keys in every element, so hash once
-        object.__setattr__(
-            self, "_hash", hash((z, self.p, self.q, self.cut_side))
-        )
+        self._hash = hash((z, p, q, cut_side))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.z, self.p, self.q, self.cut_side) == (
+            other.z, other.p, other.q, other.cut_side)
 
     def __hash__(self) -> int:
         return self._hash
@@ -67,23 +89,20 @@ class ExtendedParam:
         return f"({self.z!r}{tag}; {self.p}, {self.q})"
 
 
-@dataclass(frozen=True)
-class Flattening:
+class Flattening(Value):
     """Log-parameter triple (w0, w1, w2) of an ideal simplex, w0+w1+w2 = 0.
 
     w0 is carried by the 01/23 edges, w1 by the 12/03 edges and w2 by the
     02/13 edges of the simplex.
     """
 
-    w0: complex
-    w1: complex
-    w2: complex
+    __slots__ = ("w0", "w1", "w2")
 
-    def __post_init__(self) -> None:
-        total = self.w0 + self.w1 + self.w2
-        scale = max(1.0, abs(self.w0), abs(self.w1), abs(self.w2))
-        if abs(total) > 1e-9 * scale:
+    def __init__(self, w0: complex, w1: complex, w2: complex) -> None:
+        scale = max(1.0, abs(w0), abs(w1), abs(w2))
+        if abs(w0 + w1 + w2) > 1e-9 * scale:
             raise DomainError("flattening components must sum to zero")
+        self.w0, self.w1, self.w2 = w0, w1, w2
 
     @classmethod
     def from_components(cls, w0: complex, w1: complex) -> "Flattening":

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
 from .errors import DomainError
-from .params import ExtendedParam
+from .params import ExtendedParam, Value
 
 PI = math.pi
 PI_SQUARED = math.pi * math.pi
 TWO_PI_SQUARED = 2.0 * math.pi * math.pi
+#: the modulus of the Rogers values of each mode: pi^2 in 'ep', where all
+#: branch indices are allowed, and 2 pi^2 in 'eep', where they are even
+MODULI = {"ep": PI_SQUARED, "eep": TWO_PI_SQUARED}
 
 #: B_2k / (2k+1)! for k = 1..10, the odd coefficients of the Bernoulli
 #: series Li2(1 - exp(-u)) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!
@@ -147,18 +148,12 @@ def lifted_rogers(param: ExtendedParam, mode: str = "ep") -> "ModPiSquared":
 
     In 'eep' mode both branch indices must be even.
     """
-    modulus = _mode_modulus(mode)
+    if mode not in MODULI:
+        raise ValueError("mode must be 'ep' or 'eep'")
     if mode == "eep" and (param.p % 2 or param.q % 2):
         raise DomainError("eep mode requires even branch indices")
-    return reduce_mod(lifted_rogers_raw(param.numeric_z(), param.p, param.q), modulus)
-
-
-def _mode_modulus(mode: str) -> float:
-    if mode == "ep":
-        return PI_SQUARED
-    if mode == "eep":
-        return TWO_PI_SQUARED
-    raise ValueError("mode must be 'ep' or 'eep'")
+    return reduce_mod(lifted_rogers_raw(param.numeric_z(), param.p, param.q),
+                      MODULI[mode])
 
 
 def bloch_wigner(z: complex) -> float:
@@ -175,29 +170,27 @@ def bloch_wigner(z: complex) -> float:
     return _dilog(z).imag + cmath.phase(1 - z) * math.log(abs(z))
 
 
-@dataclass(frozen=True)
-class ModPiSquared:
+class ModPiSquared(Value):
     """A complex number modulo the real lattice modulus*Z.
 
     The canonical representative has real part in [0, modulus); the
     imaginary part is untouched by reduction.
     """
 
-    value: complex
-    modulus: float
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus <= 0:
+    def __init__(self, value: complex, modulus: float) -> None:
+        if modulus <= 0:
             raise ValueError("modulus must be positive")
-        v = complex(self.value)
-        re = v.real - self.modulus * math.floor(v.real / self.modulus)
-        if re >= self.modulus:
-            re -= self.modulus
+        v = complex(value)
+        re = v.real - modulus * math.floor(v.real / modulus)
+        if re >= modulus:
+            re -= modulus
         if re < 0.0:
-            re += self.modulus
+            re += modulus
         if re == 0.0:
             re = 0.0  # flush -0.0
-        object.__setattr__(self, "value", complex(re, v.imag))
+        self.value, self.modulus = complex(re, v.imag), modulus
 
     def distance_to(self, other: "ModPiSquared") -> float:
         """Distance between residue classes (lattice distance on real parts)."""

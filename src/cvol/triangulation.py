@@ -17,7 +17,7 @@ from state to state, also says what each step passes, and ``path_passes``
 and ``link_arcs`` are built from it.
 
 What derives from the gluings and the cusp paths is computed once per
-triangulation (``parse_triangulation`` does it) into a frozen
+triangulation (``parse_triangulation`` does it) into a named tuple
 ``Combinatorics``: the edge classes with the faces crossed on the walk
 around each edge (``edge_loop`` reads them), the vertex and face classes,
 the orientation signs, the (tet, pair) -> edge and (tet, vertex) -> vertex
@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from .errors import TriangulationError
 from .geometry import EDGE_SLOT, Term, edge_pair
+from .params import Value
 
 _PERM_PARITY = {
     perm: (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(4), 2))
@@ -55,24 +56,24 @@ def perm_parity(perm: tuple[int, ...]) -> int:
     return _PERM_PARITY[perm]
 
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(NamedTuple):
     tet: int
     perm: tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     tet: int
     enter_face: int
     exit_face: int
 
 
-@dataclass(frozen=True)
-class NormalPath:
+class NormalPath(Value):
     """Closed normal path given by its cyclic step list."""
 
-    steps: tuple[PathStep, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[PathStep, ...]) -> None:
+        self.steps = steps
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -86,8 +87,7 @@ class NormalPath:
         )
 
 
-@dataclass(frozen=True)
-class EdgeClass:
+class EdgeClass(NamedTuple):
     """Orbit of (tet, vertex-pair) incidences around one edge of the complex.
 
     ``incidences`` lists (tet, pair, orientation) in cyclic order around the
@@ -111,12 +111,12 @@ class EdgeClass:
         return ((tet, a), (tet, b)) if orient > 0 else ((tet, b), (tet, a))
 
 
-@dataclass
 class Triangulation:
-    name: str
-    gluings: list[list[Gluing]]          # [tet][face]
-    cusp_paths: list[NormalPath] = field(default_factory=list)
-    shape_hints: list[complex] | None = None
+    def __init__(self, name: str, gluings: list[list[Gluing]],
+                 cusp_paths: list[NormalPath],
+                 shape_hints: list[complex] | None) -> None:
+        self.name, self.gluings = name, gluings  # gluings[tet][face]
+        self.cusp_paths, self.shape_hints = cusp_paths, shape_hints
 
     @property
     def num_tetrahedra(self) -> int:
@@ -131,8 +131,7 @@ class Triangulation:
         return Combinatorics.of(self)
 
 
-@dataclass(frozen=True)
-class Combinatorics:
+class Combinatorics(NamedTuple):
     """Data derived from the gluings and the cusp paths, built once per
     triangulation."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .bloch import (
     EBElement,
@@ -41,13 +40,15 @@ from .wedge import WedgeExpr
 NU_CHI = WedgeExpr({("log_x", "pi_i"): 1})
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    count: int
-    passed: bool
-    max_residual: float = 0.0
-    failures: list[dict] = field(default_factory=list)
+    """One suite's outcome, folded in check by check by ``record*``."""
+
+    __slots__ = ("name", "count", "passed", "max_residual", "failures")
+
+    def __init__(self, name: str, count: int, passed: bool) -> None:
+        self.name, self.count, self.passed = name, count, passed
+        self.max_residual = 0.0
+        self.failures: list[dict] = []
 
     def record(self, residual: float, tol: float, instance: dict) -> None:
         self.max_residual = max(self.max_residual, residual)

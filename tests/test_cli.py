@@ -57,11 +57,22 @@ class TestCvolCommand:
         assert any("edge-flattened only" in w for w in report["warnings"])
 
     def test_malformed_file_nonzero_exit(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text('{"name": "x"}')
-        code, _, err = run_cli(["cvol", str(path)], capsys)
-        assert code != 0
-        assert "parse" in err
+        # a schema error, invalid JSON, bytes that are not UTF-8 and arrays
+        # nested past the decoder's recursion limit: each a typed error
+        cases = [
+            (b'{"name": "x"}', "missing keys ['tetrahedra']"),
+            (b'{"name": ', "{} is not valid JSON"),
+            (b'{"name": "\xff\xfe"}', "{} is not UTF-8 text"),
+            (b"[" * 100000, "{} nests too deeply to parse"),
+        ]
+        for k, (content, message) in enumerate(cases):
+            path = tmp_path / f"bad{k}.json"
+            path.write_bytes(content)
+            code, out, err = run_cli(["cvol", str(path)], capsys)
+            assert code == 2
+            assert out == ""
+            assert "error at stage parse" in err
+            assert message.format(path) in err
 
     def test_path_leaving_vertex_link_fails_at_parse(
         self, fig8_doc, tmp_path, capsys
@@ -187,33 +198,43 @@ class TestOtherCommands:
     def test_import_does_not_load_numpy(self, fig8_path):
         # no command needs numpy: Newton's step is sparse pure Python.
         # fractions and decimal are not needed at all: the dilogarithm's
-        # Bernoulli coefficients are float constants
+        # Bernoulli coefficients are float constants.  The records are
+        # named tuples and slotted classes, so neither dataclasses nor the
+        # inspect machinery it imports is loaded
+        modules = "numpy fractions decimal dataclasses inspect"
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, cvol.cli; "
-             "print([m for m in ('numpy', 'fractions', 'decimal') "
-             "if m in sys.modules])"],
+             "print([m for m in sys.argv[1].split() if m in sys.modules])",
+             modules],
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
-        # a full cvol run, Newton included, leaves numpy unloaded at exit
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cvol.cli; "
-             "code = cvol.cli.main(sys.argv[1:]); "
-             "print('numpy' in sys.modules, file=sys.stderr); "
-             "sys.exit(code)",
-             "--format", "json", "cvol", str(fig8_path)],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-        )
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout)["volume"] == pytest.approx(
-            2.029883212819307, abs=1e-9
-        )
-        assert result.stderr.strip() == "False"
+        # a full run of every command, Newton included, leaves them all
+        # unloaded at exit
+        for args in (["cvol", str(fig8_path)], ["flatten", str(fig8_path)],
+                     ["homology", str(fig8_path)], ["edges", str(fig8_path)],
+                     ["verify", "--count", "2"]):
+            result = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys, cvol.cli; "
+                 "code = cvol.cli.main(sys.argv[2:]); "
+                 "print([m for m in sys.argv[1].split() "
+                 "if m in sys.modules], file=sys.stderr); "
+                 "sys.exit(code)",
+                 modules, "--format", "json", *args],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+            )
+            assert result.returncode == 0, result.stderr
+            report = json.loads(result.stdout)
+            if args[0] == "cvol":
+                assert report["volume"] == pytest.approx(
+                    2.029883212819307, abs=1e-9
+                )
+            assert result.stderr.strip() == "[]", args
 
     @pytest.mark.parametrize(
         "command,fixture,unloaded",
@@ -338,7 +359,7 @@ class TestGoldenOutput:
     @pytest.mark.parametrize(
         "command,fixture",
         [(command, fixture)
-         for fixture in ("fig8", "fig8_cover3", "fig8_cover8")
+         for fixture in ("fig8", "fig8_cover3", "fig8_cover8", "fig8_cover32")
          for command in ("cvol", "flatten", "edges", "homology")],
     )
     def test_bytes_match(self, command, fixture, capsys):
