@@ -265,12 +265,19 @@ _MONOMIALS = (
 )
 
 
+#: a value matches a monomial within this tolerance relative to
+#: max(1, |monomial|); a branch correction may be off an integer by
+#: ``_ROUND_TOL``
+_MATCH_TOL = 1e-9
+_ROUND_TOL = 1e-6
+
+
 def _log_candidates(
-    x: complex, y: complex | None, match_tol: float
+    x: complex, y: complex | None
 ) -> list[tuple[complex, float, tuple[int, ...], tuple[complex, ...]]]:
     """(value, match radius, exponent vector, logs of the symbols) of every
     monomial in x, 1-x, y, 1-y, x-y that a generator may match; the radius
-    is ``match_tol`` relative to max(1, |value|)."""
+    is ``_MATCH_TOL`` relative to max(1, |value|)."""
     if y is None:
         values = (x, 1 - x)
         logs = (principal_log(1 - x), 0j, principal_log(x), 0j, 0j)
@@ -279,14 +286,13 @@ def _log_candidates(
                   y * (1 - x) / (x * (1 - y)), (x - y) / (x * (1 - y)),
                   (1 - x) / (1 - y), (x - y) / (1 - y))
         logs = tuple(principal_log(v) for v in (1 - x, 1 - y, x, x - y, y))
-    return [(value, match_tol * max(1.0, abs(value)), vec, logs)
+    return [(value, _MATCH_TOL * max(1.0, abs(value)), vec, logs)
             for value, vec in zip(values, _MONOMIALS)]
 
 
 def _log_vector(
     value: complex,
     cands: list[tuple[complex, float, tuple[int, ...], tuple[complex, ...]]],
-    round_tol: float,
 ) -> tuple[int, ...]:
     """Exponent vector of log(value) over ``_BASIS``: the first monomial
     within its match radius plus a pi_i correction resolved by rounding;
@@ -296,7 +302,7 @@ def _log_vector(
             symbolic = sum(c * lg for c, lg in zip(vec, logs) if c)
             c_float = (principal_log(value) - symbolic) / (1j * math.pi)
             c = round(c_float.real)
-            if abs(c_float - c) > round_tol:
+            if abs(c_float - c) > _ROUND_TOL:
                 raise SymbolMatchError(
                     "branch correction %r is not an integer" % (c_float,)
                 )
@@ -309,8 +315,6 @@ def _log_vector(
 def nu_symbolic(
     e: EBElement,
     base_point: complex | tuple[complex, complex | None],
-    match_tol: float = 1e-9,
-    round_tol: float = 1e-6,
 ) -> WedgeExpr:
     """Exact wedge image sum coeff * (log z + p pi i) ^ (-log(1-z) + q pi i).
 
@@ -322,9 +326,7 @@ def nu_symbolic(
         x, y = base_point
     else:
         x, y = base_point, None
-    cands = _log_candidates(
-        complex(x), None if y is None else complex(y), match_tol
-    )
+    cands = _log_candidates(complex(x), None if y is None else complex(y))
     # the wedge is bilinear, so generators sharing z need one decomposition
     # a, b of log z, -log(1-z) and the sums c, cp, cq of coeff, coeff*p,
     # coeff*q: c a^b + cp pi_i^b + cq a^pi_i.  ``table[6 s + t]`` collects
@@ -338,9 +340,8 @@ def nu_symbolic(
         acc[2] += coeff * param.q
     table = [0] * 36
     for z, (c, cp, cq) in sums.items():
-        a = _log_vector(z, cands, round_tol)
-        b = [(t, -v) for t, v in
-             enumerate(_log_vector(1 - z, cands, round_tol)) if v]
+        a = _log_vector(z, cands)
+        b = [(t, -v) for t, v in enumerate(_log_vector(1 - z, cands)) if v]
         for s, va in enumerate(a):
             if va:
                 for t, vb in b:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import CVolError
@@ -202,6 +203,24 @@ def cmd_flatten(args) -> int:
     return 0
 
 
+def _checked(convert, accept, expected: str):
+    """An argparse type that refuses the values ``accept`` rejects: a NaN
+    or infinite tolerance would pass every check, a negative count would
+    report a pass."""
+    def parse(text: str):
+        try:
+            if accept(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvol",
@@ -209,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
         "triangulations, plus identity verification suites.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--tolerance", type=float, default=1e-9,
+    parser.add_argument("--tolerance", type=_tolerance, default=1e-9,
                         help="integrality / comparison tolerance")
-    parser.add_argument("--tolerance-newton", type=float, default=1e-12,
+    parser.add_argument("--tolerance-newton", type=_tolerance, default=1e-12,
                         help="Newton residual target")
     parser.add_argument("--max-iter", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
@@ -223,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cvol)
 
     p = sub.add_parser("verify", help="run the randomized identity suites")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("homology", help="homology of the J-complex")

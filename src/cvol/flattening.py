@@ -211,23 +211,26 @@ def homology_of_j(jc: JComplex) -> dict[int, AbelianGroup]:
 
 def h1_mod2(jc: JComplex) -> int:
     """dim_{Z/2} H_1(K; Z/2) computed from the simplicial chain complex of
-    the glued complex (vertex, edge and face classes).
+    the glued complex (vertex and edge classes, glued face pairs).
 
     d_1 and d_2 are taken mod 2 as int bitmasks, one per edge and one per
     face, so no dense matrix is formed.  A map and its transpose have the
     same rank: the rows of d_1^T are alpha's (an edge's endpoints, which
     cancel for a loop), and a face's row of d_2^T is the XOR of
-    ``1 << edge`` over its three edges.
+    ``1 << edge`` over its three edge slots.  The walk around each edge
+    crosses one glued face pair per step and each edge slot of a face
+    exactly once, so the rows are read off the walks, keyed by the smaller
+    side of the pair.
     """
-    comb = jc.tri.combinatorics
-    edge_of = comb.edge_of
+    tri = jc.tri
     d1 = [sum((c & 1) << v for v, c in row.items()) for row in jc.alpha]
-    d2 = []
-    for (tet, f), _other in comb.faces:
-        a, b, c = (v for v in range(4) if v != f)
-        d2.append((1 << edge_of[(tet, (a, b))]) ^ (1 << edge_of[(tet, (a, c))])
-                  ^ (1 << edge_of[(tet, (b, c))]))
-    return len(jc.edges) - gf2_rank(d1) - gf2_rank(d2)
+    d2: dict[tuple[int, int], int] = {}
+    for e in tri.combinatorics.edges:
+        for (tet, _, _), (_, exit_) in zip(e.incidences, e.faces):
+            g = tri.gluing(tet, exit_)
+            face = min((tet, exit_), (g.tet, g.perm[exit_]))
+            d2[face] = d2.get(face, 0) ^ (1 << e.index)
+    return len(jc.edges) - gf2_rank(d1) - gf2_rank(list(d2.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def five_point_shapes(x: complex, y: complex) -> tuple[complex, ...]:
     return shapes
 
 
-def in_ft_plus(x: complex, y: complex, margin: float = 0.0) -> bool:
+def in_ft_plus(x: complex, y: complex) -> bool:
     """True when y is in the upper half plane and x lies strictly inside the
     triangle with vertices 0, 1, y (so all five shapes are in the upper
     half plane)."""
@@ -248,7 +248,7 @@ def in_ft_plus(x: complex, y: complex, margin: float = 0.0) -> bool:
     c = x.imag / y.imag
     b = x.real - c * y.real
     a = 1.0 - b - c
-    return min(a, b, c) > margin
+    return min(a, b, c) > 0
 
 
 #: edge (a, b) of a five-point configuration -> (simplex i, slot of the

@@ -8,22 +8,25 @@ relation must be a fixed-point-free involution with inverse permutations,
 and the complex must be orientable away from its vertices.
 
 Derived structure: edge classes (orbits of tetrahedron edges under the
-gluings), vertex classes, face classes, orientation signs, normal paths
-and the vertex-link state graph.  A normal path is a closed sequence of
+gluings), vertex classes, orientation signs, normal paths and the
+vertex-link state graph.  A normal path is a closed sequence of
 steps (tet, enter_face, exit_face); within each tetrahedron it passes the
 unique edge shared by the two faces.  In a vertex link it walks the
 states (tet, tracked vertex, enter face); ``link_step``, the one transition
 from state to state, also says what each step passes, and ``path_passes``
 and ``link_arcs`` are built from it.
 
-What derives from the gluings and the cusp paths is computed once per
-triangulation (``parse_triangulation`` does it) into a named tuple
-``Combinatorics``: the edge classes with the faces crossed on the walk
-around each edge (``edge_loop`` reads them), the vertex and face classes,
-the orientation signs, the (tet, pair) -> edge and (tet, vertex) -> vertex
-lookups, and the edge and cusp-path conditions as (tet, slot, weight)
-terms (``edge_terms``, ``cusp_terms``).  A cusp path that leaves its vertex
-link fails there, at parse.
+The gluing table is read through tables built once at import: the parity
+and the inverse of each of the 24 permutations, and the sorted pair of
+each ordered vertex pair.  What derives from the gluings and the cusp
+paths is computed once per triangulation, by ``parse_triangulation``, into
+a named tuple ``Combinatorics``: the edge classes with the faces crossed
+on the walk around each edge (``edge_loop`` and the face rows of
+``cvol.flattening.h1_mod2`` read them), the vertex classes, the
+orientation signs, the (tet, vertex) -> vertex lookup, and the edge and
+cusp-path conditions as (tet, slot, weight) terms (``edge_terms``,
+``cusp_terms``).  A cusp path that leaves its vertex link fails there, at
+parse.
 
 Conditions on log-parameters are lists of (tet, slot, weight) terms,
 meaning sum weight * w_slot(tet), slots as in ``cvol.geometry``.  One
@@ -37,18 +40,20 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from .errors import TriangulationError
-from .geometry import EDGE_SLOT, Term, edge_pair
+from .geometry import EDGE_SLOT, Term
 from .params import Value
 
 _PERM_PARITY = {
     perm: (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(4), 2))
     for perm in permutations(range(4))
 }
+_PERM_INVERSE = {perm: tuple(map(perm.index, range(4))) for perm in _PERM_PARITY}
+#: ordered vertex pair -> the sorted pair that keys ``EDGE_SLOT``
+_PAIR = {(a, b): (min(a, b), max(a, b)) for a, b in permutations(range(4), 2)}
 
 
 def perm_parity(perm: tuple[int, ...]) -> int:
@@ -112,6 +117,8 @@ class EdgeClass(NamedTuple):
 
 
 class Triangulation:
+    combinatorics: Combinatorics  # set by parse_triangulation
+
     def __init__(self, name: str, gluings: list[list[Gluing]],
                  cusp_paths: list[NormalPath],
                  shape_hints: list[complex] | None) -> None:
@@ -125,21 +132,15 @@ class Triangulation:
     def gluing(self, tet: int, face: int) -> Gluing:
         return self.gluings[tet][face]
 
-    @cached_property
-    def combinatorics(self) -> Combinatorics:
-        """Derived data, computed on first use."""
-        return Combinatorics.of(self)
-
 
 class Combinatorics(NamedTuple):
     """Data derived from the gluings and the cusp paths, built once per
-    triangulation."""
+    triangulation.  The glued face pairs are not listed: the walk around
+    each edge crosses one per step (``EdgeClass.faces``)."""
 
     edges: list[EdgeClass]
     vertices: list[list[tuple[int, int]]]
-    faces: list[tuple[tuple[int, int], tuple[int, int]]]
     signs: list[int]
-    edge_of: dict[tuple[int, tuple[int, int]], int]
     vertex_of: dict[tuple[int, int], int]
     edge_terms: list[list[Term]]
     cusp_terms: list[list[Term]]
@@ -152,13 +153,7 @@ class Combinatorics(NamedTuple):
         return cls(
             edges=edges,
             vertices=vertices,
-            faces=face_classes(tri),
             signs=signs,
-            edge_of={
-                (tet, pair): e.index
-                for e in edges
-                for tet, pair, _ in e.incidences
-            },
             vertex_of={
                 slot: index
                 for index, orbit in enumerate(vertices)
@@ -186,6 +181,9 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise TriangulationError(f"missing keys {sorted(missing)} in {where}")
 
 
+_STEP_KEYS = set(PathStep._fields)
+
+
 def _is_int(value) -> bool:
     """A JSON integer; JSON true and false parse to bools, which are ints."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -210,7 +208,10 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
     and that each cusp path is linked, closed and stays in one vertex link.
     """
     if isinstance(document, (str, bytes)):
-        document = json.loads(document)
+        try:
+            document = json.loads(document)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 included
+            raise TriangulationError(f"document is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise TriangulationError("triangulation document must be an object")
     _require_keys(
@@ -239,14 +240,13 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
             if not isinstance(g, dict):
                 raise TriangulationError(f"gluing ({t},{f}) must be an object")
             _require_keys(g, {"tet", "perm"}, {"tet", "perm"}, f"gluing ({t},{f})")
-            target = g["tet"]
-            perm = g["perm"]
+            target, perm = g["tet"], g["perm"]
             if not _is_int(target) or not 0 <= target < len(tets):
                 raise TriangulationError(f"gluing ({t},{f}) targets bad tet")
-            if (
-                not isinstance(perm, list)
-                or not all(map(_is_int, perm))
-                or sorted(perm) != [0, 1, 2, 3]
+            if not (
+                isinstance(perm, list)
+                and all(map(_is_int, perm))
+                and tuple(perm) in _PERM_PARITY
             ):
                 raise TriangulationError(
                     f"gluing ({t},{f}) needs a permutation of 0..3"
@@ -254,17 +254,13 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
             row.append(Gluing(target, tuple(perm)))
         gluings.append(row)
 
-    for t in range(len(tets)):
-        for f in range(4):
-            g = gluings[t][f]
-            f_img = g.perm[f]
-            if (g.tet, f_img) == (t, f):
+    for t, row in enumerate(gluings):
+        for f, (target, perm) in enumerate(row):
+            if target == t and perm[f] == f:
                 raise TriangulationError(
                     f"face ({t},{f}) is glued to itself"
                 )
-            back = gluings[g.tet][f_img]
-            inverse = tuple(g.perm.index(v) for v in range(4))
-            if back.tet != t or back.perm != inverse:
+            if gluings[target][perm[f]] != (t, _PERM_INVERSE[perm]):
                 raise TriangulationError(
                     f"gluing ({t},{f}) is not involutive with inverse "
                     "permutation"
@@ -278,19 +274,14 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
         if not isinstance(raw_path, list) or not raw_path:
             raise TriangulationError(f"cusp path {k} must be a non-empty list")
         steps = []
-        for s, step in enumerate(raw_path):
-            if not isinstance(step, dict):
+        for s, raw in enumerate(raw_path):
+            if not isinstance(raw, dict):
                 raise TriangulationError(f"step {s} of cusp path {k} malformed")
-            _require_keys(
-                step,
-                {"tet", "enter_face", "exit_face"},
-                {"tet", "enter_face", "exit_face"},
-                f"cusp path {k} step {s}",
-            )
-            tet, fin, fout = step["tet"], step["enter_face"], step["exit_face"]
-            if not all(map(_is_int, (tet, fin, fout))):
+            _require_keys(raw, _STEP_KEYS, _STEP_KEYS, f"cusp path {k} step {s}")
+            step = PathStep(raw["tet"], raw["enter_face"], raw["exit_face"])
+            if not all(map(_is_int, step)):
                 raise TriangulationError(f"cusp path {k} step {s}: ints required")
-            steps.append(PathStep(tet, fin, fout))
+            steps.append(step)
         paths.append(NormalPath(tuple(steps)))
 
     shapes = document.get("shapes")
@@ -311,9 +302,9 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
             hints.append(complex(entry[0], entry[1]))
 
     tri = Triangulation(name, gluings, paths, hints)
-    # derived once; raises for non-orientable complexes and for cusp paths
-    # that are not closed normal paths in one vertex link
-    tri.combinatorics
+    # raises for non-orientable complexes and for cusp paths that are not
+    # closed normal paths in one vertex link
+    tri.combinatorics = Combinatorics.of(tri)
     return tri
 
 
@@ -337,7 +328,7 @@ def edge_classes(tri: Triangulation) -> list[EdgeClass]:
         tet, (tail, head) = t0, pair0
         enter = next(f for f in range(4) if f not in pair0)
         while True:
-            pair = edge_pair(tail, head)
+            pair = _PAIR[tail, head]
             exit_ = 6 - tail - head - enter
             incidences.append((tet, pair, 1 if tail < head else -1))
             faces.append((enter, exit_))
@@ -345,7 +336,7 @@ def edge_classes(tri: Triangulation) -> list[EdgeClass]:
             g = tri.gluing(tet, exit_)
             tet, tail, head = g.tet, g.perm[tail], g.perm[head]
             enter = g.perm[exit_]
-            if (tet, edge_pair(tail, head)) == (t0, pair0):
+            if (tet, _PAIR[tail, head]) == (t0, pair0):
                 if tail > head:
                     raise TriangulationError("edge link is not orientable")
                 break
@@ -357,37 +348,20 @@ def vertex_classes(tri: Triangulation) -> list[list[tuple[int, int]]]:
     """Orbits of (tet, vertex) slots under the face gluings."""
     seen: set[tuple[int, int]] = set()
     classes = []
-    for t0 in range(tri.num_tetrahedra):
-        for v0 in range(4):
-            if (t0, v0) in seen:
-                continue
-            orbit = []
-            stack = [(t0, v0)]
-            while stack:
-                tet, v = stack.pop()
-                if (tet, v) in seen:
-                    continue
-                seen.add((tet, v))
-                orbit.append((tet, v))
-                for f in range(4):
-                    if f == v:
-                        continue
-                    g = tri.gluing(tet, f)
+    for start in product(range(tri.num_tetrahedra), range(4)):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit, stack = [], [start]
+        while stack:
+            tet, v = slot = stack.pop()
+            orbit.append(slot)
+            for f, g in enumerate(tri.gluings[tet]):
+                if f != v and (g.tet, g.perm[v]) not in seen:
+                    seen.add((g.tet, g.perm[v]))
                     stack.append((g.tet, g.perm[v]))
-            classes.append(sorted(orbit))
+        classes.append(sorted(orbit))
     return classes
-
-
-def face_classes(tri: Triangulation) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Glued face pairs ((tet, face), (tet', face')), each listed once."""
-    out = []
-    for t in range(tri.num_tetrahedra):
-        for f in range(4):
-            g = tri.gluing(t, f)
-            other = (g.tet, g.perm[f])
-            if (t, f) <= other:
-                out.append(((t, f), other))
-    return out
 
 
 def orientation_signs(tri: Triangulation) -> list[int]:
@@ -418,7 +392,7 @@ def orientation_signs(tri: Triangulation) -> list[int]:
                         "complex is not orientable (gluing at "
                         f"({t},{f}) conflicts)"
                     )
-    return [s for s in signs]  # type: ignore[misc]
+    return signs  # type: ignore[return-value]
 
 
 def edge_loop(tri: Triangulation, edge: EdgeClass) -> NormalPath:
@@ -444,7 +418,7 @@ def link_step(
     g = tri.gluing(tet, exit_)
     return (
         (g.tet, g.perm[vertex], g.perm[exit_]),
-        (tet, edge_pair(vertex, other),
+        (tet, _PAIR[vertex, other],
          perm_parity((vertex, other, enter, exit_))),
     )
 
@@ -510,10 +484,8 @@ def link_arcs(
     to the state entered across it, carrying the term of its pass.  Its
     closed walks are the closed normal paths in the vertex links."""
     arcs: dict[LinkState, list[tuple[LinkState, Term]]] = {}
-    for tet, v, f_in, f_out in product(
-        range(tri.num_tetrahedra), range(4), range(4), range(4)
-    ):
-        if len({v, f_in, f_out}) == 3:
+    for tet in range(tri.num_tetrahedra):
+        for v, f_in, f_out, _ in permutations(range(4)):
             nxt, (_, pair, rot) = link_step(tri, tet, v, f_in, f_out)
             arcs.setdefault((tet, v, f_in), []).append(
                 (nxt, (tet, EDGE_SLOT[pair], rot))

@@ -153,7 +153,44 @@ class TestVerifyCommand:
             ["--format", "json", "verify", "--count", "0"], capsys
         )
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert [s["count"] for s in report["suites"]] == [0] * len(
+            report["suites"]
+        )
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (command, "--tolerance", value)
+            for value in ("inf", "-inf", "nan", "0", "-1e-9", "abc")
+            for command in ("cvol", "flatten", "verify")
+        ] + [
+            (command, "--tolerance-newton", value)
+            for value in ("inf", "nan", "0")
+            for command in ("cvol", "flatten")
+        ] + [
+            ("verify", "--count", value) for value in ("-3", "1.5", "many")
+        ],
+        ids=lambda item: str(item).lstrip("-"),
+    )
+    def test_bad_option_value_refused(self, fig8_path, capsys, command,
+                                      flag, value):
+        # a non-finite tolerance passes every check and a negative count
+        # reports a pass, so both are refused before anything runs
+        args = [command] if command == "verify" else [command, str(fig8_path)]
+        option = [f"{flag}={value}"]
+        args = [*args, *option] if flag == "--count" else [*option, *args]
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "json", *args])
+        captured = capsys.readouterr()
+        expected = ("an integer >= 0" if flag == "--count"
+                    else "a finite number > 0")
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {flag}: expected {expected}, got {value!r}\n"
+        )
 
 
 class TestOtherCommands:

@@ -15,7 +15,6 @@ from cvol.triangulation import (
     PathStep,
     edge_classes,
     edge_loop,
-    face_classes,
     link_arcs,
     orientation_signs,
     parse_triangulation,
@@ -33,49 +32,163 @@ from oracles import (
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
+DELETE = object()
+GLUING = ("tetrahedra", 0, "gluings")
+STEP = ("cusp_paths", 0, 0)
+
+#: case -> (edits of the fig8 document as (path, value), exact message);
+#: the empty path replaces the whole document and ``DELETE`` drops a key
+PARSE_MESSAGES = {
+    "not-an-object": ([((), [])], "triangulation document must be an object"),
+    "unknown-key": ([(("extra",), 1)], "unknown keys ['extra'] in triangulation"),
+    "missing-key": ([(("tetrahedra",), DELETE)],
+                    "missing keys ['tetrahedra'] in triangulation"),
+    "unknown-before-missing": (
+        [(("name",), DELETE), (("extra",), 1)],
+        "unknown keys ['extra'] in triangulation",
+    ),
+    "name-not-string": ([(("name",), 1)], "name must be a string"),
+    "no-tetrahedra": ([(("tetrahedra",), [])],
+                      "tetrahedra must be a non-empty list"),
+    "tetrahedra-not-list": ([(("tetrahedra",), {})],
+                            "tetrahedra must be a non-empty list"),
+    "tet-not-object": ([(("tetrahedra", 1), [])],
+                       "tetrahedron 1 must be an object"),
+    "tet-unknown-key": ([(("tetrahedra", 0, "x"), 1)],
+                        "unknown keys ['x'] in tetrahedron 0"),
+    "tet-missing-key": ([(("tetrahedra", 0, "gluings"), DELETE)],
+                        "missing keys ['gluings'] in tetrahedron 0"),
+    "three-gluings": ([((*GLUING, 3), DELETE)],
+                      "tetrahedron 0 needs exactly 4 gluings"),
+    "gluings-not-list": ([(GLUING, "abcd")],
+                         "tetrahedron 0 needs exactly 4 gluings"),
+    "gluing-not-object": ([((*GLUING, 2), 1)],
+                          "gluing (0,2) must be an object"),
+    "gluing-unknown-key": ([((*GLUING, 2, "x"), 1)],
+                           "unknown keys ['x'] in gluing (0,2)"),
+    "gluing-missing-key": ([((*GLUING, 2, "perm"), DELETE)],
+                           "missing keys ['perm'] in gluing (0,2)"),
+    "target-too-large": ([((*GLUING, 1, "tet"), 2)],
+                         "gluing (0,1) targets bad tet"),
+    "target-negative": ([((*GLUING, 1, "tet"), -1)],
+                        "gluing (0,1) targets bad tet"),
+    "target-float": ([((*GLUING, 1, "tet"), 1.0)],
+                     "gluing (0,1) targets bad tet"),
+    "target-before-perm": (
+        [((*GLUING, 1, "tet"), 2), ((*GLUING, 1, "perm"), [0, 0, 2, 3])],
+        "gluing (0,1) targets bad tet",
+    ),
+    "perm-repeated": ([((*GLUING, 0, "perm"), [0, 0, 2, 3])],
+                      "gluing (0,0) needs a permutation of 0..3"),
+    "perm-short": ([((*GLUING, 0, "perm"), [0, 2, 1])],
+                   "gluing (0,0) needs a permutation of 0..3"),
+    "perm-out-of-range": ([((*GLUING, 0, "perm"), [1, 2, 3, 4])],
+                          "gluing (0,0) needs a permutation of 0..3"),
+    "perm-float": ([((*GLUING, 0, "perm"), [0, 2, 1, 3.0])],
+                   "gluing (0,0) needs a permutation of 0..3"),
+    "perm-huge": ([((*GLUING, 0, "perm"), [0, 2, 1, 10**30])],
+                  "gluing (0,0) needs a permutation of 0..3"),
+    "perm-not-list": ([((*GLUING, 0, "perm"), {"0": 0})],
+                      "gluing (0,0) needs a permutation of 0..3"),
+    "glued-to-itself": ([((*GLUING, 0, "tet"), 0),
+                         ((*GLUING, 0, "perm"), [0, 1, 2, 3])],
+                        "face (0,0) is glued to itself"),
+    "non-inverse-perm": ([((*GLUING, 0, "perm"), [1, 0, 2, 3])],
+                         "gluing (0,0) is not involutive with inverse "
+                         "permutation"),
+    "target-not-glued-back": (
+        [((*GLUING, 0, "tet"), 0), ((*GLUING, 0, "perm"), [1, 0, 2, 3])],
+        "gluing (0,0) is not involutive with inverse permutation",
+    ),
+    "schema-before-involution": (
+        [((*GLUING, 0, "perm"), [1, 0, 2, 3]),
+         (("tetrahedra", 1, "gluings", 3, "tet"), 5)],
+        "gluing (1,3) targets bad tet",
+    ),
+    "cusp-paths-not-list": ([(("cusp_paths",), {})],
+                            "cusp_paths must be a list"),
+    "empty-cusp-path": ([(("cusp_paths", 1), [])],
+                        "cusp path 1 must be a non-empty list"),
+    "cusp-path-not-list": ([(("cusp_paths", 0), {})],
+                           "cusp path 0 must be a non-empty list"),
+    "step-not-object": ([(("cusp_paths", 0, 1), 5)],
+                        "step 1 of cusp path 0 malformed"),
+    "step-unknown-key": ([((*STEP, "x"), 1)],
+                         "unknown keys ['x'] in cusp path 0 step 0"),
+    "step-missing-key": ([((*STEP, "exit_face"), DELETE)],
+                         "missing keys ['exit_face'] in cusp path 0 step 0"),
+    "step-float": ([((*STEP, "enter_face"), 1.0)],
+                   "cusp path 0 step 0: ints required"),
+    "unlinked-path": (
+        [(("cusp_paths",), [[{"tet": 0, "enter_face": 0, "exit_face": 1}] * 2])],
+        "path steps 0 -> 1 are not linked by a gluing",
+    ),
+    "involution-before-paths": (
+        [((*GLUING, 0, "perm"), [1, 0, 2, 3]), (("cusp_paths",), {})],
+        "gluing (0,0) is not involutive with inverse permutation",
+    ),
+    "shapes-not-list": ([(("shapes",), {})],
+                        "shapes must list one [re, im] per tet"),
+    "shapes-too-few": ([(("shapes",), [[0.5, 0.8]])],
+                       "shapes must list one [re, im] per tet"),
+    "shape-too-short": ([(("shapes",), [[0.5, 0.8], [0.5]])],
+                        "shapes entries must be [re, im] of finite numbers"),
+    "shape-not-number": ([(("shapes",), [[0.5, 0.8], [0.5, "i"]])],
+                         "shapes entries must be [re, im] of finite numbers"),
+    "paths-before-shapes": (
+        [(("cusp_paths",), {}), (("shapes",), {})],
+        "cusp_paths must be a list",
+    ),
+    # a pair of inverse even permutations across faces 0 of both
+    # tetrahedra: the other three gluings are odd
+    "not-orientable": (
+        [((*GLUING, 0, "perm"), [0, 2, 3, 1]),
+         (("tetrahedra", 1, "gluings", 0, "perm"), [0, 3, 1, 2])],
+        "complex is not orientable (gluing at (0,1) conflicts)",
+    ),
+    "shapes-before-orientation": (
+        [((*GLUING, 0, "perm"), [0, 2, 3, 1]),
+         (("tetrahedra", 1, "gluings", 0, "perm"), [0, 3, 1, 2]),
+         (("shapes",), {})],
+        "shapes must list one [re, im] per tet",
+    ),
+    "orientation-before-paths": (
+        [((*GLUING, 0, "perm"), [0, 2, 3, 1]),
+         (("tetrahedra", 1, "gluings", 0, "perm"), [0, 3, 1, 2]),
+         (("cusp_paths", 0, 0, "tet"), 7)],
+        "complex is not orientable (gluing at (0,1) conflicts)",
+    ),
+}
+
 
 class TestParser:
     def test_fixture_parses(self, fig8_doc):
         tri = parse_triangulation(fig8_doc)
         assert tri.num_tetrahedra == 2
-        assert len(face_classes(tri)) == 4
         assert len(tri.cusp_paths) == 2
 
-    def test_face_glued_to_itself_rejected(self):
-        doc = {
-            "name": "bad",
-            "tetrahedra": [
-                {"gluings": [{"tet": 0, "perm": [0, 1, 2, 3]}] * 4}
-            ],
-        }
-        with pytest.raises(TriangulationError):
-            parse_triangulation(doc)
-
-    def test_non_inverse_permutation_rejected(self, fig8_doc):
+    @pytest.mark.parametrize(
+        "edits, message", PARSE_MESSAGES.values(), ids=PARSE_MESSAGES.keys()
+    )
+    def test_parse_message(self, fig8_doc, edits, message):
+        # each case edits the fig8 document and pins the exact message;
+        # where a case breaks several things, the message shows which
+        # check comes first
         doc = copy.deepcopy(fig8_doc)
-        doc["tetrahedra"][0]["gluings"][0]["perm"] = [1, 0, 2, 3]
-        with pytest.raises(TriangulationError):
-            parse_triangulation(doc)
-
-    def test_unknown_keys_rejected(self, fig8_doc):
-        doc = copy.deepcopy(fig8_doc)
-        doc["extra"] = 1
-        with pytest.raises(TriangulationError):
-            parse_triangulation(doc)
-
-    def test_malformed_permutation_rejected(self, fig8_doc):
-        doc = copy.deepcopy(fig8_doc)
-        doc["tetrahedra"][0]["gluings"][0]["perm"] = [0, 0, 2, 3]
-        with pytest.raises(TriangulationError):
-            parse_triangulation(doc)
-
-    def test_unlinked_cusp_path_rejected(self, fig8_doc):
-        doc = copy.deepcopy(fig8_doc)
-        doc["cusp_paths"] = [[
-            {"tet": 0, "enter_face": 0, "exit_face": 1},
-            {"tet": 0, "enter_face": 0, "exit_face": 1},
-        ]]
-        with pytest.raises(TriangulationError):
+        for path, value in edits:
+            if not path:
+                doc = value
+                continue
+            *outer, key = path
+            container = doc
+            for k in outer:
+                container = container[k]
+            if value is DELETE:
+                del container[key]
+            else:
+                container[key] = value
+        with pytest.raises(TriangulationError,
+                           match=f"^{re.escape(message)}$"):
             parse_triangulation(doc)
 
     def test_shapes_hint_round_trip(self, fig8_doc):
@@ -101,6 +214,16 @@ class TestParser:
     def test_json_string_accepted(self, fig8_doc):
         tri = parse_triangulation(json.dumps(fig8_doc))
         assert tri.num_tetrahedra == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"name": ', b'{"name": "\xff"}', "[" * 100000],
+        ids=["truncated", "not-utf8", "deep-nesting"],
+    )
+    def test_malformed_json_text_rejected(self, text):
+        with pytest.raises(TriangulationError,
+                           match="^document is not valid JSON: "):
+            parse_triangulation(text)
 
     @pytest.mark.parametrize(
         "where",
