@@ -37,9 +37,8 @@ _EXPORTS = {
         "homology_of_j", "integral_defect", "omega", "solve_flattenings",
     ),
     "geometry": (
-        "IdealSimplexShape", "cross_ratio", "edge_parameter",
-        "five_point_edge_conditions", "five_point_shapes", "flatten",
-        "unflatten",
+        "IdealSimplexShape", "five_point_edge_conditions",
+        "five_point_shapes", "flatten", "unflatten",
     ),
     "gluing": (
         "GluingSystem", "ShapeSolution", "gluing_equations", "solve_shapes",

@@ -219,6 +219,7 @@ def _checked(convert, accept, expected: str):
 
 _tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_iterations = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="integrality / comparison tolerance")
     parser.add_argument("--tolerance-newton", type=_tolerance, default=1e-12,
                         help="Newton residual target")
-    parser.add_argument("--max-iter", type=int, default=100)
+    parser.add_argument("--max-iter", type=_iterations, default=100)
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

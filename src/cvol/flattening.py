@@ -38,8 +38,8 @@ from .geometry import SLOT_PQ_COEFF, pass_rows, slot_values
 from .intlinalg import (
     AbelianGroup,
     gf2_rank,
-    matmul,
     reduce_mod_lattice,
+    row_hnf,
     smith_invariant_factors,
     solve_integer_system,
 )
@@ -123,31 +123,6 @@ def build_j_complex(tri: Triangulation) -> JComplex:
     return JComplex(tri, comb.edges, comb.vertices, alpha, beta)
 
 
-def _compose(
-    a: list[dict[int, int]], b: list[dict[int, int]], width: int
-) -> list[list[int]]:
-    """The product of sparse rows a and b as a dense matrix."""
-    out = []
-    for row in a:
-        acc = [0] * width
-        for k, x in row.items():
-            for j, y in b[k].items():
-                acc[j] += x * y
-        out.append(acc)
-    return out
-
-
-def chain_complex_composites(jc: JComplex) -> tuple[list[list[int]], ...]:
-    """The three consecutive composites, as dense matrices; all must be
-    zero."""
-    beta_star = jc.beta_star
-    return (
-        _compose(jc.beta, jc.alpha, len(jc.vertices)),
-        _compose(beta_star, jc.beta, len(jc.edges)),
-        _compose(jc.alpha_star, beta_star, jc.j_rank),
-    )
-
-
 def omega(tri: Triangulation, shapes: list[complex]) -> list[complex]:
     """Element of J (x) C with Delta-component -(log(1-z) e_0 + log(z) e_1),
     as a coordinate vector over the (e_0, e_1) bases."""
@@ -156,11 +131,6 @@ def omega(tri: Triangulation, shapes: list[complex]) -> list[complex]:
         out.append(-principal_log(1 - z))
         out.append(-principal_log(z))
     return out
-
-
-def xi(flattening: Flattening) -> tuple[complex, complex]:
-    """J_Delta (x) C coordinates (w1, -w0) of a flattening."""
-    return (flattening.w1, -flattening.w0)
 
 
 def _pi_i_multiple(value: complex, tol: float, what: str) -> int:
@@ -301,13 +271,15 @@ def _prune_kernel(
     connected and the fundamental cycles of a spanning forest span the
     rational functionals of all closed walks; the sub-lattice depends on
     that span only.  A state's potential is the functional of its tree path
-    on the kernel vectors; each arc off the tree gives one row.
+    on the kernel vectors; each arc off the tree gives one functional, kept
+    once.  One row HNF of [F | kernel], pivots sought in the functional
+    columns F, leaves the pruned basis in the rows whose F part is zero.
     """
     if not kernel:
         return []
     arcs = link_arcs(tri)
     potential = {}
-    action = []
+    action: dict[tuple[int, ...], None] = {}
     for root in arcs:
         if root in potential:
             continue
@@ -324,14 +296,13 @@ def _prune_kernel(
                     potential[nxt] = value
                     queue.append(nxt)
                 elif value != potential[nxt]:
-                    action.append(
-                        [a - b for a, b in zip(value, potential[nxt])]
-                    )
-    if not action:
-        return [list(v) for v in kernel]
-    combos = solve_integer_system(action, [0] * len(action))
-    assert combos is not None  # homogeneous systems are always consistent
-    return matmul(combos.kernel, kernel)
+                    diff = tuple(a - b for a, b in zip(value, potential[nxt]))
+                    action[diff] = None
+    f = list(action)
+    rows = row_hnf(
+        [[g[i] for g in f] + k for i, k in enumerate(kernel)], len(f)
+    )
+    return [row[len(f):] for row in rows if not any(row[:len(f)])]
 
 
 def solve_flattenings(
@@ -389,27 +360,6 @@ def _assignment_from_vector(
         edge_flattened_only=not tri.cusp_paths,
         kernel=kernel,
         raw_kernel=raw_kernel,
-    )
-
-
-def alternate_assignment(
-    tri: Triangulation,
-    shapes: list[complex],
-    base: FlatteningAssignment,
-    kernel_coeffs: list[int],
-) -> FlatteningAssignment:
-    """Another particular solution: base + integer combination of kernel
-    vectors (used to exercise solver-choice invariance).  The defect and
-    both kernels depend on the shapes and the system only, so they are the
-    base's."""
-    if len(kernel_coeffs) != len(base.kernel):
-        raise ValueError("need one coefficient per kernel vector")
-    x = [p for pair in base.pq() for p in pair]
-    x = x + [0] * (len(base.kernel[0]) - len(x) if base.kernel else 0)
-    for c, vec in zip(kernel_coeffs, base.kernel):
-        x = [a + c * b for a, b in zip(x, vec)]
-    return _assignment_from_vector(
-        tri, shapes, x, base.defect, base.kernel, base.raw_kernel
     )
 
 

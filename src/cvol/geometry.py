@@ -1,4 +1,4 @@
-"""Ideal simplex shapes, cross-ratios, and combinatorial flattenings.
+"""Ideal simplex shapes and combinatorial flattenings.
 
 An ideal simplex with ordered vertices carries the cross-ratio z on its
 01 and 23 edges, z' = 1/(1-z) on the 12 and 03 edges, and z'' = 1 - 1/z on
@@ -50,12 +50,6 @@ SLOT_PQ_COEFF = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}
 Term = tuple[int, int, int]  # (tet, slot, weight)
 
 
-def edge_pair(a: int, b: int) -> tuple[int, int]:
-    if a == b or not {a, b} <= {0, 1, 2, 3}:
-        raise ValueError(f"invalid vertex pair ({a}, {b})")
-    return (a, b) if a < b else (b, a)
-
-
 class IdealSimplexShape(Value):
     """Cross-ratio parameter z of an ideal simplex with its even-permutation
     companions z' = 1/(1-z) and z'' = 1 - 1/z; z z' z'' = -1."""
@@ -78,58 +72,6 @@ class IdealSimplexShape(Value):
 
     def parameter(self, slot: int) -> complex:
         return (self.z, self.z_prime, self.z_double_prime)[slot]
-
-
-def edge_parameter(shape: IdealSimplexShape, edge: tuple[int, int]) -> complex:
-    """Cross-ratio parameter attached to an edge (01/23 -> z, 12/03 -> z',
-    02/13 -> z'')."""
-    return shape.parameter(EDGE_SLOT[edge_pair(*edge)])
-
-
-INF = complex("inf")
-
-
-def _is_inf(v) -> bool:
-    try:
-        return cmath.isinf(complex(v))
-    except (TypeError, OverflowError):
-        return False
-
-
-def cross_ratio(z1, z2, z3, z4) -> complex:
-    """[z1 : z2 : z3 : z4] = (z3-z2)(z4-z1) / ((z3-z1)(z4-z2)).
-
-    Points live on the Riemann sphere; at most one may be the point at
-    infinity, which is handled by cancelling its two factors.
-    """
-    pts = [z1, z2, z3, z4]
-    inf_at = [i for i, v in enumerate(pts) if _is_inf(v)]
-    finite = [complex(v) for v in pts if not _is_inf(v)]
-    if len(inf_at) > 1:
-        raise DegenerateGeometryError("cross-ratio needs pairwise distinct points")
-    for i in range(len(finite)):
-        for j in range(i + 1, len(finite)):
-            if finite[i] == finite[j]:
-                raise DegenerateGeometryError(
-                    "cross-ratio needs pairwise distinct points"
-                )
-    if not inf_at:
-        a, b, c, d = (complex(v) for v in pts)
-        value = ((c - b) * (d - a)) / ((c - a) * (d - b))
-    else:
-        a, b, c = finite
-        which = inf_at[0]
-        if which == 0:      # (z4-z1)/(z3-z1) -> 1, leaves (z3-z2)/(z4-z2)
-            value = (b - a) / (c - a)
-        elif which == 1:    # (z3-z2)/(z4-z2) -> 1, leaves (z4-z1)/(z3-z1)
-            value = (c - a) / (b - a)
-        elif which == 2:    # (z3-z2)/(z3-z1) -> 1, leaves (z4-z1)/(z4-z2)
-            value = (c - a) / (c - b)
-        else:               # (z4-z1)/(z4-z2) -> 1, leaves (z3-z2)/(z3-z1)
-            value = (c - b) / (c - a)
-    if value == 0 or value == 1 or _is_inf(value):
-        raise DegenerateGeometryError("degenerate cross-ratio value %r" % value)
-    return value
 
 
 def flatten(param: ExtendedParam) -> Flattening:

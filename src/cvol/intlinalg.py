@@ -32,13 +32,6 @@ def transpose(m: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*m)]
 
 
-def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def matvec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -102,41 +95,34 @@ def solve_integer_system(
 ) -> IntegerSolution | None:
     """Solve a x = b over Z.  Returns None when the system is inconsistent.
 
-    Uses a column Hermite form a * U^T = C, found as the row HNF
-    [C^T | U] of [a^T | I] with pivots in the first m columns: forward
-    substitution on the echelon columns with exact divisibility checks
-    yields a particular solution, and the columns of U^T beyond the rank
-    span the kernel.
+    The row HNF of [a^T | I] with pivots in the first m columns has rows
+    [(a u)^T | u] with u unimodular.  Walking its pivot rows in order, the
+    first nonzero entry of a row at p fixes y = (b[p] - (a x)[p]) / row[p]
+    (no integer solution when this does not divide) and x += y u; the rows
+    after the pivot rows, zero in their first m entries, span the kernel.
     """
     m = len(a)
     n = len(a[0]) if a else 0
     if n == 0:
-        if any(b):
-            return None
-        return IntegerSolution([], [])
+        return None if any(b) else IntegerSolution([], [])
     eye = [[int(i == k) for k in range(n)] for i in range(n)]
-    hu = row_hnf([r + e for r, e in zip(transpose(a), eye)], m)  # [h | u]
-    c = transpose([row[:m] for row in hu])  # m x n, columns in echelon order
-    ut = transpose([row[m:] for row in hu])  # columns are the change of basis
-    y = [0] * n
-    r = 0
-    for j in range(n):
-        col = [c[i][j] for i in range(m)]
-        if not any(col):
+    hu = row_hnf([r + e for r, e in zip(transpose(a), eye)], m)
+    x = [0] * n
+    residual = list(map(int, b))  # b - a x
+    r = 0  # pivot rows walked
+    for row in hu:
+        p = next((j for j in range(m) if row[j]), None)
+        if p is None:
             break
-        pivot_row = next(i for i in range(m) if col[i] != 0)
-        residual = b[pivot_row] - sum(
-            c[pivot_row][jj] * y[jj] for jj in range(j)
-        )
-        if residual % col[pivot_row]:
+        y, rest = divmod(residual[p], row[p])
+        if rest:
             return None
-        y[j] = residual // col[pivot_row]
-        r = j + 1
-    x = matvec(ut, y)
+        residual = [v - y * c for v, c in zip(residual, row)]
+        x = [v + y * u for v, u in zip(x, row[m:])]
+        r += 1
     if matvec(a, x) != list(map(int, b)):
         return None
-    kernel = [[ut[i][j] for i in range(n)] for j in range(r, n)]
-    return IntegerSolution(x, kernel)
+    return IntegerSolution(x, [row[m:] for row in hu[r:]])
 
 
 def reduce_mod_lattice(x: list[int], basis: list[list[int]]) -> list[int]:

@@ -17,7 +17,12 @@ result does not depend on the labels.  ``reference_edge_classes``,
 of ``cvol.triangulation``, kept as a differential reference: the edge walk
 that collects the entered and exited faces in separate lists, and the path
 passes from a validation pass, a vertex inference pass and a per-step
-lookup of the passed edge and its rotation sign.
+lookup of the passed edge and its rotation sign.  ``reference_prune_kernel``
+is the earlier kernel pruning, a second integer solve on every off-tree
+functional followed by a matrix product.  The last few helpers
+(``cross_ratio``, ``edge_parameter``, ``xi``, ``matmul``,
+``chain_complex_composites``, ``alternate_assignment``) have no caller in
+the package and live here for the tests that use them.
 """
 
 import cmath
@@ -27,9 +32,12 @@ import math
 import mpmath
 from scipy.integrate import quad
 
-from cvol.errors import SymbolMatchError
+from cvol.errors import DegenerateGeometryError, SymbolMatchError
+from cvol.flattening import _assignment_from_vector
+from cvol.geometry import EDGE_SLOT, SLOT_PQ_COEFF
+from cvol.intlinalg import solve_integer_system, transpose
 from cvol.polylog import principal_log
-from cvol.triangulation import NormalPath, PathStep
+from cvol.triangulation import NormalPath, PathStep, link_arcs
 from cvol.wedge import combine, sym, wedge
 
 
@@ -314,3 +322,150 @@ def nu_reference(e, base_point, match_tol=1e-9, round_tol=1e-6):
         pieces.append((coeff, wedge(left + sym("pi_i", param.p),
                                     -right + sym("pi_i", param.q))))
     return combine(pieces)
+
+
+# Helpers that only tests call, and the earlier kernel pruning.
+
+INF = complex("inf")
+
+
+def _is_inf(v) -> bool:
+    try:
+        return cmath.isinf(complex(v))
+    except (TypeError, OverflowError):
+        return False
+
+
+def cross_ratio(z1, z2, z3, z4) -> complex:
+    """[z1 : z2 : z3 : z4] = (z3-z2)(z4-z1) / ((z3-z1)(z4-z2)).
+
+    Points live on the Riemann sphere; at most one may be the point at
+    infinity, which is handled by cancelling its two factors.
+    """
+    pts = [z1, z2, z3, z4]
+    inf_at = [i for i, v in enumerate(pts) if _is_inf(v)]
+    finite = [complex(v) for v in pts if not _is_inf(v)]
+    if len(inf_at) > 1:
+        raise DegenerateGeometryError("cross-ratio needs pairwise distinct points")
+    for i in range(len(finite)):
+        for j in range(i + 1, len(finite)):
+            if finite[i] == finite[j]:
+                raise DegenerateGeometryError(
+                    "cross-ratio needs pairwise distinct points"
+                )
+    if not inf_at:
+        a, b, c, d = (complex(v) for v in pts)
+        value = ((c - b) * (d - a)) / ((c - a) * (d - b))
+    else:
+        a, b, c = finite
+        which = inf_at[0]
+        if which == 0:      # (z4-z1)/(z3-z1) -> 1, leaves (z3-z2)/(z4-z2)
+            value = (b - a) / (c - a)
+        elif which == 1:    # (z3-z2)/(z4-z2) -> 1, leaves (z4-z1)/(z3-z1)
+            value = (c - a) / (b - a)
+        elif which == 2:    # (z3-z2)/(z3-z1) -> 1, leaves (z4-z1)/(z4-z2)
+            value = (c - a) / (c - b)
+        else:               # (z4-z1)/(z4-z2) -> 1, leaves (z3-z2)/(z3-z1)
+            value = (c - b) / (c - a)
+    if value == 0 or value == 1 or _is_inf(value):
+        raise DegenerateGeometryError("degenerate cross-ratio value %r" % value)
+    return value
+
+
+def edge_pair(a: int, b: int) -> tuple[int, int]:
+    if a == b or not {a, b} <= {0, 1, 2, 3}:
+        raise ValueError(f"invalid vertex pair ({a}, {b})")
+    return (a, b) if a < b else (b, a)
+
+
+def edge_parameter(shape, edge: tuple[int, int]) -> complex:
+    """Cross-ratio parameter attached to an edge (01/23 -> z, 12/03 -> z',
+    02/13 -> z'')."""
+    return shape.parameter(EDGE_SLOT[edge_pair(*edge)])
+
+
+def xi(flattening) -> tuple[complex, complex]:
+    """J_Delta (x) C coordinates (w1, -w0) of a flattening."""
+    return (flattening.w1, -flattening.w0)
+
+
+def matmul(a, b):
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in a]
+    bt = transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _compose(a, b, width):
+    """The product of sparse rows a and b as a dense matrix."""
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def chain_complex_composites(jc):
+    """The three consecutive composites of the J-complex, as dense
+    matrices; all must be zero."""
+    beta_star = jc.beta_star
+    return (
+        _compose(jc.beta, jc.alpha, len(jc.vertices)),
+        _compose(beta_star, jc.beta, len(jc.edges)),
+        _compose(jc.alpha_star, beta_star, jc.j_rank),
+    )
+
+
+def alternate_assignment(tri, shapes, base, kernel_coeffs):
+    """Another particular solution: base + integer combination of kernel
+    vectors (used to exercise solver-choice invariance).  The defect and
+    both kernels depend on the shapes and the system only, so they are the
+    base's."""
+    if len(kernel_coeffs) != len(base.kernel):
+        raise ValueError("need one coefficient per kernel vector")
+    x = [p for pair in base.pq() for p in pair]
+    x = x + [0] * (len(base.kernel[0]) - len(x) if base.kernel else 0)
+    for c, vec in zip(kernel_coeffs, base.kernel):
+        x = [a + c * b for a, b in zip(x, vec)]
+    return _assignment_from_vector(
+        tri, shapes, x, base.defect, base.kernel, base.raw_kernel
+    )
+
+
+def reference_prune_kernel(tri, kernel):
+    """The pruned kernel as first computed: every off-tree arc of a
+    spanning forest of the link state graph gives one row of functionals,
+    duplicates kept; the integer kernel of those rows, from a second
+    ``solve_integer_system``, is multiplied into the kernel basis."""
+    if not kernel:
+        return []
+    arcs = link_arcs(tri)
+    potential = {}
+    action = []
+    for root in arcs:
+        if root in potential:
+            continue
+        potential[root] = [0] * len(kernel)
+        queue = [root]
+        for state in queue:
+            for nxt, (tet, slot, weight) in arcs[state]:
+                cp, cq = SLOT_PQ_COEFF[slot]
+                value = [
+                    p + weight * (cp * k[2 * tet] + cq * k[2 * tet + 1])
+                    for p, k in zip(potential[state], kernel)
+                ]
+                if nxt not in potential:
+                    potential[nxt] = value
+                    queue.append(nxt)
+                elif value != potential[nxt]:
+                    action.append(
+                        [a - b for a, b in zip(value, potential[nxt])]
+                    )
+    if not action:
+        return [list(v) for v in kernel]
+    combos = solve_integer_system(action, [0] * len(action))
+    assert combos is not None  # homogeneous systems are always consistent
+    return matmul(combos.kernel, kernel)

@@ -25,9 +25,7 @@ from cvol.bloch import (
 )
 from cvol.flattening import (
     CycleSimplex,
-    alternate_assignment,
     build_j_complex,
-    chain_complex_composites,
     complex_volume,
     cycle_relation_check,
     h1_mod2,
@@ -46,6 +44,8 @@ from cvol.intlinalg import AbelianGroup, lattice_equal, solve_integer_system
 from cvol.polylog import PI_SQUARED, bloch_wigner, principal_log, reduce_mod
 from cvol.triangulation import parse_triangulation
 from cvol.verify import random_ft_plus, random_offsets
+
+from oracles import alternate_assignment, chain_complex_composites
 
 TOL = 1e-9
 REGULAR = cmath.exp(1j * math.pi / 3)

@@ -171,21 +171,27 @@ class TestVerifyCommand:
             for command in ("cvol", "flatten")
         ] + [
             ("verify", "--count", value) for value in ("-3", "1.5", "many")
+        ] + [
+            (command, "--max-iter", value)
+            for value in ("0", "-5", "1.5", "many")
+            for command in ("cvol", "flatten")
         ],
         ids=lambda item: str(item).lstrip("-"),
     )
     def test_bad_option_value_refused(self, fig8_path, capsys, command,
                                       flag, value):
-        # a non-finite tolerance passes every check and a negative count
-        # reports a pass, so both are refused before anything runs
+        # a non-finite tolerance passes every check, a negative count
+        # reports a pass and Newton cannot run fewer than one iteration,
+        # so all are refused before anything runs
         args = [command] if command == "verify" else [command, str(fig8_path)]
         option = [f"{flag}={value}"]
         args = [*args, *option] if flag == "--count" else [*option, *args]
         with pytest.raises(SystemExit) as exc:
             main(["--format", "json", *args])
         captured = capsys.readouterr()
-        expected = ("an integer >= 0" if flag == "--count"
-                    else "a finite number > 0")
+        expected = {"--count": "an integer >= 0",
+                    "--max-iter": "an integer >= 1"}.get(
+                        flag, "a finite number > 0")
         assert exc.value.code == 2
         assert captured.out == ""
         assert captured.err.endswith(
@@ -310,8 +316,8 @@ PACKAGE_NAMES = {
     "ShapeSolution", "SymbolMatchError", "SymbolVector", "Triangulation",
     "TriangulationError", "WedgeExpr", "bloch", "bloch_wigner",
     "build_j_complex", "chi", "chi_hat", "combine", "complex_volume",
-    "cross_ratio", "cycle_relation_check", "dilog", "edge_classes",
-    "edge_loop", "edge_parameter", "epsilon_parity", "errors",
+    "cycle_relation_check", "dilog", "edge_classes", "edge_loop",
+    "epsilon_parity", "errors",
     "five_point_edge_conditions", "five_point_shapes", "five_term_instance",
     "flatten", "flattening", "fundamental_element", "generator", "geometry",
     "gluing", "gluing_equations", "homology_of_j", "integral_defect",

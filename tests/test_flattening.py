@@ -1,6 +1,7 @@
 """J-complex structure, flattening solver, homology, cycle relation."""
 
 import cmath
+import importlib.util
 import json
 import math
 import pathlib
@@ -9,13 +10,12 @@ import types
 
 import pytest
 
+from cvol import flattening
 from cvol.bloch import EBElement, nu_symbolic, r_of_element
 from cvol.errors import NonIntegralError
 from cvol.flattening import (
     CycleSimplex,
-    alternate_assignment,
     build_j_complex,
-    chain_complex_composites,
     complex_volume,
     cycle_relation_check,
     fundamental_element,
@@ -25,20 +25,44 @@ from cvol.flattening import (
     omega,
     snap_cs,
     solve_flattenings,
-    xi,
 )
 from cvol.geometry import pass_rows
-from cvol.intlinalg import AbelianGroup, matmul, smith_invariant_factors
+from cvol.gluing import solve_shapes
+from cvol.intlinalg import (
+    AbelianGroup,
+    smith_invariant_factors,
+    solve_integer_system,
+)
 from cvol.params import ExtendedParam
 from cvol.polylog import PI_SQUARED, bloch_wigner, reduce_mod
 from cvol.triangulation import parse_triangulation, path_terms
 from cvol.verify import random_ft_plus
 
-from oracles import random_link_walk, relabel_document
+from oracles import (
+    alternate_assignment,
+    chain_complex_composites,
+    matmul,
+    random_link_walk,
+    reference_prune_kernel,
+    relabel_document,
+    xi,
+)
 
 PI = math.pi
 REGULAR = cmath.exp(1j * PI / 3)
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def relabeled_cover(n, vertices):
+    """The benchmark's n-fold cyclic cover of fig8, relabeled with seed n:
+    tetrahedra shuffled, and with ``vertices`` their vertices renamed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    cover = inputs.cyclic_cover(inputs.FIG8, n)
+    return inputs.relabel(cover, random.Random(n), vertices)
 
 
 def dense(rows, width):
@@ -474,6 +498,37 @@ class TestPrunedKernel:
             )
         assert assignment.kernel
         assert raw_broken
+
+    @pytest.mark.parametrize(
+        "name",
+        ["fig8", "fig8_cover3"]
+        + [f"cover{n}-{how}" for n in (1, 3, 5, 8, 9)
+           for how in ("tets", "vertices")],
+    )
+    def test_one_elimination_matches_second_solve(self, name, request,
+                                                  monkeypatch):
+        # the pruned basis, read off one Hermite form of the deduplicated
+        # functionals beside the kernel, is byte for byte the one the
+        # second integer solve and its matrix product gave
+        if name.startswith("cover"):
+            n, how = name[len("cover"):].split("-")
+            tri = parse_triangulation(
+                relabeled_cover(int(n), how == "vertices"))
+            shapes = solve_shapes(tri).shapes
+        else:
+            tri = request.getfixturevalue(name)
+            shapes = request.getfixturevalue(f"{name}_shapes")
+        calls = []
+
+        def counted(a, b):
+            calls.append(len(a))
+            return solve_integer_system(a, b)
+
+        monkeypatch.setattr(flattening, "solve_integer_system", counted)
+        assignment = solve_flattenings(tri, shapes)
+        assert len(calls) == 1
+        assert assignment.kernel == reference_prune_kernel(
+            tri, assignment.raw_kernel)
 
 
 class TestCycleRelation:

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from cvol.errors import DegenerateGeometryError, NonIntegralError
 from cvol.geometry import (
-    INF,
     IdealSimplexShape,
-    cross_ratio,
     derived_indices,
-    edge_parameter,
     five_point_edge_conditions,
     five_point_edge_rows,
     five_point_shapes,
@@ -27,6 +24,8 @@ from cvol.geometry import (
 from cvol.intlinalg import lattice_equal, solve_integer_system
 from cvol.params import ExtendedParam, Flattening
 from cvol.verify import random_ft_plus
+
+from oracles import INF, cross_ratio, edge_parameter
 
 PI = math.pi
 

@@ -1,5 +1,6 @@
 """Exact integer linear algebra."""
 
+import itertools
 import random
 
 from cvol.intlinalg import (
@@ -7,7 +8,6 @@ from cvol.intlinalg import (
     _dense_smith_factors,
     gf2_rank,
     lattice_equal,
-    matmul,
     matvec,
     rank,
     reduce_mod_lattice,
@@ -16,6 +16,8 @@ from cvol.intlinalg import (
     solve_integer_system,
     transpose,
 )
+
+from oracles import matmul
 
 
 def random_matrix(rng, rows, cols, bound=6):
@@ -85,11 +87,27 @@ class TestSolve:
             # kernel rank matches nullity
             assert len(sol.kernel) == len(m[0]) - rank(m)
 
+    def test_kernel_is_saturated(self):
+        # a basis of a proper sublattice of the kernel has the right rank
+        # too; every small integer kernel vector must be an integer
+        # combination of the returned basis
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            m = random_matrix(rng, rng.randint(1, 3), n, rng.choice([1, 2, 6]))
+            sol = solve_integer_system(m, [0] * len(m))
+            basis_t = transpose(sol.kernel)
+            for v in itertools.product(range(-3, 4), repeat=n):
+                if not any(matvec(m, v)):
+                    assert solve_integer_system(basis_t, list(v)) is not None
+
     def test_inconsistent_detected(self):
         # 2x = 1 has no integer solution
         assert solve_integer_system([[2]], [1]) is None
         # x + y = 1, x + y = 2 inconsistent over Q already
         assert solve_integer_system([[1, 1], [1, 1]], [1, 2]) is None
+        # x + y = 0, x - y = 1 has the one rational solution (1/2, -1/2)
+        assert solve_integer_system([[1, 1], [1, -1]], [0, 1]) is None
 
     def test_reduce_mod_lattice_deterministic(self):
         basis = [[2, 0], [0, 3]]
