@@ -168,6 +168,8 @@ def five_point_shapes(x: complex, y: complex) -> tuple[complex, ...]:
     x, y = complex(x), complex(y)
     if x == y:
         raise DegenerateGeometryError("five-point configuration needs x != y")
+    if x == 0 or y == 1:  # x0 = 0 or x1 = 1; later shapes divide by 0
+        raise DegenerateGeometryError("five-point shape hits {0, 1, inf}")
     shapes = (
         x,
         y,

@@ -7,7 +7,7 @@ GF(2), and a small descriptor type for finitely generated abelian groups.
 
 The Smith form works in two steps, because the matrices of a triangulation
 are very sparse and almost all their pivots are units.  A sparse pass
-eliminates +-1 pivots in Markowitz order on dict rows; the small dense core
+eliminates +-1 pivots in one sweep over the dict rows; the small dense core
 that is left is diagonalized by alternating row Hermite forms of the matrix
 and of its transpose (Kannan-Bachem).  Both steps are exact: no modular or
 floating-point shortcut is taken.  The Smith form and the GF(2) rank also
@@ -17,7 +17,6 @@ a caller holding a sparse matrix never builds the dense one.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import NamedTuple
 
@@ -150,12 +149,12 @@ def smith_invariant_factors(
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, given
     as dense rows or as sparse ``{col: value}`` rows.
 
-    First a sparse pass: while the matrix has a +-1 entry, take one of
-    least Markowitz cost (row_nnz - 1) * (col_nnz - 1), clear its column
-    with row operations and drop its row and column.  Elimination on a unit
-    pivot is unimodular, so SNF(M) = [1] + SNF(Schur complement): each such
-    pivot contributes one factor 1.  The dense core left over, which has no
-    unit entry, is diagonalized by ``_dense_smith_factors``.
+    First a sparse pass: one sweep over the rows in index order pivots on
+    the first +-1 entry of each row that still has one, clears its column
+    with row operations and drops its row and column.  Elimination on a
+    unit pivot is unimodular, so SNF(M) = [1] + SNF(Schur complement): each
+    such pivot contributes one factor 1.  The dense core left over is
+    diagonalized by ``_dense_smith_factors``.
     """
     core, units = _eliminate_unit_pivots(m)
     return [1] * units + _dense_smith_factors(core)
@@ -164,13 +163,14 @@ def smith_invariant_factors(
 def _eliminate_unit_pivots(
     m: list[list[int]] | list[dict[int, int]]
 ) -> tuple[list[list[int]], int]:
-    """Markowitz-ordered elimination of +-1 pivots on sparse rows.
+    """One sweep of +-1 pivots on sparse rows.
 
     Rows are copied into ``{col: value}`` dicts, from dense rows or from
-    sparse ones, with a column -> rows index.  A heap holds, for every unit
-    entry, an item keyed by its current cost; items go stale when a row or
-    column count changes and are then pushed again, so the popped item
-    whose key is still current is a least-cost pivot.
+    sparse ones, with a column -> rows index.  The rows are visited once,
+    in index order; a row that still holds a +-1 entry when it is reached
+    pivots on the first one, so its column is cleared from the other rows
+    and the row and the column are dropped.  A row passed over that gains
+    a unit entry later stays in the core, which is still exact.
     Returns the dense Schur complement (rows and columns with a nonzero
     entry only) and the number of unit pivots taken.
     """
@@ -184,35 +184,12 @@ def _eliminate_unit_pivots(
             for j in entries:
                 cols.setdefault(j, set()).add(i)
 
-    heap: list[tuple[int, int, int]] = []
-
-    def push_row(i: int) -> None:
-        row = rows[i]
-        r = len(row) - 1
-        for j, v in row.items():
-            if v == 1 or v == -1:
-                heapq.heappush(heap, (r * (len(cols[j]) - 1), i, j))
-
-    def push_col(j: int) -> None:
-        c = len(cols[j]) - 1
-        for i in cols[j]:
-            v = rows[i][j]
-            if v == 1 or v == -1:
-                heapq.heappush(heap, ((len(rows[i]) - 1) * c, i, j))
-
-    for i in rows:
-        push_row(i)
     units = 0
-    while heap:
-        cost, p, q = heapq.heappop(heap)
-        pivot_row = rows.get(p)
-        if pivot_row is None:
+    for p, pivot_row in list(rows.items()):  # rows change in place
+        q = next((j for j, v in pivot_row.items() if v == 1 or v == -1), None)
+        if q is None:
             continue
-        v = pivot_row.get(q)
-        if (v != 1 and v != -1) or cost != (len(pivot_row) - 1) * (
-            len(cols[q]) - 1
-        ):
-            continue  # stale item
+        v = pivot_row[q]
         units += 1
         del rows[p]
         for j in pivot_row:
@@ -231,18 +208,9 @@ def _eliminate_unit_pivots(
                 else:
                     del row[j]
                     cols[j].discard(i)
-            if row:
-                push_row(i)
-            else:
-                del rows[i]
-        for j, _ in rest:
-            if cols[j]:
-                push_col(j)
-            else:
-                del cols[j]
 
-    live = sorted(cols)
-    core = [[row.get(j, 0) for j in live] for row in rows.values()]
+    live = sorted(j for j, c in cols.items() if c)
+    core = [[row.get(j, 0) for j in live] for row in rows.values() if row]
     return core, units
 
 

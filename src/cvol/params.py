@@ -11,6 +11,9 @@ w0 + w1 + w2 = 0.  Conversion in both directions lives in ``cvol.geometry``.
 
 from __future__ import annotations
 
+import cmath
+import operator
+
 from .errors import DomainError
 
 CUT_EPS = 1e-12
@@ -52,6 +55,14 @@ class ExtendedParam:
         self, z: complex, p: int, q: int, cut_side: int | None = None
     ) -> None:
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError("shape parameter %r is not finite" % z)
+        try:
+            p, q = operator.index(p), operator.index(q)
+        except TypeError:
+            raise DomainError(
+                "branch indices (%r, %r) are not integers" % (p, q)
+            ) from None
         if z == 0 or z == 1:
             raise DomainError("shape parameter must avoid 0 and 1")
         if _on_cut(z):

@@ -92,6 +92,24 @@ class TestExtendedParam:
         p = ExtendedParam(-2.0, 0, 0, cut_side=-1)
         assert p.numeric_z().imag < 0
 
+    def test_branch_indices_must_be_integers(self):
+        for p, q in ((0.5, 0), (0, 0.5), (2.0, 0), (0, 1.0), ("1", 0)):
+            with pytest.raises(DomainError):
+                ExtendedParam(0.3 + 0.5j, p, q)
+        param = ExtendedParam(0.3 + 0.5j, True, -3)
+        assert (type(param.p), type(param.q)) == (int, int)
+
+    def test_shape_must_be_finite(self):
+        for z in (complex("nan"), complex(float("nan"), 1.0),
+                  complex("inf"), complex(0.5, float("-inf"))):
+            with pytest.raises(DomainError):
+                ExtendedParam(z, 0, 0)
+
+    def test_fractional_offset_is_not_a_five_term_instance(self):
+        t = FiveTermTuple(0.4 + 0.3j, 0.2 + 0.9j, 0.5)
+        with pytest.raises(DomainError):
+            five_term_instance(t)
+
 
 class TestFiveTerm:
     def test_membership_enforced(self):

@@ -30,6 +30,7 @@ from cvol.geometry import pass_rows
 from cvol.gluing import solve_shapes
 from cvol.intlinalg import (
     AbelianGroup,
+    _dense_smith_factors,
     smith_invariant_factors,
     solve_integer_system,
 )
@@ -320,6 +321,11 @@ class TestHomologyOfCovers:
         assert {k: str(g) for k, g in groups.items()} == expected
         assert h1_mod2(jc) == rank_mod2
         assert len(groups[2].torsion) == rank_mod2
+        # oracle without the sparse unit-pivot sweep
+        for rows, width in ((jc.alpha, len(jc.vertices)),
+                            (jc.beta, len(jc.edges))):
+            dense = [[row.get(j, 0) for j in range(width)] for row in rows]
+            assert smith_invariant_factors(rows) == _dense_smith_factors(dense)
 
 
 class TestSolveFlattenings:
@@ -529,6 +535,19 @@ class TestPrunedKernel:
         assert len(calls) == 1
         assert assignment.kernel == reference_prune_kernel(
             tri, assignment.raw_kernel)
+
+    @pytest.mark.parametrize("name", ["fig8", "fig8_cover3"])
+    def test_first_seen_functional_order(self, name, request):
+        # random kernels give several independent link functionals, so the
+        # columns of [F | kernel] must come in the order the walk meets them
+        tri = request.getfixturevalue(name)
+        width = 2 * tri.num_tetrahedra + len(tri.combinatorics.cusp_terms)
+        rng = random.Random(15)
+        for _ in range(30):
+            k = [[rng.randint(-2, 2) for _ in range(width)]
+                 for _ in range(rng.randint(2, 5))]
+            assert flattening._prune_kernel(tri, k) == reference_prune_kernel(
+                tri, k)
 
 
 class TestCycleRelation:

@@ -180,8 +180,9 @@ class TestFivePoint:
             assert all(s.imag > 0 for s in five_point_shapes(x, y))
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateGeometryError):
-            five_point_shapes(0.5, 0.5)
+        for x, y in ((0.5, 0.5), (0, 0.5j), (0.5j, 1)):
+            with pytest.raises(DegenerateGeometryError):
+                five_point_shapes(x, y)
 
 
 class TestEdgeConditions:
