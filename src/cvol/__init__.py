@@ -22,9 +22,10 @@ import types
 #: defining module -> the names the package re-exports from it
 _EXPORTS = {
     "bloch": (
-        "EBElement", "FiveTermTuple", "chi", "chi_hat", "epsilon_parity",
-        "five_term_instance", "generator", "kappa_element", "nu_symbolic",
-        "r_of_element", "super_transfer_rhs", "transfer_instance",
+        "CycleSimplex", "EBElement", "FiveTermTuple", "chi", "chi_hat",
+        "cycle_relation_check", "epsilon_parity", "five_term_instance",
+        "generator", "kappa_element", "nu_symbolic", "r_of_element",
+        "super_transfer_rhs", "transfer_instance",
     ),
     "errors": (
         "ConvergenceError", "CVolError", "DegenerateGeometryError",
@@ -32,9 +33,9 @@ _EXPORTS = {
         "SymbolMatchError", "TriangulationError",
     ),
     "flattening": (
-        "CycleSimplex", "FlatteningAssignment", "JComplex", "build_j_complex",
-        "complex_volume", "cycle_relation_check", "fundamental_element",
-        "homology_of_j", "integral_defect", "omega", "solve_flattenings",
+        "FlatteningAssignment", "JComplex", "build_j_complex",
+        "complex_volume", "fundamental_element", "homology_of_j",
+        "integral_defect", "omega", "solve_flattenings",
     ),
     "geometry": (
         "IdealSimplexShape", "five_point_edge_conditions",

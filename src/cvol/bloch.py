@@ -15,7 +15,8 @@ verified through the separating computable homomorphisms:
 ``five_term_instance`` produces the alternating five-term combination for a
 base point with y in the upper half plane and x inside the triangle 0,1,y
 (where all five shapes are in the upper half plane), shifted by the
-five-parameter integer index family.
+five-parameter integer index family.  ``cycle_relation_check`` checks the
+cycle relation of simplices around a common edge through R and nu.
 """
 
 from __future__ import annotations
@@ -24,13 +25,25 @@ import math
 import operator
 from typing import Mapping
 
-from .errors import DegenerateGeometryError, DomainError, SymbolMatchError
-from .geometry import derived_indices, five_point_shapes, in_ft_plus
+from .errors import (
+    DegenerateGeometryError,
+    DomainError,
+    NonIntegralError,
+    SymbolMatchError,
+)
+from .geometry import (
+    derived_indices,
+    five_point_shapes,
+    in_ft_plus,
+    pass_rows,
+    slot_values,
+)
 from .params import ExtendedParam, Value
 from .polylog import (
     MODULI,
     ModPiSquared,
-    lifted_rogers_raw,
+    _rogers_logs,
+    lift_rogers_logs,
     principal_log,
     reduce_mod,
 )
@@ -229,10 +242,19 @@ def super_transfer_rhs(z: complex, p: int, q: int) -> EBElement:
 
 
 def r_of_element(e: EBElement) -> ModPiSquared:
-    """Lifted-Rogers sum of the element, reduced by the mode's modulus."""
+    """Lifted-Rogers sum of the element, reduced by the mode's modulus.
+
+    Generators sharing a shape share one Rogers value and its two
+    logarithms; each term is still lifted and added on its own, in term
+    order, so the sum is that of the per-term ``lifted_rogers_raw``."""
     total = 0j
+    logs: dict[complex, tuple[complex, complex, complex]] = {}
     for param, coeff in e.terms.items():
-        total += coeff * lifted_rogers_raw(param.numeric_z(), param.p, param.q)
+        z = param.numeric_z()
+        shape_logs = logs.get(z)
+        if shape_logs is None:
+            shape_logs = logs[z] = _rogers_logs(z)
+        total += coeff * lift_rogers_logs(shape_logs, param.p, param.q)
     return reduce_mod(total, MODULI[e.mode])
 
 
@@ -351,3 +373,71 @@ def nu_symbolic(
             table[6 * _PI_I + t] += cp * vb
     return WedgeExpr({key: v for key, st, ts in _PAIRS
                       if (v := table[st] - table[ts])})
+
+
+# ---------------------------------------------------------------------------
+# Cycle relation
+# ---------------------------------------------------------------------------
+
+class CycleSimplex(Value):
+    """One simplex of a cyclic configuration around a common edge E.
+
+    ``edge_slot`` is the log-parameter slot of E in this simplex;
+    ``top_slot``/``bottom_slot`` are the slots of the edges T_j and B_j of
+    the common triangle with the next simplex.  The three slots must be
+    distinct.
+    """
+
+    __slots__ = ("shape", "p", "q", "sign", "edge_slot", "top_slot",
+                 "bottom_slot")
+
+    def __init__(self, shape: complex, p: int, q: int, sign: int,
+                 edge_slot: int, top_slot: int, bottom_slot: int) -> None:
+        if {edge_slot, top_slot, bottom_slot} != {0, 1, 2}:
+            raise ValueError("edge, top and bottom slots must be distinct")
+        if sign not in (1, -1):
+            raise ValueError("sign must be +-1")
+        self.shape, self.p, self.q, self.sign = shape, p, q, sign
+        self.edge_slot, self.top_slot = edge_slot, top_slot
+        self.bottom_slot = bottom_slot
+
+
+def cycle_relation_check(
+    simplices: list[CycleSimplex],
+    base_point,
+    tol: float = 1e-9,
+) -> bool:
+    """Verify the cycle relation through (R, nu).
+
+    Preconditions: the signed log-parameter sum and the parity sum at the
+    common edge vanish.  The primed flattenings add sign * pi i at the top
+    slot and subtract it at the bottom slot; the primed and unprimed
+    elements must have equal lifted-Rogers values modulo pi^2 and equal
+    symbolic wedge images.
+    """
+    params = [ExtendedParam(s.shape, s.p, s.q) for s in simplices]
+    edge = pass_rows(
+        [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)],
+        2 * len(simplices),
+        slot_values(params),
+    )
+    if abs(edge.value) > tol:
+        raise NonIntegralError(
+            f"signed log-parameter sum around the edge is {edge.value!r}, "
+            "not 0"
+        )
+    if edge.parity_of([v for s in simplices for v in (s.p, s.q)]):
+        raise NonIntegralError("parity sum around the edge is odd")
+
+    original: dict[ExtendedParam, int] = {}
+    primed: dict[ExtendedParam, int] = {}
+    for s, key in zip(simplices, params):
+        dp = s.sign * ((s.top_slot == 0) - (s.bottom_slot == 0))
+        dq = s.sign * ((s.top_slot == 1) - (s.bottom_slot == 1))
+        key2 = key.shifted(dp, dq)
+        original[key] = original.get(key, 0) + s.sign
+        primed[key2] = primed.get(key2, 0) + s.sign
+    difference = EBElement(original) - EBElement(primed)
+    r_ok = r_of_element(difference).distance_to_zero() < tol
+    nu_ok = nu_symbolic(difference, base_point).is_zero()
+    return r_ok and nu_ok

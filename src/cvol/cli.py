@@ -13,8 +13,9 @@ Subcommands:
 Output is text or JSON; JSON field order is fixed and floats use the
 shortest round-trip decimal, so identical inputs (and seeds) give
 byte-identical output.  Exit code 0 means every requested check passed.
-A command loads only the modules it runs: the shape solver and the
-identity suites are imported by the handlers that use them.
+A command loads only the modules it runs: the triangulation, flattening
+and shape-solver modules and the identity suites are imported by the
+handlers that use them, so ``verify`` loads no triangulation code.
 """
 
 from __future__ import annotations
@@ -25,17 +26,11 @@ import math
 import sys
 
 from .errors import CVolError
-from .flattening import (
-    build_j_complex,
-    complex_volume,
-    homology_of_j,
-    h1_mod2,
-    solve_flattenings,
-)
-from .triangulation import parse_triangulation
 
 
 def _load(path: str):
+    from .triangulation import parse_triangulation
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -60,6 +55,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _solve(args):
     """Parse, solve the shapes, then the flattenings."""
+    from .flattening import solve_flattenings
     from .gluing import solve_shapes
 
     tri = _stage("parse", _load, args.file)
@@ -75,6 +71,8 @@ def _solve(args):
 
 
 def _pipeline(args) -> dict:
+    from .flattening import complex_volume
+
     tri, solution, assignment = _solve(args)
     vol, cs = complex_volume(tri, solution.shapes, assignment)
     warnings = []
@@ -157,6 +155,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .flattening import build_j_complex, h1_mod2, homology_of_j
+
     tri = _stage("parse", _load, args.file)
     jc = build_j_complex(tri)
     groups = homology_of_j(jc)

@@ -43,11 +43,11 @@ from .intlinalg import (
     smith_invariant_factors,
     solve_integer_system,
 )
-from .params import ExtendedParam, Value
+from .params import ExtendedParam
 from .polylog import PI_SQUARED, principal_log, reduce_mod
 from .triangulation import EdgeClass, Triangulation, link_arcs
 
-# ``bloch`` (and through it ``wedge``) is imported inside the three
+# ``bloch`` (and through it ``wedge``) is imported inside the two
 # functions that evaluate elements, so ``homology`` and ``flatten`` never
 # load it.
 if TYPE_CHECKING:
@@ -400,73 +400,3 @@ def complex_volume(
     vol = value.value.imag
     cs = reduce_mod(complex(-value.value.real, 0.0), PI_SQUARED).value.real
     return vol, snap_cs(cs, tri.num_tetrahedra)
-
-
-# ---------------------------------------------------------------------------
-# Cycle relation
-# ---------------------------------------------------------------------------
-
-class CycleSimplex(Value):
-    """One simplex of a cyclic configuration around a common edge E.
-
-    ``edge_slot`` is the log-parameter slot of E in this simplex;
-    ``top_slot``/``bottom_slot`` are the slots of the edges T_j and B_j of
-    the common triangle with the next simplex.  The three slots must be
-    distinct.
-    """
-
-    __slots__ = ("shape", "p", "q", "sign", "edge_slot", "top_slot",
-                 "bottom_slot")
-
-    def __init__(self, shape: complex, p: int, q: int, sign: int,
-                 edge_slot: int, top_slot: int, bottom_slot: int) -> None:
-        if {edge_slot, top_slot, bottom_slot} != {0, 1, 2}:
-            raise ValueError("edge, top and bottom slots must be distinct")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        self.shape, self.p, self.q, self.sign = shape, p, q, sign
-        self.edge_slot, self.top_slot = edge_slot, top_slot
-        self.bottom_slot = bottom_slot
-
-
-def cycle_relation_check(
-    simplices: list[CycleSimplex],
-    base_point,
-    tol: float = 1e-9,
-) -> bool:
-    """Verify the cycle relation through (R, nu).
-
-    Preconditions: the signed log-parameter sum and the parity sum at the
-    common edge vanish.  The primed flattenings add sign * pi i at the top
-    slot and subtract it at the bottom slot; the primed and unprimed
-    elements must have equal lifted-Rogers values modulo pi^2 and equal
-    symbolic wedge images.
-    """
-    from .bloch import EBElement, nu_symbolic, r_of_element
-
-    params = [ExtendedParam(s.shape, s.p, s.q) for s in simplices]
-    edge = pass_rows(
-        [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)],
-        2 * len(simplices),
-        slot_values(params),
-    )
-    if abs(edge.value) > tol:
-        raise NonIntegralError(
-            f"signed log-parameter sum around the edge is {edge.value!r}, "
-            "not 0"
-        )
-    if edge.parity_of([v for s in simplices for v in (s.p, s.q)]):
-        raise NonIntegralError("parity sum around the edge is odd")
-
-    original: dict[ExtendedParam, int] = {}
-    primed: dict[ExtendedParam, int] = {}
-    for s, key in zip(simplices, params):
-        dp = s.sign * ((s.top_slot == 0) - (s.bottom_slot == 0))
-        dq = s.sign * ((s.top_slot == 1) - (s.bottom_slot == 1))
-        key2 = key.shifted(dp, dq)
-        original[key] = original.get(key, 0) + s.sign
-        primed[key2] = primed.get(key2, 0) + s.sign
-    difference = EBElement(original) - EBElement(primed)
-    r_ok = r_of_element(difference).distance_to_zero() < tol
-    nu_ok = nu_symbolic(difference, base_point).is_zero()
-    return r_ok and nu_ok

@@ -136,11 +136,18 @@ def rogers(z: complex) -> complex:
     return _rogers_logs(z)[0]
 
 
-def lifted_rogers_raw(z: complex, p: int, q: int) -> complex:
-    """Unreduced value of R(z; p, q) as a plain complex number."""
-    value, log_z, log_1mz = _rogers_logs(z)
+def lift_rogers_logs(logs: tuple[complex, complex, complex], p: int,
+                     q: int) -> complex:
+    """R(z; p, q) from ``_rogers_logs(z)``: terms sharing z share the
+    logarithms and the Rogers value."""
+    value, log_z, log_1mz = logs
     correction = 0.5j * PI * (p * log_1mz + q * log_z)
     return value + correction - PI_SQUARED / 6.0
+
+
+def lifted_rogers_raw(z: complex, p: int, q: int) -> complex:
+    """Unreduced value of R(z; p, q) as a plain complex number."""
+    return lift_rogers_logs(_rogers_logs(z), p, q)
 
 
 def lifted_rogers(param: ExtendedParam, mode: str = "ep") -> "ModPiSquared":
@@ -180,9 +187,12 @@ class ModPiSquared(Value):
     __slots__ = ("value", "modulus")
 
     def __init__(self, value: complex, modulus: float) -> None:
+        v = complex(value)
+        if not (math.isfinite(modulus) and cmath.isfinite(v)):
+            raise DomainError(
+                f"cannot reduce {v!r} modulo {modulus!r}: not finite")
         if modulus <= 0:
             raise ValueError("modulus must be positive")
-        v = complex(value)
         re = v.real - modulus * math.floor(v.real / modulus)
         if re >= modulus:
             re -= modulus

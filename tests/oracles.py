@@ -10,7 +10,10 @@ in the vertex links from the gluings alone, sharing no code with the state
 graph that the flattening solver prunes its kernel with.  ``nu_reference``
 is the symbolic wedge map written generator by generator on
 ``SymbolVector``s, ``wedge`` and ``combine``; ``nu_symbolic`` computes the
-same exact image on flat integer vectors.  ``relabel_document`` renames the
+same exact image on flat integer vectors.  ``r_sum_reference`` is the
+lifted Rogers sum as one ``lifted_rogers_raw`` per generator, the loop
+``r_of_element`` ran before generators sharing a shape shared their
+logarithms.  ``relabel_document`` renames the
 tetrahedra and vertices of a triangulation document, for checks that a
 result does not depend on the labels.  ``reference_edge_classes``,
 ``reference_path_passes`` and ``reference_link_arcs`` are the earlier walks
@@ -36,7 +39,7 @@ from cvol.errors import DegenerateGeometryError, SymbolMatchError
 from cvol.flattening import _assignment_from_vector
 from cvol.geometry import EDGE_SLOT, SLOT_PQ_COEFF
 from cvol.intlinalg import solve_integer_system, transpose
-from cvol.polylog import principal_log
+from cvol.polylog import lifted_rogers_raw, principal_log
 from cvol.triangulation import NormalPath, PathStep, link_arcs
 from cvol.wedge import combine, sym, wedge
 
@@ -237,6 +240,14 @@ def reference_link_arcs(tri):
                 (tet, *_reference_pass(v, f_in, f_out)),
             ))
     return arcs
+
+
+def r_sum_reference(e) -> complex:
+    """Unreduced lifted Rogers sum of an element, term by term."""
+    total = 0j
+    for param, coeff in e.terms.items():
+        total += coeff * lifted_rogers_raw(param.numeric_z(), param.p, param.q)
+    return total
 
 
 def relabel_document(doc: dict, rng) -> dict:

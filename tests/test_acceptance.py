@@ -12,9 +12,11 @@ import time
 import pytest
 
 from cvol.bloch import (
+    CycleSimplex,
     FiveTermTuple,
     chi,
     chi_hat,
+    cycle_relation_check,
     epsilon_parity,
     five_term_instance,
     generator,
@@ -24,10 +26,8 @@ from cvol.bloch import (
     super_transfer_rhs,
 )
 from cvol.flattening import (
-    CycleSimplex,
     build_j_complex,
     complex_volume,
-    cycle_relation_check,
     h1_mod2,
     homology_of_j,
     integral_defect,

@@ -26,7 +26,13 @@ from cvol.bloch import (
 from cvol.errors import DegenerateGeometryError, DomainError
 from cvol.geometry import five_point_shapes
 from cvol.params import ExtendedParam
-from cvol.polylog import PI_SQUARED, TWO_PI_SQUARED, principal_log, reduce_mod
+from cvol.polylog import (
+    MODULI,
+    PI_SQUARED,
+    TWO_PI_SQUARED,
+    principal_log,
+    reduce_mod,
+)
 from cvol.verify import (
     _random_shape,
     homo_element,
@@ -38,7 +44,7 @@ from cvol.verify import (
 )
 from cvol.wedge import sym, wedge
 
-from oracles import nu_reference
+from oracles import nu_reference, r_sum_reference
 
 PI = math.pi
 
@@ -470,3 +476,43 @@ class TestSuitesCatchFaults:
 
         monkeypatch.setattr(bloch, "_log_vector", off_by_one)
         assert not suite_five_term_nu(20, random.Random(0), 1e-9).passed
+
+
+class TestSharedShapeSum:
+    """``r_of_element`` evaluates R once per distinct shape and lifts each
+    term on its own; its value is bit for bit the reduced per-term sum."""
+
+    @staticmethod
+    def _assert_bit_identical(element):
+        value = r_of_element(element).value
+        assert value == reduce_mod(r_sum_reference(element),
+                                   MODULI[element.mode]).value
+
+    def test_seeded_identity_elements(self):
+        rng = random.Random(16)
+        shared = 0
+        for _ in range(200):
+            z, w = _random_shape(rng), _random_shape(rng)
+            p, q, p2, q2, s = (rng.randint(-4, 4) for _ in range(5))
+            elements = [
+                transfer_instance(z, p, q, p2, q2),
+                *(e for _, e in three_equations_elements(z, p, q, p2, q2, s)),
+                kappa_element(z),
+                kappa_element(z) - kappa_element(w),
+                generator(z, p, q) - super_transfer_rhs(z, p, q),
+                chi_hat(z),
+            ]
+            for element in elements:
+                shapes = {param.numeric_z() for param in element.terms}
+                shared += len(shapes) < len(element.terms)
+                self._assert_bit_identical(element)
+        assert shared > 1000
+
+    def test_fundamental_elements(self, fig8, fig8_shapes, fig8_cover3,
+                                  fig8_cover3_shapes):
+        from cvol.flattening import fundamental_element, solve_flattenings
+
+        for tri, shapes in ((fig8, fig8_shapes),
+                            (fig8_cover3, fig8_cover3_shapes)):
+            element = fundamental_element(tri, solve_flattenings(tri, shapes))
+            self._assert_bit_identical(element)

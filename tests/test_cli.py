@@ -159,6 +159,51 @@ class TestVerifyCommand:
             report["suites"]
         )
 
+    def test_nan_residual_fails_closed(self):
+        from cvol.verify import SuiteResult
+
+        result = SuiteResult("x", 1, True)
+        result.record(float("nan"), 1e-9, z=0.5 + 0.5j, p=1)
+        assert result.passed is False
+        assert result.max_residual == 0.0
+        [failure] = result.failures
+        assert list(failure) == ["z", "p", "residual"]
+        assert failure["z"] == "(0.5+0.5j)" and failure["p"] == 1
+        assert math.isnan(failure["residual"])
+
+    def test_tight_tolerance_reports_instead_of_aborting(self, capsys):
+        # at 1e-15 the cycle relation's edge sum (1.8e-15 after rounding)
+        # misses its precondition; the instance fails and the run goes on
+        code, out, err = run_cli(
+            ["--format", "json", "--tolerance", "1e-15", "verify", "--count",
+             "50"], capsys
+        )
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert len(report["suites"]) == 14
+        [cycle] = [s for s in report["suites"] if s["name"] == "cycle_relation"]
+        assert cycle["passed"] is False and cycle["failures"]
+
+    def test_cycle_precondition_error_is_a_counterexample(self, monkeypatch):
+        import random
+
+        from cvol import verify
+        from cvol.errors import NonIntegralError
+
+        def refuse(simplices, base, tol):
+            raise NonIntegralError("edge sum is 2e-15j, not 0")
+
+        monkeypatch.setattr(verify, "cycle_relation_check", refuse)
+        result = verify.suite_cycle_relation(3, random.Random(0), 1e-9)
+        assert result.passed is False
+        assert result.failures == [
+            {"n": 3, "error": "edge sum is 2e-15j, not 0"},
+            {"n": 2, "error": "edge sum is 2e-15j, not 0"},
+            {"n": 3, "error": "edge sum is 2e-15j, not 0"},
+        ]
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [
@@ -303,6 +348,24 @@ class TestOtherCommands:
         assert result.returncode == 0, result.stderr
         golden = fixtures / "golden" / f"{command}-{fixture}"
         assert result.stdout == golden.read_text()
+        assert result.stderr.strip() == "[]"
+
+
+    def test_verify_loads_no_triangulation_code(self):
+        golden = pathlib.Path(__file__).parent / "fixtures" / "golden"
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cvol.cli; "
+             "code = cvol.cli.main(sys.argv[1:]); "
+             "print([m for m in ('triangulation', 'flattening', 'gluing') "
+             "if f'cvol.{m}' in sys.modules], file=sys.stderr); "
+             "sys.exit(code)",
+             "--format", "json", "--seed", "0", "verify", "--count", "50"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (golden / "verify-seed0.json").read_text()
         assert result.stderr.strip() == "[]"
 
 

@@ -11,13 +11,17 @@ import types
 import pytest
 
 from cvol import flattening
-from cvol.bloch import EBElement, nu_symbolic, r_of_element
+from cvol.bloch import (
+    CycleSimplex,
+    EBElement,
+    cycle_relation_check,
+    nu_symbolic,
+    r_of_element,
+)
 from cvol.errors import NonIntegralError
 from cvol.flattening import (
-    CycleSimplex,
     build_j_complex,
     complex_volume,
-    cycle_relation_check,
     fundamental_element,
     h1_mod2,
     homology_of_j,

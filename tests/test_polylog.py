@@ -315,6 +315,18 @@ class TestModPiSquared:
         value = reduce_mod(complex(TWO_PI_SQUARED + 0.5, 1.0), TWO_PI_SQUARED)
         assert value.value == pytest.approx(complex(0.5, 1.0))
 
+    @pytest.mark.parametrize(
+        "value, modulus",
+        [(complex(math.inf, 0.0), PI_SQUARED), (math.nan, PI_SQUARED),
+         (1.0, math.nan), (complex(0.0, math.nan), PI_SQUARED)],
+        ids=["inf", "nan", "nan-modulus", "nan-imag"],
+    )
+    def test_non_finite_rejected(self, value, modulus):
+        # a NaN imaginary part would give a NaN distance to zero, which no
+        # tolerance comparison catches
+        with pytest.raises(DomainError, match="not finite"):
+            reduce_mod(value, modulus)
+
     def test_mismatched_moduli_rejected(self):
         a = reduce_mod(0j, PI_SQUARED)
         b = reduce_mod(0j, TWO_PI_SQUARED)
