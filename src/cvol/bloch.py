@@ -42,8 +42,7 @@ from .params import ExtendedParam, Value
 from .polylog import (
     MODULI,
     ModPiSquared,
-    _rogers_logs,
-    lift_rogers_logs,
+    lifted_rogers_sum,
     principal_log,
     reduce_mod,
 )
@@ -242,20 +241,8 @@ def super_transfer_rhs(z: complex, p: int, q: int) -> EBElement:
 
 
 def r_of_element(e: EBElement) -> ModPiSquared:
-    """Lifted-Rogers sum of the element, reduced by the mode's modulus.
-
-    Generators sharing a shape share one Rogers value and its two
-    logarithms; each term is still lifted and added on its own, in term
-    order, so the sum is that of the per-term ``lifted_rogers_raw``."""
-    total = 0j
-    logs: dict[complex, tuple[complex, complex, complex]] = {}
-    for param, coeff in e.terms.items():
-        z = param.numeric_z()
-        shape_logs = logs.get(z)
-        if shape_logs is None:
-            shape_logs = logs[z] = _rogers_logs(z)
-        total += coeff * lift_rogers_logs(shape_logs, param.p, param.q)
-    return reduce_mod(total, MODULI[e.mode])
+    """Lifted-Rogers sum of the element, reduced by the mode's modulus."""
+    return reduce_mod(lifted_rogers_sum(e.terms), MODULI[e.mode])
 
 
 def epsilon_parity(e: EBElement) -> int:
@@ -402,6 +389,15 @@ class CycleSimplex(Value):
         self.bottom_slot = bottom_slot
 
 
+#: a cycle configuration's edge sum counts as 0 within EDGE_SUM_ULPS * eps
+#: times the sum, over its simplices, of the largest log-parameter
+#: magnitude: each log-parameter is a logarithm plus a multiple of pi i,
+#: off by about an ulp, and w2 = -w0 - w1 carries the rounding of both.
+#: On 40 000 configurations of the ``verify`` cycle suite (seeds 0..199,
+#: 200 each) the sum stays below 0.5 eps times that scale.
+EDGE_SUM_ULPS = 4
+
+
 def cycle_relation_check(
     simplices: list[CycleSimplex],
     base_point,
@@ -409,19 +405,22 @@ def cycle_relation_check(
 ) -> bool:
     """Verify the cycle relation through (R, nu).
 
-    Preconditions: the signed log-parameter sum and the parity sum at the
-    common edge vanish.  The primed flattenings add sign * pi i at the top
-    slot and subtract it at the bottom slot; the primed and unprimed
-    elements must have equal lifted-Rogers values modulo pi^2 and equal
-    symbolic wedge images.
+    Preconditions: the signed log-parameter sum at the common edge is 0 up
+    to rounding (``EDGE_SUM_ULPS``, not ``tol``), and its parity sum is
+    even.  The primed flattenings add sign * pi i at the top slot and
+    subtract it at the bottom slot; the primed and unprimed elements must
+    have equal lifted-Rogers values modulo pi^2 and equal symbolic wedge
+    images.
     """
     params = [ExtendedParam(s.shape, s.p, s.q) for s in simplices]
+    values = slot_values(params)
     edge = pass_rows(
         [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)],
         2 * len(simplices),
-        slot_values(params),
+        values,
     )
-    if abs(edge.value) > tol:
+    scale = sum(max(map(abs, w)) for w in values)
+    if abs(edge.value) > EDGE_SUM_ULPS * math.ulp(1.0) * scale:
         raise NonIntegralError(
             f"signed log-parameter sum around the edge is {edge.value!r}, "
             "not 0"

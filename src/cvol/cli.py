@@ -13,9 +13,9 @@ Subcommands:
 Output is text or JSON; JSON field order is fixed and floats use the
 shortest round-trip decimal, so identical inputs (and seeds) give
 byte-identical output.  Exit code 0 means every requested check passed.
-A command loads only the modules it runs: the triangulation, flattening
-and shape-solver modules and the identity suites are imported by the
-handlers that use them, so ``verify`` loads no triangulation code.
+A command loads and computes only what it prints: each handler imports the
+modules it uses, so ``verify`` loads no triangulation code and ``cvol`` no
+Bloch-group or wedge code, and only ``flatten`` prunes the flattening kernel.
 """
 
 from __future__ import annotations
@@ -188,7 +188,9 @@ def cmd_edges(args) -> int:
 
 
 def cmd_flatten(args) -> int:
-    _, _, assignment = _solve(args)
+    from .flattening import _prune_kernel
+
+    tri, _, assignment = _solve(args)
     report = {
         "flattenings": [list(pq) for pq in assignment.pq()],
         "orientation_signs": assignment.signs,
@@ -197,7 +199,7 @@ def cmd_flatten(args) -> int:
         "path_parities": assignment.path_parities,
         "defect": assignment.defect,
         "edge_flattened_only": assignment.edge_flattened_only,
-        "kernel": assignment.kernel,
+        "kernel": _prune_kernel(tri, assignment.kernel),
     }
     _emit(report, args.format)
     return 0

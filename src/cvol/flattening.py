@@ -22,9 +22,9 @@ every edge class has zero signed log-parameter sum and every supplied cusp
 path has zero log-parameter and zero parity, by solving one combined
 integer linear system in Hermite normal form.  Each condition is a list of
 (tet, slot, weight) terms, derived at parse (``Combinatorics``), that
-``cvol.geometry.pass_rows`` turns into integer rows.  The resulting
-fundamental element sum_i eps_i [z_i, p_i, q_i] evaluates under the lifted
-Rogers sum to i(vol + i cs) modulo pi^2.
+``cvol.geometry.pass_rows`` turns into integer rows.  ``complex_volume`` sums
+the lifted Rogers function over sum_i eps_i [z_i, p_i, q_i] to i(vol + i cs)
+modulo pi^2; only ``flatten`` prunes the system's kernel (``_prune_kernel``).
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ from .intlinalg import (
     solve_integer_system,
 )
 from .params import ExtendedParam
-from .polylog import PI_SQUARED, principal_log, reduce_mod
+from .polylog import PI_SQUARED, lifted_rogers_sum, principal_log, reduce_mod
 from .triangulation import EdgeClass, Triangulation, link_arcs
 
-# ``bloch`` (and through it ``wedge``) is imported inside the two
-# functions that evaluate elements, so ``homology`` and ``flatten`` never
-# load it.
+# ``bloch`` (and through it ``wedge``) is imported only inside
+# ``fundamental_element``, so no command but ``verify`` loads it.
 if TYPE_CHECKING:
     from .bloch import EBElement
 
@@ -210,11 +209,10 @@ def h1_mod2(jc: JComplex) -> int:
 class FlatteningAssignment(NamedTuple):
     """Solved branch indices with a full residual report.
 
-    ``kernel`` spans the solution-lattice directions that in addition
-    annihilate the log-parameter functionals of every closed vertex-link
-    normal path (exactly, with no cap on the paths); shifting the
-    particular solution by these keeps all path conditions valid.
-    ``raw_kernel`` is the unpruned kernel of the enforced system.
+    ``kernel`` is the integer kernel of the enforced system: shifting the
+    particular solution by it keeps the edge and supplied cusp-path
+    conditions.  ``flatten`` prints its sub-lattice that keeps every closed
+    vertex-link path condition too (``_prune_kernel``).
     """
 
     params: list[ExtendedParam]
@@ -225,10 +223,16 @@ class FlatteningAssignment(NamedTuple):
     defect: list[int]
     edge_flattened_only: bool
     kernel: list[list[int]]
-    raw_kernel: list[list[int]]
 
     def pq(self) -> list[tuple[int, int]]:
         return [(p.p, p.q) for p in self.params]
+
+    def signed_terms(self) -> dict[ExtendedParam, int]:
+        """sum_i eps_i [z_i, p_i, q_i], merged in first-seen order, no 0s."""
+        terms: dict[ExtendedParam, int] = {}
+        for sign, param in zip(self.signs, self.params):
+            terms[param] = terms.get(param, 0) + sign
+        return {param: coeff for param, coeff in terms.items() if coeff}
 
     def max_residual(self) -> float:
         vals = [abs(r) for r in self.edge_residuals + self.path_residuals]
@@ -324,10 +328,7 @@ def solve_flattenings(
         )
     x = reduce_mod_lattice(solution.particular, solution.kernel)
     defect = integral_defect(build_j_complex(tri), omega(tri, shapes), tol)
-    return _assignment_from_vector(
-        tri, shapes, x, defect,
-        _prune_kernel(tri, solution.kernel), solution.kernel,
-    )
+    return _assignment_from_vector(tri, shapes, x, defect, solution.kernel)
 
 
 def _assignment_from_vector(
@@ -336,7 +337,6 @@ def _assignment_from_vector(
     x: list[int],
     defect: list[int],
     kernel: list[list[int]],
-    raw_kernel: list[list[int]],
 ) -> FlatteningAssignment:
     comb = tri.combinatorics
     n = tri.num_tetrahedra
@@ -359,7 +359,6 @@ def _assignment_from_vector(
         defect=defect,
         edge_flattened_only=not tri.cusp_paths,
         kernel=kernel,
-        raw_kernel=raw_kernel,
     )
 
 
@@ -369,10 +368,7 @@ def fundamental_element(
     """sum_i eps_i [z_i, p_i, q_i] in ep mode."""
     from .bloch import EBElement
 
-    terms: dict[ExtendedParam, int] = {}
-    for sign, param in zip(assignment.signs, assignment.params):
-        terms[param] = terms.get(param, 0) + sign
-    return EBElement(terms, "ep")
+    return EBElement(assignment.signed_terms(), "ep")
 
 
 #: a cs representative within CS_ZERO_ULPS * T * eps * pi^2 of 0 or of pi^2
@@ -394,9 +390,7 @@ def complex_volume(
 ) -> tuple[float, float]:
     """(vol, cs) with vol = Im R and cs = -Re R reduced into [0, pi^2), a
     class 0 up to rounding printed as 0.0 (``snap_cs``)."""
-    from .bloch import r_of_element
-
-    value = r_of_element(fundamental_element(tri, assignment))
+    value = reduce_mod(lifted_rogers_sum(assignment.signed_terms()), PI_SQUARED)
     vol = value.value.imag
     cs = reduce_mod(complex(-value.value.real, 0.0), PI_SQUARED).value.real
     return vol, snap_cs(cs, tri.num_tetrahedra)

@@ -138,8 +138,7 @@ def rogers(z: complex) -> complex:
 
 def lift_rogers_logs(logs: tuple[complex, complex, complex], p: int,
                      q: int) -> complex:
-    """R(z; p, q) from ``_rogers_logs(z)``: terms sharing z share the
-    logarithms and the Rogers value."""
+    """R(z; p, q) from ``_rogers_logs(z)``, which terms sharing z share."""
     value, log_z, log_1mz = logs
     correction = 0.5j * PI * (p * log_1mz + q * log_z)
     return value + correction - PI_SQUARED / 6.0
@@ -148,6 +147,20 @@ def lift_rogers_logs(logs: tuple[complex, complex, complex], p: int,
 def lifted_rogers_raw(z: complex, p: int, q: int) -> complex:
     """Unreduced value of R(z; p, q) as a plain complex number."""
     return lift_rogers_logs(_rogers_logs(z), p, q)
+
+
+def lifted_rogers_sum(terms: dict[ExtendedParam, int]) -> complex:
+    """Unreduced sum of coeff * R(z; p, q) over {generator: coeff} terms:
+    one ``_rogers_logs`` per shape, and each term lifted and added on its
+    own, in order, so the sum is that of the per-term ``lifted_rogers_raw``."""
+    total = 0j
+    logs: dict[complex, tuple[complex, complex, complex]] = {}
+    for param, coeff in terms.items():
+        z = param.numeric_z()
+        if z not in logs:
+            logs[z] = _rogers_logs(z)
+        total += coeff * lift_rogers_logs(logs[z], param.p, param.q)
+    return total
 
 
 def lifted_rogers(param: ExtendedParam, mode: str = "ep") -> "ModPiSquared":

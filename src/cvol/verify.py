@@ -354,8 +354,8 @@ def suite_cycle_relation(count: int, rng: random.Random, tol: float) -> SuiteRes
         try:
             ok = cycle_relation_check(simplices, base, tol)
         except NonIntegralError as exc:
-            # the edge sum misses a tolerance tighter than its rounding:
-            # a failed instance, not an aborted run
+            # an edge sum off zero by more than rounding: a failed
+            # instance, not an aborted run
             out.record_exact(False, n=len(simplices), error=str(exc))
             continue
         out.record_exact(ok, n=len(simplices))

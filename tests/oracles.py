@@ -36,7 +36,7 @@ import mpmath
 from scipy.integrate import quad
 
 from cvol.errors import DegenerateGeometryError, SymbolMatchError
-from cvol.flattening import _assignment_from_vector
+from cvol.flattening import _assignment_from_vector, _prune_kernel
 from cvol.geometry import EDGE_SLOT, SLOT_PQ_COEFF
 from cvol.intlinalg import solve_integer_system, transpose
 from cvol.polylog import lifted_rogers_raw, principal_log
@@ -431,19 +431,19 @@ def chain_complex_composites(jc):
 
 
 def alternate_assignment(tri, shapes, base, kernel_coeffs):
-    """Another particular solution: base + integer combination of kernel
-    vectors (used to exercise solver-choice invariance).  The defect and
-    both kernels depend on the shapes and the system only, so they are the
-    base's."""
-    if len(kernel_coeffs) != len(base.kernel):
-        raise ValueError("need one coefficient per kernel vector")
+    """Another particular solution: base + integer combination of the
+    pruned kernel vectors ``_prune_kernel(tri, base.kernel)``, which keep
+    every path condition (used to exercise solver-choice invariance).  The
+    defect and the kernel depend on the shapes and the system only, so
+    they are the base's."""
+    pruned = _prune_kernel(tri, base.kernel)
+    if len(kernel_coeffs) != len(pruned):
+        raise ValueError("need one coefficient per pruned kernel vector")
     x = [p for pair in base.pq() for p in pair]
-    x = x + [0] * (len(base.kernel[0]) - len(x) if base.kernel else 0)
-    for c, vec in zip(kernel_coeffs, base.kernel):
+    x = x + [0] * (len(pruned[0]) - len(x) if pruned else 0)
+    for c, vec in zip(kernel_coeffs, pruned):
         x = [a + c * b for a, b in zip(x, vec)]
-    return _assignment_from_vector(
-        tri, shapes, x, base.defect, base.kernel, base.raw_kernel
-    )
+    return _assignment_from_vector(tri, shapes, x, base.defect, base.kernel)
 
 
 def reference_prune_kernel(tri, kernel):

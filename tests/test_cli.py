@@ -172,8 +172,8 @@ class TestVerifyCommand:
         assert math.isnan(failure["residual"])
 
     def test_tight_tolerance_reports_instead_of_aborting(self, capsys):
-        # at 1e-15 the cycle relation's edge sum (1.8e-15 after rounding)
-        # misses its precondition; the instance fails and the run goes on
+        # at 1e-15 rounding alone makes Rogers comparisons miss, the cycle
+        # relation's among them; the instances fail and the run goes on
         code, out, err = run_cli(
             ["--format", "json", "--tolerance", "1e-15", "verify", "--count",
              "50"], capsys
@@ -185,6 +185,24 @@ class TestVerifyCommand:
         assert len(report["suites"]) == 14
         [cycle] = [s for s in report["suites"] if s["name"] == "cycle_relation"]
         assert cycle["passed"] is False and cycle["failures"]
+
+    def test_tight_tolerance_keeps_cycle_preconditions(self, monkeypatch):
+        # the edge sum is held to a rounding bound, not to --tolerance: at
+        # 1e-15 it reads 1.8e-15 on instances 23, 25, 33 and 39 of seed 0,
+        # and no instance is refused.  Every check is kept, not only the
+        # first five failures a report shows
+        from cvol import verify
+
+        checks = []
+        monkeypatch.setattr(
+            verify.SuiteResult, "record_exact",
+            lambda self, ok, **instance: checks.append(
+                (self.name, ok, instance)))
+        verify.run_all(count=50, seed=0, tol=1e-15)
+        cycle = [(ok, i) for name, ok, i in checks if name == "cycle_relation"]
+        assert len(cycle) == 50
+        assert not all(ok for ok, _ in cycle)
+        assert not [i for _, i in cycle if "error" in i]
 
     def test_cycle_precondition_error_is_a_counterexample(self, monkeypatch):
         import random
@@ -328,7 +346,8 @@ class TestOtherCommands:
         "command,fixture,unloaded",
         [("homology", "fig8_cover8.json", ("bloch", "wedge", "gluing",
                                            "verify")),
-         ("cvol", "fig8.json", ("verify",))],
+         ("cvol", "fig8.json", ("bloch", "wedge", "verify")),
+         ("flatten", "fig8.json", ("bloch", "wedge", "verify"))],
     )
     def test_command_loads_only_what_it_runs(self, command, fixture,
                                              unloaded):
@@ -504,6 +523,31 @@ class TestGoldenOutput:
         # one path_passes per cusp path: the terms are derived at parse
         assert calls == {"edge_classes": 1, "orientation_signs": 1,
                          "path_passes": 2}
+
+    def test_only_flatten_prunes(self, fig8_path, monkeypatch, capsys):
+        import cvol.flattening as flattening
+        import cvol.triangulation as triangulation
+
+        calls = {"_prune_kernel": 0, "link_arcs": 0}
+        for module, name in ((flattening, "_prune_kernel"),
+                             (flattening, "link_arcs"),
+                             (triangulation, "link_arcs")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        code, _, _ = run_cli(["cvol", str(fig8_path)], capsys)
+        assert code == 0
+        assert calls == {"_prune_kernel": 0, "link_arcs": 0}
+        code, out, _ = run_cli(
+            ["--format", "json", "flatten", str(fig8_path)], capsys)
+        assert code == 0
+        golden = pathlib.Path(__file__).parent / "fixtures" / "golden"
+        assert out == (golden / "flatten-fig8.json").read_text()
+        assert calls["_prune_kernel"] == 1
 
 
 class TestTextFormat:

@@ -59,13 +59,19 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def relabeled_cover(n, vertices):
-    """The benchmark's n-fold cyclic cover of fig8, relabeled with seed n:
-    tetrahedra shuffled, and with ``vertices`` their vertices renamed."""
+def perfbench_inputs():
+    """The benchmark's input generator, ``perfbench/inputs.py``."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", PERFBENCH / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def relabeled_cover(n, vertices):
+    """The benchmark's n-fold cyclic cover of fig8, relabeled with seed n:
+    tetrahedra shuffled, and with ``vertices`` their vertices renamed."""
+    inputs = perfbench_inputs()
     cover = inputs.cyclic_cover(inputs.FIG8, n)
     return inputs.relabel(cover, random.Random(n), vertices)
 
@@ -460,9 +466,10 @@ class TestFundamentalElement:
             assignment = solve_flattenings(tri, shapes)
             base = r_of_element(fundamental_element(tri, assignment))
             rng = random.Random(7)
-            assert assignment.kernel, "solver reports invariance directions"
+            pruned = flattening._prune_kernel(tri, assignment.kernel)
+            assert pruned, "solver reports invariance directions"
             for _ in range(20):
-                coeffs = [rng.randint(-4, 4) for _ in assignment.kernel]
+                coeffs = [rng.randint(-4, 4) for _ in pruned]
                 shifted = alternate_assignment(
                     tri, shapes, assignment, coeffs
                 )
@@ -476,37 +483,40 @@ class TestFundamentalElement:
         tri = request.getfixturevalue(name)
         shapes = request.getfixturevalue(f"{name}_shapes")
         assignment = solve_flattenings(tri, shapes)
+        pruned = flattening._prune_kernel(tri, assignment.kernel)
         shifted = alternate_assignment(
-            tri, shapes, assignment, [1 for _ in assignment.kernel]
+            tri, shapes, assignment, [1 for _ in pruned]
         )
-        assert len(assignment.raw_kernel) == raw_rank
-        assert shifted.raw_kernel == assignment.raw_kernel
+        assert len(assignment.kernel) == raw_rank
         assert shifted.kernel == assignment.kernel
+        assert flattening._prune_kernel(tri, shifted.kernel) == pruned
 
 
 class TestPrunedKernel:
-    """The pruned kernel against closed vertex-link paths drawn as random
-    walks from the gluings alone: every pruned vector keeps every path
-    condition, while some raw kernel vector breaks one."""
+    """The pruned kernel, ``_prune_kernel`` of the solver's kernel, against
+    closed vertex-link paths drawn as random walks from the gluings alone:
+    every pruned vector keeps every path condition, while some vector of
+    the solver's kernel breaks one."""
 
     @pytest.mark.parametrize("name", ["fig8", "fig8_cover3"])
     def test_annihilates_random_link_walks(self, name, request):
         tri = request.getfixturevalue(name)
         shapes = request.getfixturevalue(f"{name}_shapes")
         assignment = solve_flattenings(tri, shapes)
-        width = len(assignment.raw_kernel[0])
+        pruned = flattening._prune_kernel(tri, assignment.kernel)
+        width = len(assignment.kernel[0])
         rng = random.Random(11)
         raw_broken = False
         for _ in range(200):
             pq = pass_rows(path_terms(tri, random_link_walk(tri, rng)),
                            width).pq
-            for vec in assignment.kernel:
+            for vec in pruned:
                 assert sum(a * b for a, b in zip(pq, vec)) == 0
             raw_broken |= any(
                 sum(a * b for a, b in zip(pq, vec))
-                for vec in assignment.raw_kernel
+                for vec in assignment.kernel
             )
-        assert assignment.kernel
+        assert pruned
         assert raw_broken
 
     @pytest.mark.parametrize(
@@ -535,10 +545,10 @@ class TestPrunedKernel:
             return solve_integer_system(a, b)
 
         monkeypatch.setattr(flattening, "solve_integer_system", counted)
-        assignment = solve_flattenings(tri, shapes)
+        kernel = solve_flattenings(tri, shapes).kernel
+        pruned = flattening._prune_kernel(tri, kernel)
         assert len(calls) == 1
-        assert assignment.kernel == reference_prune_kernel(
-            tri, assignment.raw_kernel)
+        assert pruned == reference_prune_kernel(tri, kernel)
 
     @pytest.mark.parametrize("name", ["fig8", "fig8_cover3"])
     def test_first_seen_functional_order(self, name, request):
@@ -582,6 +592,18 @@ class TestCycleRelation:
                 CycleSimplex(z, p, q2, -1, 0, 1, 2),
             ]
             assert cycle_relation_check(simplices, (z, None))
+
+    def test_edge_sum_off_by_more_than_rounding_refused(self):
+        # the precondition is a rounding bound, not the comparison
+        # tolerance: an edge sum off by 1e-6 is refused even at tol=1e-3
+        simplices, base = self.three_term(random.Random(8))
+        assert cycle_relation_check(simplices, base, 1e-3)
+        s = simplices[0]
+        simplices[0] = CycleSimplex(s.shape * cmath.exp(1e-6), s.p, s.q,
+                                    s.sign, s.edge_slot, s.top_slot,
+                                    s.bottom_slot)
+        with pytest.raises(NonIntegralError):
+            cycle_relation_check(simplices, base, 1e-3)
 
     def test_precondition_violation_detected(self):
         z = 0.4 + 0.5j
@@ -627,6 +649,36 @@ class TestComplexVolume:
         assert vol == pytest.approx(3 * 2.029883212819307, abs=1e-12)
         assert cs == 0.0
 
+    @pytest.mark.parametrize(
+        "name",
+        ["fig8", "fig8_cover3"]
+        + [f"cover{n}-{how}" for n in (3, 5, 8)
+           for how in ("plain", "relabeled")],
+    )
+    def test_same_bits_as_fundamental_element(self, name, request):
+        # summing R over the merged terms directly is the Rogers sum of the
+        # fundamental element, bit for bit
+        if name.startswith("cover"):
+            n, how = name[len("cover"):].split("-")
+            inputs = perfbench_inputs()
+            doc = (inputs.cyclic_cover(inputs.FIG8, int(n)) if how == "plain"
+                   else relabeled_cover(int(n), True))
+            tri = parse_triangulation(doc)
+            shapes = solve_shapes(tri).shapes
+        else:
+            tri = request.getfixturevalue(name)
+            shapes = request.getfixturevalue(f"{name}_shapes")
+        assignment = solve_flattenings(tri, shapes)
+        element = fundamental_element(tri, assignment)
+        if name == "cover8-relabeled":
+            # two tetrahedra share (z, p, q): a sum per tetrahedron would
+            # add the same values in another order
+            assert len(element.terms) < tri.num_tetrahedra
+        value = r_of_element(element).value
+        cs = reduce_mod(complex(-value.real, 0.0), PI_SQUARED).value.real
+        assert complex_volume(tri, shapes, assignment) == (
+            value.imag, snap_cs(cs, tri.num_tetrahedra))
+
     def test_snap_just_below_pi_squared(self):
         assert snap_cs(math.nextafter(PI_SQUARED, 0.0), 2) == 0.0
         assert snap_cs(PI_SQUARED - 1e-15, 2) == 0.0
@@ -656,8 +708,9 @@ class TestNuInvisibility:
                 ratio = log.imag / math.pi * 6
                 assert abs(ratio - round(ratio)) < 1e-9
         assignment = solve_flattenings(fig8, fig8_shapes)
+        pruned = flattening._prune_kernel(fig8, assignment.kernel)
         shifted = alternate_assignment(
-            fig8, fig8_shapes, assignment, [1 for _ in assignment.kernel]
+            fig8, fig8_shapes, assignment, [1 for _ in pruned]
         )
         base_value = r_of_element(fundamental_element(fig8, assignment))
         new_value = r_of_element(fundamental_element(fig8, shifted))
