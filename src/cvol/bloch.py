@@ -414,11 +414,8 @@ def cycle_relation_check(
     """
     params = [ExtendedParam(s.shape, s.p, s.q) for s in simplices]
     values = slot_values(params)
-    edge = pass_rows(
-        [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)],
-        2 * len(simplices),
-        values,
-    )
+    terms = [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)]
+    edge = pass_rows(terms, values)
     scale = sum(max(map(abs, w)) for w in values)
     if abs(edge.value) > EDGE_SUM_ULPS * math.ulp(1.0) * scale:
         raise NonIntegralError(

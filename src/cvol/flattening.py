@@ -22,9 +22,11 @@ every edge class has zero signed log-parameter sum and every supplied cusp
 path has zero log-parameter and zero parity, by solving one combined
 integer linear system in Hermite normal form.  Each condition is a list of
 (tet, slot, weight) terms, derived at parse (``Combinatorics``), that
-``cvol.geometry.pass_rows`` turns into integer rows.  ``complex_volume`` sums
-the lifted Rogers function over sum_i eps_i [z_i, p_i, q_i] to i(vol + i cs)
-modulo pi^2; only ``flatten`` prunes the system's kernel (``_prune_kernel``).
+``cvol.geometry.pass_rows``, the one condition-to-row helper, turns into
+sparse rows, as it does beta's columns and the pruning walk's arcs.
+``complex_volume`` sums the lifted Rogers function over sum_i eps_i [z_i,
+p_i, q_i] to i(vol + i cs) modulo pi^2; only ``flatten`` prunes the
+system's kernel (``_prune_kernel``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconsistentSystemError, NonIntegralError
-from .geometry import SLOT_PQ_COEFF, pass_rows, slot_values
+from .geometry import pass_rows, slot_values
 from .intlinalg import (
     AbelianGroup,
     gf2_rank,
@@ -110,15 +112,12 @@ def build_j_complex(tri: Triangulation) -> JComplex:
             row[endpoint] = row.get(endpoint, 0) + 1
         alpha.append(row)
 
-    # beta: edge class -> sum of the slots identified with it (the edge's
-    # terms, unsigned), per simplex.  Slots of one edge may cancel.
+    # beta: edge class -> the pq row of its terms taken with weight 1 (the
+    # slots identified with it, per simplex; they may cancel).
     beta: list[dict[int, int]] = [{} for _ in range(2 * tri.num_tetrahedra)]
     for col, terms in enumerate(comb.edge_terms):
-        for tet, slot, _ in terms:
-            for row, c in zip(beta[2 * tet:2 * tet + 2], SLOT_PQ_COEFF[slot]):
-                if c:
-                    row[col] = row.get(col, 0) + c
-    beta = [{j: v for j, v in row.items() if v} for row in beta]
+        for j, c in pass_rows([(t, s, 1) for t, s, _ in terms]).pq.items():
+            beta[j][col] = c
     return JComplex(tri, comb.edges, comb.vertices, alpha, beta)
 
 
@@ -241,28 +240,32 @@ class FlatteningAssignment(NamedTuple):
 
 def _build_system(
     tri: Triangulation, shapes: list[complex], tol: float
-) -> tuple[list[list[int]], list[int], int]:
+) -> tuple[list[list[int]], list[int]]:
     """Integer rows for edge conditions, path log conditions and path parity
     conditions (the latter with an auxiliary doubled unknown each)."""
     comb = tri.combinatorics
     n = tri.num_tetrahedra
     width = 2 * n + len(comb.cusp_terms)
     constants = slot_values(ExtendedParam(z, 0, 0) for z in shapes)
-    rows: list[list[int]] = []
+    sparse: list[dict[int, int]] = []
     rhs: list[int] = []
     for k, terms in enumerate(comb.edge_terms):
-        edge = pass_rows(terms, width, constants)
-        rows.append(edge.pq)
+        edge = pass_rows(terms, constants)
+        sparse.append(edge.pq)
         rhs.append(-_pi_i_multiple(edge.value, tol, f"edge {k} constant"))
 
     for k, terms in enumerate(comb.cusp_terms):
-        cusp = pass_rows(terms, width, constants)
-        rows.append(cusp.pq)
+        cusp = pass_rows(terms, constants)
+        sparse.append(cusp.pq)
         rhs.append(-_pi_i_multiple(cusp.value, tol, f"cusp path {k} constant"))
         cusp.parity[2 * n + k] = 2
-        rows.append(cusp.parity)
+        sparse.append(cusp.parity)
         rhs.append(-cusp.parity_const)
-    return rows, rhs, width
+    rows = [[0] * width for _ in sparse]
+    for row, entries in zip(rows, sparse):
+        for j, c in entries.items():
+            row[j] = c
+    return rows, rhs
 
 
 def _prune_kernel(
@@ -290,10 +293,11 @@ def _prune_kernel(
         potential[root] = [0] * len(kernel)
         queue = [root]
         for state in queue:
-            for nxt, (tet, slot, weight) in arcs[state]:
-                cp, cq = SLOT_PQ_COEFF[slot]
+            for nxt, term in arcs[state]:
+                # the arc's one or two coefficients, padded to two
+                (i, a), (j, b) = [*pass_rows([term]).pq.items(), (0, 0)][:2]
                 value = [
-                    p + weight * (cp * k[2 * tet] + cq * k[2 * tet + 1])
+                    p + a * k[i] + b * k[j]
                     for p, k in zip(potential[state], kernel)
                 ]
                 if nxt not in potential:
@@ -319,7 +323,7 @@ def solve_flattenings(
     lattice, so the output is deterministic.  Missing cusp paths yield a
     partial, 'edge-flattened only' assignment.
     """
-    rows, rhs, width = _build_system(tri, shapes, tol)
+    rows, rhs = _build_system(tri, shapes, tol)
     solution = solve_integer_system(rows, rhs)
     if solution is None:
         raise InconsistentSystemError(
@@ -345,11 +349,8 @@ def _assignment_from_vector(
     ]
     components = slot_values(params)
 
-    edge_residuals = [
-        pass_rows(terms, 2 * n, components).value
-        for terms in comb.edge_terms
-    ]
-    paths = [pass_rows(terms, 2 * n, components) for terms in comb.cusp_terms]
+    edge_residuals = [pass_rows(t, components).value for t in comb.edge_terms]
+    paths = [pass_rows(terms, components) for terms in comb.cusp_terms]
     return FlatteningAssignment(
         params=params,
         signs=comb.signs,

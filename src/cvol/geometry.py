@@ -14,14 +14,14 @@ is a bijection onto zero-sum log-parameter triples, inverted by
 The slot convention of the integer conditions lives here: ``EDGE_SLOT``
 (vertex pair -> slot) and ``SLOT_PQ_COEFF`` (slot -> pi*i coefficients on
 (p, q), equally its (e_0, e_1) coordinates in the J-complex).
-``pass_rows`` turns a condition, a list of (tet, slot, weight) terms, into
-integer rows and a value.
+``pass_rows``, the one condition-to-row helper, turns a condition, a list
+of (tet, slot, weight) terms, into sparse integer rows and a value.
 
 Five-point configurations: five points on the sphere at infinity span five
 ideal simplices whose shapes are ``five_point_shapes``; one walk of the ten
 connecting edges (``FIVE_POINT_EDGES``) gives their signed log-parameter
 sums (``five_point_edge_conditions``) and integer rows
-(``five_point_edge_rows``).
+(``five_point_edge_rows``), both through ``pass_rows``.
 """
 
 from __future__ import annotations
@@ -92,40 +92,42 @@ def slot_values(
 
 class PassRows(NamedTuple):
     """A condition sum weight * w_slot(tet) over (tet, slot, weight) terms,
-    on the unknowns (p_0, q_0, p_1, q_1, ...)."""
+    as rows on (p_0, q_0, p_1, q_1, ...) without zero entries."""
 
-    pq: list[int]        # pi*i coefficients of the condition
-    parity: list[int]    # branch indices whose sum is the condition's parity
-    parity_const: int    # one per w2 pass: its parity parameter is p + q + 1
-    value: complex       # sum of weight * values[tet][slot], in term order
+    pq: dict[int, int]      # pi*i coefficients of the condition
+    parity: dict[int, int]  # branch indices whose sum is its parity
+    parity_const: int       # one per w2 pass: its parity parameter is p+q+1
+    value: complex          # sum of weight * values[tet][slot], in term order
+    slot_sums: dict[int, list[int]]  # tet -> summed weights of (w0, w1, w2)
 
     def parity_of(self, x: list[int]) -> int:
         """The condition's parity at the branch indices x."""
-        return (sum(a * b for a, b in zip(self.parity, x))
+        return (sum(c * x[j] for j, c in self.parity.items())
                 + self.parity_const) % 2
 
 
 def pass_rows(
     terms: list[Term],
-    width: int,
     values: list[tuple[complex, complex, complex]] | None = None,
 ) -> PassRows:
-    """Integer rows of a condition and, given per-tetrahedron slot values
-    (``slot_values``), its value."""
-    pq = [0] * width
-    parity = [0] * width
+    """Sparse integer rows of a condition and, given per-tetrahedron slot
+    values (``slot_values``), its value; the one reader of SLOT_PQ_COEFF."""
+    pq: dict[int, int] = {}
+    parity: dict[int, int] = {}
+    slot_sums: dict[int, list[int]] = {}
     parity_const = 0
     value = 0j
     for tet, slot, weight in terms:
-        cp, cq = SLOT_PQ_COEFF[slot]
-        pq[2 * tet] += weight * cp
-        pq[2 * tet + 1] += weight * cq
-        parity[2 * tet] += abs(cp)
-        parity[2 * tet + 1] += abs(cq)
+        slot_sums.setdefault(tet, [0, 0, 0])[slot] += weight
+        for j, c in enumerate(SLOT_PQ_COEFF[slot], 2 * tet):
+            if c:
+                pq[j] = pq.get(j, 0) + weight * c
+                parity[j] = parity.get(j, 0) + abs(c)
         parity_const += slot == 2
         if values is not None:
             value += weight * values[tet][slot]
-    return PassRows(pq, parity, parity_const, value)
+    pq = {j: c for j, c in pq.items() if c}
+    return PassRows(pq, parity, parity_const, value, slot_sums)
 
 
 def unflatten(w: Flattening, tol: float = 1e-9) -> ExtendedParam:
@@ -214,24 +216,21 @@ def five_point_edge_conditions(
     satisfy the flattening condition."""
     if len(flats) != 5 or len(signs) != 5:
         raise ValueError("need five flattenings and five signs")
+    values = [(f.w0, f.w1, f.w2) for f in flats]
     return {
-        edge: sum((signs[i] * flats[i].component(slot) for i, slot in terms),
-                  0j)
+        edge: pass_rows([(i, s, signs[i]) for i, s in terms], values).value
         for edge, terms in FIVE_POINT_EDGES.items()
     }
 
 
 def five_point_edge_rows() -> dict[tuple[int, int], list[int]]:
     """Integer coefficient rows of the ten edge conditions in the unknowns
-    (p0..p4, q0..q4), from ``SLOT_PQ_COEFF`` with alternating signs."""
+    (p0..p4, q0..q4): the sparse ``pass_rows`` row of each edge, with
+    alternating signs, laid out densely as all p's, then all q's."""
     rows: dict[tuple[int, int], list[int]] = {}
     for edge, terms in FIVE_POINT_EDGES.items():
-        vec = [0] * 10
-        for i, slot in terms:
-            cp, cq = SLOT_PQ_COEFF[slot]
-            vec[i] += (-1) ** i * cp
-            vec[5 + i] += (-1) ** i * cq
-        rows[edge] = vec
+        pq = pass_rows([(i, slot, (-1) ** i) for i, slot in terms]).pq
+        rows[edge] = [pq.get(2 * i + k, 0) for k in (0, 1) for i in range(5)]
     return rows
 
 

@@ -9,11 +9,12 @@ logarithmic form with principal branches,
                          corner) = 0
 
 Each log term is a * log z + b * log z' + c * log z'' with integer exponents
-a, b, c, so an equation is a sparse row of (tet, a, b, c) terms, one per
-tetrahedron it involves, plus a constant target.  The rows come from the
-(tet, slot, weight) terms derived at parse (``Combinatorics``).  A
-negatively oriented tetrahedron (eps = -1) has its geometric shape in the
-lower half plane.
+a, b, c: the per-slot weight sums that ``cvol.geometry.pass_rows``, the one
+condition-to-row helper, returns beside its sparse rows for the (tet, slot,
+weight) terms derived at parse (``Combinatorics``).  An equation is a
+sparse row of (tet, a, b, c) terms, one per tetrahedron it involves, plus a
+constant target.  A negatively oriented tetrahedron (eps = -1) has its
+geometric shape in the lower half plane.
 
 Newton iterates in the shape variables with a halving line search.  The
 Jacobian J is short of full row rank in every system the solver meets
@@ -42,6 +43,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DegenerateGeometryError
+from .geometry import pass_rows
 from .triangulation import Triangulation
 
 TWO_PI_I = 2j * math.pi
@@ -110,11 +112,8 @@ def gluing_equations(tri: Triangulation) -> GluingSystem:
     """Exponent rows of the edge and cusp-path equations."""
 
     def exponent_row(terms) -> Row:
-        exponents: dict[int, list[int]] = {}
-        for tet, slot, weight in terms:
-            exponents.setdefault(tet, [0, 0, 0])[slot] += weight
-        return [(tet, *abc) for tet, abc in sorted(exponents.items())
-                if any(abc)]
+        sums = pass_rows(terms).slot_sums
+        return [(tet, *abc) for tet, abc in sorted(sums.items()) if any(abc)]
 
     comb = tri.combinatorics
     return GluingSystem(

@@ -102,6 +102,8 @@ def solve_integer_system(
     """
     m = len(a)
     n = len(a[0]) if a else 0
+    if any(len(row) != n for row in a) or len(b) != m:
+        raise ValueError("a needs rows of one width and b one entry per row")
     if n == 0:
         return None if any(b) else IntegerSolution([], [])
     eye = [[int(i == k) for k in range(n)] for i in range(n)]
@@ -130,6 +132,8 @@ def reduce_mod_lattice(x: list[int], basis: list[list[int]]) -> list[int]:
     The basis is brought to row HNF; each pivot coordinate of x is reduced
     into [0, pivot) from the top row down, which is deterministic.
     """
+    if any(len(row) != len(x) for row in basis):
+        raise ValueError("every basis row must be as wide as x")
     if not basis:
         return list(map(int, x))
     out = list(map(int, x))

@@ -119,6 +119,3 @@ class Flattening(Value):
     def from_components(cls, w0: complex, w1: complex) -> "Flattening":
         """Build a flattening with w2 derived, so the zero-sum is exact."""
         return cls(w0, w1, -w0 - w1)
-
-    def component(self, slot: int) -> complex:
-        return (self.w0, self.w1, self.w2)[slot]

@@ -43,12 +43,12 @@ NU_CHI = WedgeExpr({("log_x", "pi_i"): 1})
 
 
 class SuiteResult:
-    """One suite's outcome, folded in check by check by ``record*``."""
+    """One suite's outcome: passed until a check fed to ``record*`` fails."""
 
     __slots__ = ("name", "count", "passed", "max_residual", "failures")
 
-    def __init__(self, name: str, count: int, passed: bool) -> None:
-        self.name, self.count, self.passed = name, count, passed
+    def __init__(self, name: str, count: int) -> None:
+        self.name, self.count, self.passed = name, count, True
         self.max_residual = 0.0
         self.failures: list[dict] = []
 
@@ -98,7 +98,7 @@ def _random_shape(rng: random.Random) -> complex:
 
 
 def suite_five_term_rogers(count: int, rng: random.Random, tol: float) -> SuiteResult:
-    out = SuiteResult("five_term_rogers", count, True)
+    out = SuiteResult("five_term_rogers", count)
     for _ in range(count):
         x, y = random_ft_plus(rng)
         offs = random_offsets(rng)
@@ -109,7 +109,7 @@ def suite_five_term_rogers(count: int, rng: random.Random, tol: float) -> SuiteR
 
 
 def suite_five_term_nu(count: int, rng: random.Random, tol: float) -> SuiteResult:
-    out = SuiteResult("five_term_nu", count, True)
+    out = SuiteResult("five_term_nu", count)
     for _ in range(count):
         x, y = random_ft_plus(rng)
         offs = random_offsets(rng)
@@ -120,7 +120,7 @@ def suite_five_term_nu(count: int, rng: random.Random, tol: float) -> SuiteResul
 
 
 def suite_five_term_parity(count: int, rng: random.Random, tol: float) -> SuiteResult:
-    out = SuiteResult("five_term_parity", count, True)
+    out = SuiteResult("five_term_parity", count)
     for _ in range(count):
         x, y = random_ft_plus(rng)
         offs = random_offsets(rng)
@@ -132,7 +132,7 @@ def suite_five_term_parity(count: int, rng: random.Random, tol: float) -> SuiteR
 def suite_five_term_eep(count: int, rng: random.Random, tol: float) -> SuiteResult:
     """Even-index five-term instances evaluate to zero modulo 2 pi^2 (the
     even-cover version of the relation, reached by doubling the offsets)."""
-    out = SuiteResult("five_term_eep", count, True)
+    out = SuiteResult("five_term_eep", count)
     for _ in range(count):
         x, y = random_ft_plus(rng)
         offs = tuple(2 * v for v in random_offsets(rng, bound=2))
@@ -144,7 +144,7 @@ def suite_five_term_eep(count: int, rng: random.Random, tol: float) -> SuiteResu
 
 
 def suite_transfer(count: int, rng: random.Random, tol: float) -> SuiteResult:
-    out = SuiteResult("transfer", count, True)
+    out = SuiteResult("transfer", count)
     for _ in range(count):
         z = _random_shape(rng)
         p, q, p2, q2 = (rng.randint(-4, 4) for _ in range(4))
@@ -181,7 +181,7 @@ def three_equations_elements(
 
 
 def suite_three_equations(count: int, rng: random.Random, tol: float) -> SuiteResult:
-    out = SuiteResult("three_equations", count, True)
+    out = SuiteResult("three_equations", count)
     for _ in range(count):
         z = _random_shape(rng)
         p, q, p2, q2, s = (rng.randint(-4, 4) for _ in range(5))
@@ -215,7 +215,7 @@ def homo_element(
 def suite_homo(count: int, rng: random.Random, tol: float) -> SuiteResult:
     """[x,p0,q0]-[y,p1,q1]+[y/x,p2,q2] with p2 = p1-p0 is invariant under
     lowering every q by one."""
-    out = SuiteResult("homo", count, True)
+    out = SuiteResult("homo", count)
     for _ in range(count):
         x, y = random_ft_plus(rng)
         element = homo_element(x, y, *(rng.randint(-3, 3) for _ in range(5)))
@@ -226,7 +226,7 @@ def suite_homo(count: int, rng: random.Random, tol: float) -> SuiteResult:
 
 
 def suite_super_transfer(count: int, rng: random.Random, tol: float) -> SuiteResult:
-    out = SuiteResult("super_transfer", count, True)
+    out = SuiteResult("super_transfer", count)
     for _ in range(count):
         z = _random_shape(rng)
         p, q = rng.randint(-4, 4), rng.randint(-4, 4)
@@ -239,7 +239,7 @@ def suite_super_transfer(count: int, rng: random.Random, tol: float) -> SuiteRes
 
 def suite_one_minus_x(count: int, rng: random.Random, tol: float) -> SuiteResult:
     """[x,p,q] + [1-x,-q,-p] = 2[1/2,0,0], whose Rogers value is -pi^2/6."""
-    out = SuiteResult("one_minus_x", count, True)
+    out = SuiteResult("one_minus_x", count)
     expected = reduce_mod(complex(-PI_SQUARED / 6.0), PI_SQUARED)
     for _ in range(count):
         z = _random_shape(rng)
@@ -253,7 +253,7 @@ def suite_one_minus_x(count: int, rng: random.Random, tol: float) -> SuiteResult
 
 def suite_chi(count: int, rng: random.Random, tol: float) -> SuiteResult:
     """R(chi(z)) = (pi i / 2) log z and nu(chi(z)) = log z ^ pi i."""
-    out = SuiteResult("chi", count, True)
+    out = SuiteResult("chi", count)
     for _ in range(count):
         z = _random_shape(rng)
         value = r_of_element(chi(z))
@@ -266,7 +266,7 @@ def suite_chi(count: int, rng: random.Random, tol: float) -> SuiteResult:
 def suite_chi_hat(count: int, rng: random.Random, tol: float) -> SuiteResult:
     """R(chi_hat(z)) = pi i log z mod 2 pi^2, and compatibility with the
     all-integer version: R(chi_hat(z)) = R(chi(z^2)) mod pi^2."""
-    out = SuiteResult("chi_hat", count, True)
+    out = SuiteResult("chi_hat", count)
     for _ in range(count):
         z = _random_shape(rng)
         value = r_of_element(chi_hat(z))
@@ -284,7 +284,7 @@ def suite_chi_hat(count: int, rng: random.Random, tol: float) -> SuiteResult:
 def suite_kappa(count: int, rng: random.Random, tol: float) -> SuiteResult:
     """epsilon(kappa) = 1; kappa is invisible to R and nu and is independent
     of the base point through them."""
-    out = SuiteResult("kappa_epsilon", count, True)
+    out = SuiteResult("kappa_epsilon", count)
     for _ in range(count):
         z = _random_shape(rng)
         w = _random_shape(rng)
@@ -302,7 +302,7 @@ def suite_kappa(count: int, rng: random.Random, tol: float) -> SuiteResult:
 def suite_edge_kernel(count: int, rng: random.Random, tol: float) -> SuiteResult:
     """The integer kernel of the ten five-point edge relations equals the
     five-parameter index family exactly."""
-    out = SuiteResult("edge_kernel", min(count, 1), True)
+    out = SuiteResult("edge_kernel", min(count, 1))
     if count <= 0:
         return out
     rows = list(five_point_edge_rows().values())
@@ -346,7 +346,7 @@ def _cycle_folded(rng: random.Random) -> tuple[list[CycleSimplex], tuple]:
 
 
 def suite_cycle_relation(count: int, rng: random.Random, tol: float) -> SuiteResult:
-    out = SuiteResult("cycle_relation", count, True)
+    out = SuiteResult("cycle_relation", count)
     for k in range(count):
         simplices, base = (
             _cycle_three_term(rng) if k % 2 == 0 else _cycle_folded(rng)

@@ -22,7 +22,11 @@ that collects the entered and exited faces in separate lists, and the path
 passes from a validation pass, a vertex inference pass and a per-step
 lookup of the passed edge and its rotation sign.  ``reference_prune_kernel``
 is the earlier kernel pruning, a second integer solve on every off-tree
-functional followed by a matrix product.  The last few helpers
+functional followed by a matrix product.  ``reference_pass_rows`` (dense
+rows of a given width), ``reference_exponent_row`` and ``reference_beta``
+are the condition-to-row code as it stood before ``pass_rows`` returned
+sparse rows and became its one home; ``random_terms`` draws the term lists
+they are compared on.  The last few helpers
 (``cross_ratio``, ``edge_parameter``, ``xi``, ``matmul``,
 ``chain_complex_composites``, ``alternate_assignment``) have no caller in
 the package and live here for the tests that use them.
@@ -480,3 +484,59 @@ def reference_prune_kernel(tri, kernel):
     combos = solve_integer_system(action, [0] * len(action))
     assert combos is not None  # homogeneous systems are always consistent
     return matmul(combos.kernel, kernel)
+
+
+def reference_pass_rows(terms, width, values=None):
+    """The condition-to-row helper as first written: dense ``pq`` and
+    ``parity`` rows of the given width, zero entries kept, returned as
+    (pq, parity, parity_const, value)."""
+    pq = [0] * width
+    parity = [0] * width
+    parity_const = 0
+    value = 0j
+    for tet, slot, weight in terms:
+        cp, cq = SLOT_PQ_COEFF[slot]
+        pq[2 * tet] += weight * cp
+        pq[2 * tet + 1] += weight * cq
+        parity[2 * tet] += abs(cp)
+        parity[2 * tet + 1] += abs(cq)
+        parity_const += slot == 2
+        if values is not None:
+            value += weight * values[tet][slot]
+    return pq, parity, parity_const, value
+
+
+def reference_exponent_row(terms):
+    """A Newton exponent row as ``gluing_equations`` first summed it:
+    (tet, a, b, c) by tetrahedron, all-zero triples dropped."""
+    exponents = {}
+    for tet, slot, weight in terms:
+        exponents.setdefault(tet, [0, 0, 0])[slot] += weight
+    return [(tet, *abc) for tet, abc in sorted(exponents.items())
+            if any(abc)]
+
+
+def reference_beta(comb, num_tetrahedra):
+    """beta as first built: each edge's unsigned slots added into the two
+    rows of their simplex, zero entries dropped afterwards."""
+    beta = [{} for _ in range(2 * num_tetrahedra)]
+    for col, terms in enumerate(comb.edge_terms):
+        for tet, slot, _ in terms:
+            for row, c in zip(beta[2 * tet:2 * tet + 2], SLOT_PQ_COEFF[slot]):
+                if c:
+                    row[col] = row.get(col, 0) + c
+    return [{j: v for j, v in row.items() if v} for row in beta]
+
+
+def random_terms(rng, tets):
+    """A seeded (tet, slot, weight) condition on ``tets`` simplices, with
+    weights +-1 and +-2; about one list in three also undoes one of its
+    own passes, so whole slots cancel, and short lists on few simplices
+    repeat tetrahedra and cancel across slots."""
+    terms = [(rng.randrange(tets), rng.randrange(3),
+              rng.choice((1, -1, 2, -2)))
+             for _ in range(rng.randint(0, 8))]
+    if terms and rng.random() < 0.35:
+        tet, slot, weight = rng.choice(terms)
+        terms.insert(rng.randint(0, len(terms)), (tet, slot, -weight))
+    return terms

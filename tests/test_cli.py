@@ -162,7 +162,7 @@ class TestVerifyCommand:
     def test_nan_residual_fails_closed(self):
         from cvol.verify import SuiteResult
 
-        result = SuiteResult("x", 1, True)
+        result = SuiteResult("x", 1)
         result.record(float("nan"), 1e-9, z=0.5 + 0.5j, p=1)
         assert result.passed is False
         assert result.max_residual == 0.0

@@ -19,13 +19,20 @@ from cvol.geometry import (
     in_ft_plus,
     in_lift_index_family,
     lift_index_basis,
+    pass_rows,
     unflatten,
 )
 from cvol.intlinalg import lattice_equal, solve_integer_system
 from cvol.params import ExtendedParam, Flattening
 from cvol.verify import random_ft_plus
 
-from oracles import INF, cross_ratio, edge_parameter
+from oracles import (
+    INF,
+    cross_ratio,
+    edge_parameter,
+    random_terms,
+    reference_pass_rows,
+)
 
 PI = math.pi
 
@@ -245,6 +252,39 @@ class TestEdgeConditions:
     def test_derived_indices_match_definition(self):
         vec = derived_indices(1, 0, 0, 2, -1)
         assert vec == [1, 0, -1, 1, 2, 0, 2, -1, -3, -4]
+
+
+class TestPassRows:
+    """The sparse condition rows against the dense helper they replace."""
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(18)
+        seen = {"repeated tet": 0, "cancelled": 0, "weight 2": 0}
+        for _ in range(400):
+            tets = rng.randint(1, 4)
+            terms = random_terms(rng, tets)
+            values = [tuple(complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                            for _ in range(3)) for _ in range(tets)]
+            rows = pass_rows(terms, values)
+            pq, parity, parity_const, value = reference_pass_rows(
+                terms, 2 * tets, values)
+            assert [rows.pq.get(j, 0) for j in range(2 * tets)] == pq
+            assert [rows.parity.get(j, 0) for j in range(2 * tets)] == parity
+            assert 0 not in rows.pq.values()
+            assert 0 not in rows.parity.values()
+            assert rows.parity_const == parity_const
+            assert rows.value == value
+            x = [rng.randint(-3, 3) for _ in range(2 * tets)]
+            assert rows.parity_of(x) == (
+                sum(a * b for a, b in zip(parity, x)) + parity_const) % 2
+            assert pass_rows(terms).value == 0j
+            touched = {tet for tet, _, _ in terms}
+            seen["repeated tet"] += len(touched) < len(terms)
+            seen["cancelled"] += any(
+                parity[j] and not pq[j]
+                for t in touched for j in (2 * t, 2 * t + 1))
+            seen["weight 2"] += any(abs(w) == 2 for _, _, w in terms)
+        assert min(seen.values()) > 40, seen
 
 
 class TestEdgeParameterErrors:

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cvol.errors import ConvergenceError, DegenerateGeometryError
 from cvol.gluing import _min_norm_step, gluing_equations, solve_shapes
 from cvol.polylog import bloch_wigner
 from cvol.triangulation import parse_triangulation
-from oracles import relabel_document
+from oracles import random_terms, reference_exponent_row, relabel_document
 
 REGULAR = cmath.exp(1j * math.pi / 3)
 
@@ -67,6 +68,24 @@ class TestGluingEquations:
                 for slot, exponent in enumerate(abc):
                     total[tet, slot] += exponent
         assert set(total.values()) == {2}
+
+    def test_exponent_rows_match_reference(self, fig8, fixtures):
+        # the fixtures, then conditions drawn with repeated simplices,
+        # cancelling slots and weights +-1, +-2
+        rng = random.Random(18)
+        drawn = types.SimpleNamespace(
+            edge_terms=[random_terms(rng, 4) for _ in range(200)],
+            cusp_terms=[random_terms(rng, 4) for _ in range(200)],
+        )
+        tris = [fig8, _load(fixtures, "fig8_cover3"),
+                types.SimpleNamespace(combinatorics=drawn)]
+        for tri in tris:
+            comb = tri.combinatorics
+            system = gluing_equations(tri)
+            assert system.edge_rows == [
+                reference_exponent_row(t) for t in comb.edge_terms]
+            assert system.cusp_rows == [
+                reference_exponent_row(t) for t in comb.cusp_terms]
 
     def test_no_cusp_paths_flagged(self, fig8_doc):
         doc = copy.deepcopy(fig8_doc)

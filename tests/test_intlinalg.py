@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from cvol.intlinalg import (
     AbelianGroup,
     _dense_smith_factors,
@@ -96,7 +98,9 @@ class TestSolve:
             n = rng.randint(1, 4)
             m = random_matrix(rng, rng.randint(1, 3), n, rng.choice([1, 2, 6]))
             sol = solve_integer_system(m, [0] * len(m))
-            basis_t = transpose(sol.kernel)
+            # n equations in the kernel coefficients; transpose([]) would
+            # drop the n rows of an empty kernel
+            basis_t = transpose(sol.kernel) or [[] for _ in range(n)]
             for v in itertools.product(range(-3, 4), repeat=n):
                 if not any(matvec(m, v)):
                     assert solve_integer_system(basis_t, list(v)) is not None
@@ -124,6 +128,30 @@ class TestSolve:
             diff = [a - b for a, b in zip(x, red)]
             sol = solve_integer_system(transpose(basis), diff)
             assert sol is not None
+
+
+class TestShapeChecks:
+    """Mismatched shapes are refused instead of silently truncated."""
+
+    def test_ragged_rows_refused(self):
+        # the third unknown used to be dropped: particular [1, 1]
+        with pytest.raises(ValueError):
+            solve_integer_system([[2, 0], [0, 1, 5]], [2, 1])
+
+    def test_short_b_refused(self):
+        # used to raise IndexError
+        with pytest.raises(ValueError):
+            solve_integer_system([[1, 0], [0, 1]], [1])
+
+    def test_long_b_refused(self):
+        # used to return None, as if inconsistent
+        with pytest.raises(ValueError):
+            solve_integer_system([[1, 0], [0, 1]], [1, 2, 3])
+
+    def test_basis_narrower_than_x_refused(self):
+        # used to return [1, 2], losing a coordinate
+        with pytest.raises(ValueError):
+            reduce_mod_lattice([5, 2, 3], [[2, 0]])
 
 
 class TestSmith:
