@@ -3,8 +3,10 @@
 Elements are integer combinations of generators [z, p, q] in one of two
 flavours: mode "ep" allows all integer branch indices (values of the Rogers
 lift live in C/pi^2*Z), mode "eep" restricts to even indices (values in
-C/2*pi^2*Z).  Equality of elements is never decided directly; identities are
-verified through the separating computable homomorphisms:
+C/2*pi^2*Z), as ``polylog.check_mode`` and ``check_branches`` enforce.  Every
+builder below is one call of the ``EBElement`` constructor.  Equality of
+elements is never decided directly; identities are verified through the
+separating computable homomorphisms:
 
 * ``r_of_element``   -- the lifted Rogers sum, reduced by the mode's modulus;
 * ``nu_symbolic``    -- the wedge log z ^ (-log(1-z)) image, evaluated
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import (
     DegenerateGeometryError,
@@ -42,22 +44,13 @@ from .params import ExtendedParam, Value
 from .polylog import (
     MODULI,
     ModPiSquared,
+    check_branches,
+    check_mode,
     lifted_rogers_sum,
     principal_log,
     reduce_mod,
 )
 from .wedge import WedgeExpr
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in MODULI:
-        raise ValueError("mode must be 'ep' or 'eep'")
-    return mode
-
-
-def _check_indices(p: int, q: int, mode: str) -> None:
-    if mode == "eep" and (p % 2 or q % 2):
-        raise DomainError("eep elements need even branch indices")
 
 
 def _integer(coeff) -> int:
@@ -66,35 +59,38 @@ def _integer(coeff) -> int:
     try:
         return operator.index(coeff)
     except TypeError:
-        raise DomainError(
-            "coefficient %r is not an integer" % (coeff,)
-        ) from None
+        raise DomainError(f"coefficient {coeff!r} is not an integer") from None
+
+
+#: what the EBElement constructor takes: {generator: coeff}, or
+#: (generator, coeff) pairs in which a generator may repeat
+Terms = Mapping[ExtendedParam, int] | Iterable[tuple[ExtendedParam, int]]
 
 
 class EBElement:
     """Finite integer combination of ExtendedParam generators.
 
-    The constructor validates its input; arithmetic and the builders below
-    make their result dict once from operands that are already valid and
-    wrap it with ``_trusted``, so no term is checked twice.
+    The constructor is the one way to build an element from ``Terms``: it
+    merges repeated generators in first-seen order, checks each coefficient
+    and each eep index once, and drops zero sums.  Arithmetic combines
+    operands that are already valid and wraps its result with ``_trusted``,
+    so no term is checked twice.
     """
 
     __slots__ = ("terms", "mode")
 
-    def __init__(
-        self,
-        terms: Mapping[ExtendedParam, int] | None = None,
-        mode: str = "ep",
-    ):
-        self.mode = _check_mode(mode)
-        clean: dict[ExtendedParam, int] = {}
-        for param, coeff in (terms or {}).items():
+    def __init__(self, terms: Terms | None = None, mode: str = "ep"):
+        self.mode = check_mode(mode)
+        merged: dict[ExtendedParam, int] = {}
+        for param, coeff in (
+            terms.items() if isinstance(terms, Mapping) else terms or ()
+        ):
             coeff = _integer(coeff)
-            if coeff == 0:
-                continue
-            _check_indices(param.p, param.q, mode)
-            clean[param] = coeff
-        self.terms = clean
+            if coeff:
+                merged[param] = merged.get(param, 0) + coeff
+        check_branches(merged, mode)
+        self.terms = merged if all(merged.values()) else {
+            param: c for param, c in merged.items() if c}
 
     @classmethod
     def _trusted(cls, terms: dict[ExtendedParam, int], mode: str) -> "EBElement":
@@ -134,11 +130,8 @@ class EBElement:
         return EBElement._trusted(terms, self.mode)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EBElement)
-            and self.mode == other.mode
-            and self.terms == other.terms
-        )
+        return (isinstance(other, EBElement) and self.mode == other.mode
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.mode, frozenset(self.terms.items())))
@@ -150,13 +143,17 @@ class EBElement:
         return "EBElement(" + " + ".join(parts) + f", mode={self.mode!r})"
 
 
-def generator(
-    z: complex, p: int, q: int, mode: str = "ep", cut_side: int | None = None
-) -> EBElement:
+def generator(z: complex, p: int, q: int, mode: str = "ep",
+              cut_side: int | None = None) -> EBElement:
     """Single-generator element [z, p, q]."""
-    param = ExtendedParam(z, p, q, cut_side)
-    _check_indices(p, q, _check_mode(mode))
-    return EBElement._trusted({param: 1}, mode)
+    return EBElement(((ExtendedParam(z, p, q, cut_side), 1),), mode)
+
+
+def indexed_element(z: complex, indexed: Iterable[tuple[int, int, int]],
+                    mode: str = "ep", cut_side: int | None = None) -> EBElement:
+    """sum c [z, p, q] over the (p, q, c) of ``indexed``, all at one z."""
+    return EBElement([(ExtendedParam(z, p, q, cut_side), c)
+                      for p, q, c in indexed], mode)
 
 
 class FiveTermTuple(Value):
@@ -186,58 +183,38 @@ class FiveTermTuple(Value):
 
 def five_term_instance(t: FiveTermTuple) -> EBElement:
     """Alternating five-term combination sum_i (-1)^i [x_i, p_i, q_i]."""
-    shapes = t.shapes()
-    terms: dict[ExtendedParam, int] = {}
-    for i, (shape, (p, q)) in enumerate(zip(shapes, t.indices())):
-        terms[ExtendedParam(shape, p, q)] = (-1) ** i
-    return EBElement._trusted(terms, "ep")
+    return EBElement([
+        (ExtendedParam(shape, p, q), (-1) ** i)
+        for i, (shape, (p, q)) in enumerate(zip(t.shapes(), t.indices()))
+    ])
 
 
 def transfer_instance(z: complex, p: int, q: int, p2: int, q2: int) -> EBElement:
     """[z,p,q] + [z,p2,q2] - [z,p,q2] - [z,p2,q]."""
-    return (
-        generator(z, p, q)
-        + generator(z, p2, q2)
-        - generator(z, p, q2)
-        - generator(z, p2, q)
-    )
+    return indexed_element(
+        z, ((p, q, 1), (p2, q2, 1), (p, q2, -1), (p2, q, -1)))
 
 
 def chi(z: complex, cut_side: int | None = None) -> EBElement:
     """chi(z) = [z,0,1] - [z,0,0]; its Rogers value is (pi*i/2) log z."""
-    return generator(z, 0, 1, cut_side=cut_side) - generator(
-        z, 0, 0, cut_side=cut_side
-    )
+    return indexed_element(z, ((0, 1, 1), (0, 0, -1)), cut_side=cut_side)
 
 
 def chi_hat(z: complex, cut_side: int | None = None) -> EBElement:
     """chi_hat(z) = [z,0,2] - [z,0,0] in eep mode; Rogers value pi*i log z."""
-    return generator(z, 0, 2, mode="eep", cut_side=cut_side) - generator(
-        z, 0, 0, mode="eep", cut_side=cut_side
-    )
+    return indexed_element(z, ((0, 2, 1), (0, 0, -1)), "eep", cut_side)
 
 
 def kappa_element(z: complex) -> EBElement:
     """kappa = [z,1,1] + [z,0,0] - [z,1,0] - [z,0,1], independent of z."""
-    return (
-        generator(z, 1, 1)
-        + generator(z, 0, 0)
-        - generator(z, 1, 0)
-        - generator(z, 0, 1)
-    )
+    return indexed_element(z, ((1, 1, 1), (0, 0, 1), (1, 0, -1), (0, 1, -1)))
 
 
 def super_transfer_rhs(z: complex, p: int, q: int) -> EBElement:
     """pq[z,1,1] - (pq-p)[z,1,0] - (pq-q)[z,0,1] + (pq-p-q+1)[z,0,0]."""
-    coeffs = {
-        (1, 1): p * q,
-        (1, 0): -(p * q - p),
-        (0, 1): -(p * q - q),
-        (0, 0): p * q - p - q + 1,
-    }
-    return EBElement._trusted(
-        {ExtendedParam(z, i, j): c for (i, j), c in coeffs.items() if c}, "ep"
-    )
+    pq = p * q
+    return indexed_element(
+        z, ((1, 1, pq), (1, 0, p - pq), (0, 1, q - pq), (0, 0, pq - p - q + 1)))
 
 
 def r_of_element(e: EBElement) -> ModPiSquared:
@@ -291,10 +268,11 @@ def _log_candidates(
         values = (x, 1 - x)
         logs = (principal_log(1 - x), 0j, principal_log(x), 0j, 0j)
     else:
+        # the logs first: each refuses the 0 that a quotient would divide by
+        logs = tuple(principal_log(v) for v in (1 - x, 1 - y, x, x - y, y))
         values = (x, 1 - x, y, 1 - y, y / x, (x - y) / x,
                   y * (1 - x) / (x * (1 - y)), (x - y) / (x * (1 - y)),
                   (1 - x) / (1 - y), (x - y) / (1 - y))
-        logs = tuple(principal_log(v) for v in (1 - x, 1 - y, x, x - y, y))
     return [(value, _MATCH_TOL * max(1.0, abs(value)), vec, logs)
             for value, vec in zip(values, _MONOMIALS)]
 
@@ -425,15 +403,13 @@ def cycle_relation_check(
     if edge.parity_of([v for s in simplices for v in (s.p, s.q)]):
         raise NonIntegralError("parity sum around the edge is odd")
 
-    original: dict[ExtendedParam, int] = {}
-    primed: dict[ExtendedParam, int] = {}
-    for s, key in zip(simplices, params):
-        dp = s.sign * ((s.top_slot == 0) - (s.bottom_slot == 0))
-        dq = s.sign * ((s.top_slot == 1) - (s.bottom_slot == 1))
-        key2 = key.shifted(dp, dq)
-        original[key] = original.get(key, 0) + s.sign
-        primed[key2] = primed.get(key2, 0) + s.sign
-    difference = EBElement(original) - EBElement(primed)
+    signs = [s.sign for s in simplices]
+    primed = [
+        key.shifted(s.sign * ((s.top_slot == 0) - (s.bottom_slot == 0)),
+                    s.sign * ((s.top_slot == 1) - (s.bottom_slot == 1)))
+        for s, key in zip(simplices, params)
+    ]
+    difference = EBElement(zip(params, signs)) - EBElement(zip(primed, signs))
     r_ok = r_of_element(difference).distance_to_zero() < tol
     nu_ok = nu_symbolic(difference, base_point).is_zero()
     return r_ok and nu_ok

@@ -237,6 +237,9 @@ class ShapeSolution(NamedTuple):
 
 def _check_nondegenerate(shapes, what: str) -> None:
     for k, z in enumerate(shapes):
+        if not cmath.isfinite(z):
+            raise DegenerateGeometryError(
+                f"{what}: shape {k} = {z!r} is not finite")
         if abs(z.imag) < FLAT_IM_MARGIN:
             raise DegenerateGeometryError(
                 f"{what}: shape {k} = {z!r} is flat (|Im z| < {FLAT_IM_MARGIN})"
@@ -257,8 +260,9 @@ def solve_shapes(
     0.5 + 0.8i for every tetrahedron (its conjugate where eps = -1).
     Each iteration takes the minimum-norm least-squares step
     (``_min_norm_step``); a simple halving line search keeps the residual
-    monotone.  Iterates that flatten a simplex abort.  ``geometric`` means
-    eps * Im z > 0 for every shape.
+    monotone.  Iterates that flatten a simplex abort, non-finite shapes are
+    refused, and a residual with a NaN entry never counts as converged.
+    ``geometric`` means eps * Im z > 0 for every shape.
     """
     system = gluing_equations(tri)
     signs = tri.combinatorics.signs
@@ -274,12 +278,13 @@ def solve_shapes(
     _check_nondegenerate(shapes, "initial shapes")
 
     def norm(vec: list[complex]) -> float:
-        return max(map(abs, vec), default=0.0)
+        # a NaN entry counts as inf: max would skip it unless it came first
+        return max((abs(v) if v == v else math.inf for v in vec), default=0.0)
 
     res = system.residual(shapes)
     best = norm(res)
     history: list[tuple[float, int]] = []
-    while best >= tol:
+    while not best < tol:
         if len(history) >= max_iter:
             raise ConvergenceError(
                 f"Newton did not reach {tol:g} in {max_iter} iterations "
@@ -303,7 +308,7 @@ def solve_shapes(
                 break
             alpha *= 0.5
             halvings += 1
-        if norm(trial_res) >= best:
+        if not norm(trial_res) < best:
             raise ConvergenceError(
                 f"line search stalled at residual {best:g}"
             )

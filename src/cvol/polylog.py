@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
+
 from .errors import DomainError
 from .params import ExtendedParam, Value
 
@@ -27,6 +29,20 @@ TWO_PI_SQUARED = 2.0 * math.pi * math.pi
 #: the modulus of the Rogers values of each mode: pi^2 in 'ep', where all
 #: branch indices are allowed, and 2 pi^2 in 'eep', where they are even
 MODULI = {"ep": PI_SQUARED, "eep": TWO_PI_SQUARED}
+
+
+def check_mode(mode: str) -> str:
+    """``mode`` if it names a modulus in ``MODULI``; ValueError otherwise."""
+    if mode not in MODULI:
+        raise ValueError("mode must be 'ep' or 'eep'")
+    return mode
+
+
+def check_branches(params: Iterable[ExtendedParam], mode: str) -> None:
+    """DomainError if ``mode`` is 'eep' and a param has an odd index."""
+    if mode == "eep" and any(x.p % 2 or x.q % 2 for x in params):
+        raise DomainError("eep mode requires even branch indices")
+
 
 #: B_2k / (2k+1)! for k = 1..10, the odd coefficients of the Bernoulli
 #: series Li2(1 - exp(-u)) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!
@@ -168,10 +184,7 @@ def lifted_rogers(param: ExtendedParam, mode: str = "ep") -> "ModPiSquared":
 
     In 'eep' mode both branch indices must be even.
     """
-    if mode not in MODULI:
-        raise ValueError("mode must be 'ep' or 'eep'")
-    if mode == "eep" and (param.p % 2 or param.q % 2):
-        raise DomainError("eep mode requires even branch indices")
+    check_branches((param,), check_mode(mode))
     return reduce_mod(lifted_rogers_raw(param.numeric_z(), param.p, param.q),
                       MODULI[mode])
 

@@ -22,6 +22,7 @@ from .bloch import (
     epsilon_parity,
     five_term_instance,
     generator,
+    indexed_element,
     kappa_element,
     nu_symbolic,
     r_of_element,
@@ -35,6 +36,7 @@ from .geometry import (
     lift_index_basis,
 )
 from .intlinalg import lattice_equal, solve_integer_system
+from .params import ExtendedParam
 from .polylog import PI_SQUARED, TWO_PI_SQUARED, principal_log, reduce_mod
 from .wedge import WedgeExpr
 
@@ -97,12 +99,17 @@ def _random_shape(rng: random.Random) -> complex:
     return z
 
 
+def _five_term_draw(rng: random.Random) -> tuple:
+    """A random base point, index offsets and their five-term element."""
+    x, y = random_ft_plus(rng)
+    offs = random_offsets(rng)
+    return x, y, offs, five_term_instance(FiveTermTuple(x, y, *offs))
+
+
 def suite_five_term_rogers(count: int, rng: random.Random, tol: float) -> SuiteResult:
     out = SuiteResult("five_term_rogers", count)
     for _ in range(count):
-        x, y = random_ft_plus(rng)
-        offs = random_offsets(rng)
-        element = five_term_instance(FiveTermTuple(x, y, *offs))
+        x, y, offs, element = _five_term_draw(rng)
         residual = r_of_element(element).distance_to_zero()
         out.record(residual, tol, x=x, y=y, offsets=offs)
     return out
@@ -111,9 +118,7 @@ def suite_five_term_rogers(count: int, rng: random.Random, tol: float) -> SuiteR
 def suite_five_term_nu(count: int, rng: random.Random, tol: float) -> SuiteResult:
     out = SuiteResult("five_term_nu", count)
     for _ in range(count):
-        x, y = random_ft_plus(rng)
-        offs = random_offsets(rng)
-        element = five_term_instance(FiveTermTuple(x, y, *offs))
+        x, y, offs, element = _five_term_draw(rng)
         image = nu_symbolic(element, (x, y))
         out.record_exact(image.is_zero(), x=x, y=y, offsets=offs)
     return out
@@ -122,9 +127,7 @@ def suite_five_term_nu(count: int, rng: random.Random, tol: float) -> SuiteResul
 def suite_five_term_parity(count: int, rng: random.Random, tol: float) -> SuiteResult:
     out = SuiteResult("five_term_parity", count)
     for _ in range(count):
-        x, y = random_ft_plus(rng)
-        offs = random_offsets(rng)
-        element = five_term_instance(FiveTermTuple(x, y, *offs))
+        x, y, offs, element = _five_term_draw(rng)
         out.record_exact(epsilon_parity(element) == 0, x=x, y=y, offsets=offs)
     return out
 
@@ -158,26 +161,18 @@ def suite_transfer(count: int, rng: random.Random, tol: float) -> SuiteResult:
 def three_equations_elements(
     z: complex, p: int, q: int, p2: int, q2: int, s: int
 ) -> tuple[tuple[str, EBElement], ...]:
-    """The q-, p- and diagonal instances of the three equations at z."""
-    first = (
-        generator(z, p, q)
-        - generator(z, p, q2)
-        - generator(z, p, q - 1)
-        + generator(z, p, q2 - 1)
+    """The q-, p- and diagonal instances of the three equations at z, each
+    [z,a] - [z,b] - [z,c] + [z,d] for its index pairs a, b, c, d."""
+
+    def element(a, b, c, d) -> EBElement:
+        return indexed_element(z, ((*a, 1), (*b, -1), (*c, -1), (*d, 1)))
+
+    return (
+        ("q", element((p, q), (p, q2), (p, q - 1), (p, q2 - 1))),
+        ("p", element((p, q), (p2, q), (p - 1, q), (p2 - 1, q))),
+        ("diag", element((p, q), (p + s, q - s), (p + 1, q - 1),
+                         (p + s + 1, q - s - 1))),
     )
-    second = (
-        generator(z, p, q)
-        - generator(z, p2, q)
-        - generator(z, p - 1, q)
-        + generator(z, p2 - 1, q)
-    )
-    third = (
-        generator(z, p, q)
-        - generator(z, p + s, q - s)
-        - generator(z, p + 1, q - 1)
-        + generator(z, p + s + 1, q - s - 1)
-    )
-    return ("q", first), ("p", second), ("diag", third)
 
 
 def suite_three_equations(count: int, rng: random.Random, tol: float) -> SuiteResult:
@@ -199,17 +194,11 @@ def homo_element(
     """[x,p0,q0]-[y,p1,q1]+[y/x,p2,q2] with p2 = p1-p0, minus the same
     with every q lowered by one."""
     p2 = p1 - p0
-    lhs = (
-        generator(x, p0, q0)
-        - generator(y, p1, q1)
-        + generator(y / x, p2, q2)
-    )
-    rhs = (
-        generator(x, p0, q0 - 1)
-        - generator(y, p1, q1 - 1)
-        + generator(y / x, p2, q2 - 1)
-    )
-    return lhs - rhs
+    return EBElement([
+        (ExtendedParam(x, p0, q0), 1), (ExtendedParam(y, p1, q1), -1),
+        (ExtendedParam(y / x, p2, q2), 1), (ExtendedParam(x, p0, q0 - 1), -1),
+        (ExtendedParam(y, p1, q1 - 1), 1), (ExtendedParam(y / x, p2, q2 - 1), -1),
+    ])
 
 
 def suite_homo(count: int, rng: random.Random, tol: float) -> SuiteResult:
@@ -244,7 +233,8 @@ def suite_one_minus_x(count: int, rng: random.Random, tol: float) -> SuiteResult
     for _ in range(count):
         z = _random_shape(rng)
         p, q = rng.randint(-4, 4), rng.randint(-4, 4)
-        element = generator(z, p, q) + generator(1 - z, -q, -p)
+        element = EBElement([(ExtendedParam(z, p, q), 1),
+                             (ExtendedParam(1 - z, -q, -p), 1)])
         residual = r_of_element(element).distance_to(expected)
         out.record(residual, tol, z=z, p=p, q=q)
         out.record_exact(nu_symbolic(element, z).is_zero(), z=z, p=p, q=q)

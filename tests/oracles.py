@@ -26,7 +26,12 @@ functional followed by a matrix product.  ``reference_pass_rows`` (dense
 rows of a given width), ``reference_exponent_row`` and ``reference_beta``
 are the condition-to-row code as it stood before ``pass_rows`` returned
 sparse rows and became its one home; ``random_terms`` draws the term lists
-they are compared on.  The last few helpers
+they are compared on.  ``reference_generator`` and the other
+``reference_*`` element builders are ``cvol.bloch`` and ``cvol.verify``'s
+builders as they stood before each became one ``EBElement`` constructor
+call: chains of single generators combined by ``+`` and ``-``, and the
+trusted dicts of ``five_term_instance`` and ``super_transfer_rhs``.  The
+last few helpers
 (``cross_ratio``, ``edge_parameter``, ``xi``, ``matmul``,
 ``chain_complex_composites``, ``alternate_assignment``) have no caller in
 the package and live here for the tests that use them.
@@ -39,10 +44,12 @@ import math
 import mpmath
 from scipy.integrate import quad
 
-from cvol.errors import DegenerateGeometryError, SymbolMatchError
+from cvol.bloch import EBElement
+from cvol.errors import DegenerateGeometryError, DomainError, SymbolMatchError
 from cvol.flattening import _assignment_from_vector, _prune_kernel
 from cvol.geometry import EDGE_SLOT, SLOT_PQ_COEFF
 from cvol.intlinalg import solve_integer_system, transpose
+from cvol.params import ExtendedParam
 from cvol.polylog import lifted_rogers_raw, principal_log
 from cvol.triangulation import NormalPath, PathStep, link_arcs
 from cvol.wedge import combine, sym, wedge
@@ -540,3 +547,88 @@ def random_terms(rng, tets):
         tet, slot, weight = rng.choice(terms)
         terms.insert(rng.randint(0, len(terms)), (tet, slot, -weight))
     return terms
+
+
+# ---------------------------------------------------------------------------
+# Element builders as generator chains
+# ---------------------------------------------------------------------------
+
+def reference_generator(z, p, q, mode="ep", cut_side=None):
+    """[z, p, q] as ``generator`` made it: the checks, then one trusted
+    single-key dict."""
+    param = ExtendedParam(z, p, q, cut_side)
+    if mode not in ("ep", "eep"):
+        raise ValueError("mode must be 'ep' or 'eep'")
+    if mode == "eep" and (p % 2 or q % 2):
+        raise DomainError("eep elements need even branch indices")
+    return EBElement._trusted({param: 1}, mode)
+
+
+def reference_transfer_instance(z, p, q, p2, q2):
+    g = reference_generator
+    return g(z, p, q) + g(z, p2, q2) - g(z, p, q2) - g(z, p2, q)
+
+
+def reference_chi(z, cut_side=None):
+    g = reference_generator
+    return g(z, 0, 1, cut_side=cut_side) - g(z, 0, 0, cut_side=cut_side)
+
+
+def reference_chi_hat(z, cut_side=None):
+    g = reference_generator
+    return (g(z, 0, 2, mode="eep", cut_side=cut_side)
+            - g(z, 0, 0, mode="eep", cut_side=cut_side))
+
+
+def reference_kappa_element(z):
+    g = reference_generator
+    return g(z, 1, 1) + g(z, 0, 0) - g(z, 1, 0) - g(z, 0, 1)
+
+
+def reference_super_transfer_rhs(z, p, q):
+    coeffs = {
+        (1, 1): p * q,
+        (1, 0): -(p * q - p),
+        (0, 1): -(p * q - q),
+        (0, 0): p * q - p - q + 1,
+    }
+    return EBElement._trusted(
+        {ExtendedParam(z, i, j): c for (i, j), c in coeffs.items() if c}, "ep")
+
+
+def reference_five_term_instance(t):
+    terms = {}
+    for i, (shape, (p, q)) in enumerate(zip(t.shapes(), t.indices())):
+        terms[ExtendedParam(shape, p, q)] = (-1) ** i
+    return EBElement._trusted(terms, "ep")
+
+
+def reference_three_equations_elements(z, p, q, p2, q2, s):
+    g = reference_generator
+    first = g(z, p, q) - g(z, p, q2) - g(z, p, q - 1) + g(z, p, q2 - 1)
+    second = g(z, p, q) - g(z, p2, q) - g(z, p - 1, q) + g(z, p2 - 1, q)
+    third = (g(z, p, q) - g(z, p + s, q - s) - g(z, p + 1, q - 1)
+             + g(z, p + s + 1, q - s - 1))
+    return ("q", first), ("p", second), ("diag", third)
+
+
+def reference_homo_element(x, y, p0, p1, q0, q1, q2):
+    g = reference_generator
+    p2 = p1 - p0
+    lhs = g(x, p0, q0) - g(y, p1, q1) + g(y / x, p2, q2)
+    rhs = g(x, p0, q0 - 1) - g(y, p1, q1 - 1) + g(y / x, p2, q2 - 1)
+    return lhs - rhs
+
+
+def reference_cycle_difference(simplices):
+    """The original less the primed element of ``cycle_relation_check``,
+    each summed by hand into a dict first."""
+    original, primed = {}, {}
+    for s in simplices:
+        key = ExtendedParam(s.shape, s.p, s.q)
+        dp = s.sign * ((s.top_slot == 0) - (s.bottom_slot == 0))
+        dq = s.sign * ((s.top_slot == 1) - (s.bottom_slot == 1))
+        key2 = key.shifted(dp, dq)
+        original[key] = original.get(key, 0) + s.sign
+        primed[key2] = primed.get(key2, 0) + s.sign
+    return EBElement(original) - EBElement(primed)

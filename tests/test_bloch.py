@@ -14,6 +14,7 @@ from cvol.bloch import (
     FiveTermTuple,
     chi,
     chi_hat,
+    cycle_relation_check,
     epsilon_parity,
     five_term_instance,
     generator,
@@ -34,6 +35,8 @@ from cvol.polylog import (
     reduce_mod,
 )
 from cvol.verify import (
+    _cycle_folded,
+    _cycle_three_term,
     _random_shape,
     homo_element,
     random_ft_plus,
@@ -44,6 +47,7 @@ from cvol.verify import (
 )
 from cvol.wedge import sym, wedge
 
+import oracles
 from oracles import nu_reference, r_sum_reference
 
 PI = math.pi
@@ -370,6 +374,121 @@ class TestArithmeticMatchesConstructor:
         assert transfer_instance(z, 1, 2, 1, 2).is_zero()
 
 
+def _terms(e: EBElement) -> tuple:
+    return e.mode, list(e.terms.items())
+
+
+def _random_cut_value(rng: random.Random) -> float:
+    """A real shape on one of the cut rays (-inf, 0) and (1, inf)."""
+    return rng.choice((rng.uniform(-3.0, -0.1), rng.uniform(1.1, 4.0)))
+
+
+class TestOneConstructor:
+    """Every builder is one ``EBElement`` call on its term list; the
+    elements equal the old generator chains in ``oracles``, term order
+    included, since the Rogers sum adds in dict order."""
+
+    def test_builders_match_generator_chains(self, monkeypatch):
+        difference = []
+        real_r = bloch.r_of_element
+        monkeypatch.setattr(bloch, "r_of_element",
+                            lambda e: difference.append(e) or real_r(e))
+        rng = random.Random(19)
+        seen = {"p == p2": 0, "q == q2": 0, "s": set(), "zero coeff": 0,
+                "cut": 0, "empty": 0}
+        for k in range(1000):
+            z = _random_shape(rng)
+            p, q, p2, q2, s = (rng.randint(-2, 2) for _ in range(5))
+            seen["p == p2"] += p == p2
+            seen["q == q2"] += q == q2
+            seen["s"].add(s)
+            cases = [
+                (transfer_instance(z, p, q, p2, q2),
+                 oracles.reference_transfer_instance(z, p, q, p2, q2)),
+                (kappa_element(z), oracles.reference_kappa_element(z)),
+                (super_transfer_rhs(z, p, q),
+                 oracles.reference_super_transfer_rhs(z, p, q)),
+                (generator(z, 2 * p, 2 * q, "eep"),
+                 oracles.reference_generator(z, 2 * p, 2 * q, "eep")),
+            ]
+            seen["zero coeff"] += len(cases[2][0].terms) < 4
+            for (_, e), (_, r) in zip(
+                    three_equations_elements(z, p, q, p2, q2, s),
+                    oracles.reference_three_equations_elements(
+                        z, p, q, p2, q2, s)):
+                cases.append((e, r))
+            side = None
+            if k % 4 == 0:
+                z, side = _random_cut_value(rng), rng.choice((1, -1))
+                seen["cut"] += 1
+            cases += [(chi(z, side), oracles.reference_chi(z, side)),
+                      (chi_hat(z, side), oracles.reference_chi_hat(z, side))]
+            x, y = random_ft_plus(rng)
+            offsets = random_offsets(rng)
+            cases += [
+                (five_term_instance(FiveTermTuple(x, y, *offsets)),
+                 oracles.reference_five_term_instance(
+                     FiveTermTuple(x, y, *offsets))),
+                (homo_element(x, y, *offsets),
+                 oracles.reference_homo_element(x, y, *offsets)),
+            ]
+            simplices, base = (_cycle_three_term if k % 2 else _cycle_folded)(rng)
+            difference.clear()
+            cycle_relation_check(simplices, base)
+            cases.append((difference[0],
+                          oracles.reference_cycle_difference(simplices)))
+            for element, reference in cases:
+                assert _terms(element) == _terms(reference)
+                seen["empty"] += element.is_zero()
+        assert seen["p == p2"] > 100 and seen["q == q2"] > 100
+        assert {-1, 0, 1} <= seen["s"]
+        assert seen["zero coeff"] > 100 and seen["cut"] == 250
+        assert seen["empty"] > 100
+
+    def test_pairs_merge_repeats_in_first_seen_order(self):
+        a, b, c = (ExtendedParam(0.3 + 0.4j, i, 0) for i in range(3))
+        e = EBElement([(a, 1), (b, 2), (a, -1), (c, 1), (a, 3), (b, -2)])
+        assert list(e.terms.items()) == [(a, 3), (c, 1)]
+        assert EBElement(iter([(a, 1), (a, 1)])).terms == {a: 2}
+        assert EBElement([(a, 2), (b, 0)]) == EBElement({a: 2, b: 0})
+        for empty in (None, {}, [], [(a, 1), (a, -1)]):
+            assert EBElement(empty).is_zero()
+
+    def test_constructor_refusals(self):
+        odd = ExtendedParam(0.3 + 0.4j, 1, 2)
+        for terms in ([(odd, 0.5)], {odd: 2.0}, [(odd, 1), (odd, 1.5)]):
+            with pytest.raises(DomainError):
+                EBElement(terms)
+        with pytest.raises(DomainError):
+            2.0 * generator(0.3 + 0.4j, 1, 2)
+        # an odd index is refused in 'eep' even where its terms cancel
+        for terms in ([(odd, 1)], [(odd, 1), (odd, -1)]):
+            with pytest.raises(DomainError):
+                EBElement(terms, "eep")
+        assert EBElement({odd: 0}, "eep").is_zero()
+        with pytest.raises(ValueError) as bad_mode:
+            EBElement([], "odd")
+        assert bad_mode.type is ValueError
+
+    @pytest.mark.parametrize("build, reference, args", [
+        (generator, oracles.reference_generator, (0.3 + 0.4j, 1, 2, "eep")),
+        (generator, oracles.reference_generator, (0.3 + 0.4j, 2, 2, "odd")),
+        (generator, oracles.reference_generator, (1, 0, 0, "odd")),
+        (transfer_instance, oracles.reference_transfer_instance,
+         (0.3 + 0.4j, 0.5, 0, 1, 1)),
+        (chi, oracles.reference_chi, (-2.0,)),
+        (chi_hat, oracles.reference_chi_hat, (0.3 + 0.4j, 1)),
+        (super_transfer_rhs, oracles.reference_super_transfer_rhs, (1, 2, 3)),
+    ])
+    def test_builders_refuse_with_the_old_error_types(self, build, reference,
+                                                      args):
+        with pytest.raises(ValueError) as expected:
+            reference(*args)
+        with pytest.raises(ValueError) as got:
+            build(*args)
+        assert got.type is expected.type
+
+
 class TestNuSymbolic:
     def test_single_generator(self):
         z = 0.37 + 0.41j
@@ -381,6 +500,15 @@ class TestNuSymbolic:
 
         with pytest.raises(SymbolMatchError):
             nu_symbolic(generator(0.9 + 0.9j, 0, 0), 0.2 + 0.3j)
+
+    @pytest.mark.parametrize("base_point", [
+        (1, 0.5 + 1j), (0.3 + 0.2j, 0), (0.3 + 0.2j, 0.3 + 0.2j),
+        (0.3 + 0.2j, 1.0), (0, 0.5 + 1j), 0, 1, (0, None), (1, None),
+    ], ids=repr)
+    def test_degenerate_base_point_is_a_domain_error(self, base_point):
+        # x = 0 and y = 1 used to divide by zero in a monomial quotient
+        with pytest.raises(DomainError):
+            nu_symbolic(generator(0.3 + 0.4j, 0, 0), base_point)
 
     def test_three_equations_through_r_and_nu(self):
         rng = random.Random(5)

@@ -10,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from cvol.errors import ConvergenceError, DegenerateGeometryError
+from cvol.errors import ConvergenceError, CVolError, DegenerateGeometryError
 from cvol.gluing import _min_norm_step, gluing_equations, solve_shapes
 from cvol.polylog import bloch_wigner
 from cvol.triangulation import parse_triangulation
@@ -260,3 +260,37 @@ class TestSolveShapes:
         err = capsys.readouterr().err
         assert "error at stage solve_shapes" in err
         assert "no nonzero row" in err
+
+
+_NON_FINITE = [complex(math.nan, 1), complex(0.3, math.nan),
+               complex(math.inf, 1), complex(0.3, -math.inf)]
+
+
+class TestNonFiniteShapes:
+    """A NaN or inf shape is refused, and no solution is returned whose
+    residual is not below ``tol``: ``max`` skips a NaN that is not the
+    first entry, and ``>=`` against NaN is False."""
+
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=repr)
+    def test_refused(self, fixtures, bad, position):
+        tri = _load(fixtures, "fig8_cover3")
+        shapes = list(solve_shapes(tri).shapes)
+        shapes[position] = bad
+        with pytest.raises(DegenerateGeometryError, match="not finite"):
+            solve_shapes(tri, initial=shapes)
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_nan_residual_never_converges(self, fixtures, monkeypatch,
+                                          position):
+        # with the shape check off, the NaN residual rows still keep Newton
+        # from reporting convergence
+        from cvol import gluing
+
+        tri = _load(fixtures, "fig8_cover3")
+        shapes = list(solve_shapes(tri).shapes)
+        shapes[position] = complex(math.nan, 1)
+        monkeypatch.setattr(gluing, "_check_nondegenerate",
+                            lambda shapes, what: None)
+        with pytest.raises(CVolError):
+            solve_shapes(tri, initial=shapes)

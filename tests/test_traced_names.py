@@ -2,7 +2,9 @@
 
 ``perfbench/tracer.py`` wraps functions by (module, name) and counts a name
 that is gone as absent instead of failing, so a rename or a deletion in
-``cvol`` would silently drop that layer's figures.
+``cvol`` would silently drop that layer's figures.  It reports the time of
+each ``verify`` suite as ``verify.<suite>.s`` by the suite's name, so a
+renamed suite would read 0 without any warning.
 """
 
 import importlib
@@ -17,12 +19,17 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 KNOWN_ABSENT = {"triangulation.vertex_link_cycles"}
 
 
-def test_traced_functions_are_defined():
+def _tracer():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracer
     finally:
         sys.path.remove(str(PERFBENCH))
+    return tracer
+
+
+def test_traced_functions_are_defined():
+    tracer = _tracer()
     missing = {
         name
         for name, (module, func) in tracer.LAYER_FUNCTIONS.items()
@@ -31,3 +38,9 @@ def test_traced_functions_are_defined():
         )
     }
     assert missing <= KNOWN_ABSENT
+
+
+def test_traced_suites_are_the_verify_suites_in_order():
+    from cvol.verify import ALL_SUITES
+
+    assert _tracer().VERIFY_SUITES == tuple(s.__name__ for s in ALL_SUITES)
