@@ -181,12 +181,15 @@ class FiveTermTuple(Value):
         return five_point_shapes(complex(self.x), complex(self.y))
 
 
+def _five_term_terms(t: FiveTermTuple) -> list[tuple[ExtendedParam, int]]:
+    """The pairs ([x_i, p_i, q_i], (-1)^i) of the five-term combination."""
+    return [(ExtendedParam(shape, p, q), (-1) ** i)
+            for i, (shape, (p, q)) in enumerate(zip(t.shapes(), t.indices()))]
+
+
 def five_term_instance(t: FiveTermTuple) -> EBElement:
     """Alternating five-term combination sum_i (-1)^i [x_i, p_i, q_i]."""
-    return EBElement([
-        (ExtendedParam(shape, p, q), (-1) ** i)
-        for i, (shape, (p, q)) in enumerate(zip(t.shapes(), t.indices()))
-    ])
+    return EBElement(_five_term_terms(t))
 
 
 def transfer_instance(z: complex, p: int, q: int, p2: int, q2: int) -> EBElement:

@@ -122,9 +122,10 @@ def cmd_cvol(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_all
+    from .verify import run_parallel
 
-    results = run_all(count=args.count, seed=args.seed, tol=args.tolerance)
+    results = run_parallel(count=args.count, seed=args.seed,
+                           tol=args.tolerance)
     report = {
         "seed": args.seed,
         "count": args.count,

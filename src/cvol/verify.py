@@ -3,19 +3,34 @@
 Each suite draws deterministic pseudo-random instances and checks one family
 of identities through the computable homomorphisms: the lifted Rogers sum
 (within tolerance), the symbolic wedge image (exactly), and the (p*q mod 2)
-parity.  ``run_all`` drives every suite and is what the command line's
-``verify`` subcommand wraps.
+parity.  A suite's RNG is seeded only by ``(seed, suite name)``, so what a
+suite reports does not depend on where or in which order it runs.
+
+``run_all`` runs every suite in turn, in process: it is the reference.
+``run_parallel``, which the command line's ``verify`` subcommand calls,
+returns exactly what ``run_all`` returns, with the suites shared out over
+every CPU the process may run on, so its output does not depend on the CPU
+count.  It forks one worker per CPU beyond the first (at most one per
+suite); the workers and the calling process take suites from one queue
+until it is empty.  It runs every suite in process, as ``run_all`` does,
+when the platform has no ``os.fork`` or ``os.sched_getaffinity``, when one
+CPU is available, when the process runs other threads (forking one is
+unsafe), or when ``os.fork`` fails.  A suite whose result a worker did not
+send back (the worker died, or the suite raised) is run again in process,
+so a suite that raises raises from ``run_parallel`` too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 
 from .bloch import (
     CycleSimplex,
     EBElement,
     FiveTermTuple,
+    _five_term_terms,
     chi,
     chi_hat,
     cycle_relation_check,
@@ -139,8 +154,8 @@ def suite_five_term_eep(count: int, rng: random.Random, tol: float) -> SuiteResu
     for _ in range(count):
         x, y = random_ft_plus(rng)
         offs = tuple(2 * v for v in random_offsets(rng, bound=2))
-        base = five_term_instance(FiveTermTuple(x, y, *offs))
-        element = EBElement(base.terms, mode="eep")
+        element = EBElement(_five_term_terms(FiveTermTuple(x, y, *offs)),
+                            mode="eep")
         residual = r_of_element(element).distance_to_zero()
         out.record(residual, tol, x=x, y=y, offsets=offs)
     return out
@@ -246,10 +261,10 @@ def suite_chi(count: int, rng: random.Random, tol: float) -> SuiteResult:
     out = SuiteResult("chi", count)
     for _ in range(count):
         z = _random_shape(rng)
-        value = r_of_element(chi(z))
+        element = chi(z)
         expected = reduce_mod(0.5j * math.pi * principal_log(z), PI_SQUARED)
-        out.record(value.distance_to(expected), tol, z=z)
-        out.record_exact(nu_symbolic(chi(z), z) == NU_CHI, z=z, nu=True)
+        out.record(r_of_element(element).distance_to(expected), tol, z=z)
+        out.record_exact(nu_symbolic(element, z) == NU_CHI, z=z, nu=True)
     return out
 
 
@@ -370,10 +385,83 @@ ALL_SUITES = (
 )
 
 
+def _run_suite(suite, count: int, seed: int, tol: float) -> SuiteResult:
+    """One suite, with the RNG its name and ``seed`` determine."""
+    return suite(count, random.Random((seed, suite.__name__).__repr__()), tol)
+
+
 def run_all(count: int = 100, seed: int = 0, tol: float = 1e-9) -> list[SuiteResult]:
-    """Run every identity suite with a deterministic RNG per suite."""
-    results = []
-    for suite in ALL_SUITES:
-        rng = random.Random((seed, suite.__name__).__repr__())
-        results.append(suite(count, rng, tol))
-    return results
+    """Run every identity suite in turn, in process."""
+    return [_run_suite(suite, count, seed, tol) for suite in ALL_SUITES]
+
+
+def _take_suites(queue: int, suites, count: int, seed: int,
+                 tol: float) -> dict[int, SuiteResult]:
+    """Claim suite indices from the ``queue`` pipe, one byte each, and run
+    them until the pipe is empty."""
+    done = {}
+    while claimed := os.read(queue, 1):
+        done[claimed[0]] = _run_suite(suites[claimed[0]], count, seed, tol)
+    return done
+
+
+def run_parallel(count: int = 100, seed: int = 0,
+                 tol: float = 1e-9) -> list[SuiteResult]:
+    """``run_all``'s results, from the suites shared out over forked
+    workers and this process; see the module docstring."""
+    import pickle
+    import signal
+    import threading
+
+    suites = ALL_SUITES
+    workers = 0
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        workers = min(len(os.sched_getaffinity(0)), len(suites)) - 1
+    pids, readers = [], []
+    queue, fill = os.pipe()
+    try:
+        # fewer bytes than PIPE_BUF, so written at once; each one-byte
+        # read then claims exactly one suite
+        with open(fill, "wb") as out:
+            out.write(bytes(range(len(suites))))
+        for _ in range(workers):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                break
+            if pid == 0:
+                # a worker never returns into the caller's stack nor
+                # flushes its buffers: it leaves by os._exit, even when a
+                # suite raises, whose result then goes missing
+                try:
+                    with open(writer, "wb") as out:
+                        pickle.dump(_take_suites(queue, suites, count, seed,
+                                                 tol), out)
+                finally:
+                    os._exit(0)
+            os.close(writer)
+            pids.append(pid)
+            readers.append(reader)
+        done = _take_suites(queue, suites, count, seed, tol)
+        for reader in readers:
+            with open(reader, "rb", closefd=False) as result:
+                data = result.read()
+            try:
+                done.update(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
+                pass  # an incomplete result: its suites run again below
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in (queue, *readers):
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [done[i] if i in done else _run_suite(suite, count, seed, tol)
+            for i, suite in enumerate(suites)]
