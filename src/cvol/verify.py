@@ -50,7 +50,6 @@ from .geometry import (
     in_lift_index_family,
     lift_index_basis,
 )
-from .intlinalg import lattice_equal, solve_integer_system
 from .params import ExtendedParam
 from .polylog import PI_SQUARED, TWO_PI_SQUARED, principal_log, reduce_mod
 from .wedge import WedgeExpr
@@ -307,6 +306,9 @@ def suite_kappa(count: int, rng: random.Random, tol: float) -> SuiteResult:
 def suite_edge_kernel(count: int, rng: random.Random, tol: float) -> SuiteResult:
     """The integer kernel of the ten five-point edge relations equals the
     five-parameter index family exactly."""
+    # the one suite that needs integer linear algebra loads it
+    from .intlinalg import lattice_equal, solve_integer_system
+
     out = SuiteResult("edge_kernel", min(count, 1))
     if count <= 0:
         return out

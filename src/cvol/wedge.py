@@ -66,13 +66,17 @@ class WedgeExpr:
     def __init__(self, coeffs: Mapping[tuple[str, str], int] | None = None):
         canon: dict[tuple[str, str], int] = {}
         for (s, t), c in (coeffs or {}).items():
-            if c == 0 or s == t:
-                continue
-            if s < t:
-                canon[(s, t)] = canon.get((s, t), 0) + c
-            else:
-                canon[(t, s)] = canon.get((t, s), 0) - c
+            if s != t:
+                key, c = ((s, t), c) if s < t else ((t, s), -c)
+                canon[key] = canon.get(key, 0) + c
         self.coeffs = {k: v for k, v in canon.items() if v != 0}
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[tuple[str, str], int]) -> "WedgeExpr":
+        """Wrap ``coeffs`` as is: canonical pairs, no zero coefficient."""
+        expr = object.__new__(cls)
+        expr.coeffs = coeffs
+        return expr
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -110,14 +114,8 @@ class WedgeExpr:
 
 def wedge(a: SymbolVector, b: SymbolVector) -> WedgeExpr:
     """Bilinear expansion of a ^ b with a ^ a = 0 and a ^ b = -(b ^ a)."""
-    out: dict[tuple[str, str], int] = {}
-    for s, cs in a.coeffs.items():
-        for t, ct in b.coeffs.items():
-            if s == t:
-                continue
-            key, val = ((s, t), cs * ct) if s < t else ((t, s), -cs * ct)
-            out[key] = out.get(key, 0) + val
-    return WedgeExpr(out)
+    return WedgeExpr({(s, t): cs * ct for s, cs in a.coeffs.items()
+                      for t, ct in b.coeffs.items()})
 
 
 def combine(terms: Iterable[tuple[int, WedgeExpr]]) -> WedgeExpr:

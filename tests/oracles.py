@@ -10,10 +10,11 @@ in the vertex links from the gluings alone, sharing no code with the state
 graph that the flattening solver prunes its kernel with.  ``nu_reference``
 is the symbolic wedge map written generator by generator on
 ``SymbolVector``s, ``wedge`` and ``combine``; ``nu_symbolic`` computes the
-same exact image on flat integer vectors.  ``r_sum_reference`` is the
+same exact image from wedge tables built at import.  ``r_sum_reference`` is the
 lifted Rogers sum as one ``lifted_rogers_raw`` per generator, the loop
 ``r_of_element`` ran before generators sharing a shape shared their
-logarithms.  ``relabel_document`` renames the
+logarithms; ``rogers_sum_mp`` is the same sum in 50-digit mpmath, for
+the rounding of the float one.  ``relabel_document`` renames the
 tetrahedra and vertices of a triangulation document, for checks that a
 result does not depend on the labels.  ``reference_edge_classes``,
 ``reference_path_passes`` and ``reference_link_arcs`` are the earlier walks
@@ -259,6 +260,24 @@ def r_sum_reference(e) -> complex:
     for param, coeff in e.terms.items():
         total += coeff * lifted_rogers_raw(param.numeric_z(), param.p, param.q)
     return total
+
+
+def rogers_sum_mp(terms, dps: int = 50):
+    """sum coeff * R(z; p, q) over {generator: coeff}, summed in ``dps``
+    digits from each generator's float z and its integers:
+    Li2(z) + log z log(1-z) / 2 + (pi i / 2)(p log(1-z) + q log z) - pi^2/6
+    on principal branches, Li2 by ``mpmath.polylog``.  Compare with it
+    inside ``mpmath.workdps(dps)``."""
+    with mpmath.workdps(dps):
+        total = mpmath.mpc(0)
+        for param, coeff in terms.items():
+            z = mpmath.mpc(param.numeric_z())
+            log_z, log_1mz = mpmath.log(z), mpmath.log(1 - z)
+            total += coeff * (mpmath.polylog(2, z) + log_z * log_1mz / 2
+                              + mpmath.j * mpmath.pi / 2
+                              * (param.p * log_1mz + param.q * log_z)
+                              - mpmath.pi ** 2 / 6)
+        return total
 
 
 def relabel_document(doc: dict, rng) -> dict:

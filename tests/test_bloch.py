@@ -504,11 +504,15 @@ class TestNuSymbolic:
     @pytest.mark.parametrize("base_point", [
         (1, 0.5 + 1j), (0.3 + 0.2j, 0), (0.3 + 0.2j, 0.3 + 0.2j),
         (0.3 + 0.2j, 1.0), (0, 0.5 + 1j), 0, 1, (0, None), (1, None),
+        (-2.0, -2.0),
     ], ids=repr)
     def test_degenerate_base_point_is_a_domain_error(self, base_point):
-        # x = 0 and y = 1 used to divide by zero in a monomial quotient
-        with pytest.raises(DomainError):
-            nu_symbolic(generator(0.3 + 0.4j, 0, 0), base_point)
+        # x = 0 and y = 1 used to divide by zero in a monomial quotient;
+        # the base point is refused whatever the element
+        for element in (generator(0.3 + 0.4j, 0, 0), EBElement(),
+                        kappa_element(0.3 + 0.4j)):
+            with pytest.raises(DomainError):
+                nu_symbolic(element, base_point)
 
     def test_three_equations_through_r_and_nu(self):
         rng = random.Random(5)
@@ -567,6 +571,42 @@ def _nu_cases(rng: random.Random):
         yield element - generator(y / x, offsets[1] - offsets[0], 0), (x, y)
 
 
+def _monomial_values(x: complex, y: complex) -> list[complex]:
+    return [value for value, _ in oracles._reference_candidates(x, y)[0]]
+
+
+def _shared_base_cases(rng: random.Random):
+    """(base point, elements) pairs, 40 elements at each base point, built
+    from a pool of generators whose z and 1-z are monomials there: a
+    complex x; a real x on a cut ray, every generator tagged; the ten
+    monomial values of an FT+ point (x, y); the same with y real on a cut
+    ray.  Shapes repeat with other indices, and some coefficient sums
+    vanish."""
+    for _ in range(15):
+        x, cut_x = _random_shape(rng), _random_cut_value(rng)
+        fx, fy = random_ft_plus(rng)
+        cx, cy = _random_shape(rng), _random_cut_value(rng)
+        for base, pool in (
+            (x, [(x, None), (1 - x, None)]),
+            (cut_x, [(v, side) for v in (cut_x, 1 - cut_x)
+                     for side in (1, -1)]),
+            ((fx, fy), [(v, None) for v in _monomial_values(fx, fy)]),
+            ((cx, cy), [(v, None) if v.imag else (v, rng.choice((1, -1)))
+                        for v in _monomial_values(cx, cy)]),
+        ):
+            elements = []
+            for _ in range(40):
+                picks = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+                terms = [(ExtendedParam(z, *_indices(rng), side),
+                          rng.randint(-3, 3)) for z, side in picks]
+                # the first shapes again with shifted indices and opposite
+                # coefficients, so that their coefficient sums vanish
+                terms += [(param.shifted(1, -2), -c)
+                          for param, c in terms[:rng.randint(0, 2)]]
+                elements.append(EBElement(terms))
+            yield base, elements
+
+
 class TestNuAgainstReference:
     def test_equals_generator_by_generator_image(self):
         nonzero = 0
@@ -585,6 +625,54 @@ class TestNuAgainstReference:
                 nu(element, (0.2 + 0.3j, 0.5 + 1j))
 
 
+class TestNuHomomorphism:
+    """nu is additive on elements at one base point, and its refusals do
+    not depend on how the generators are grouped."""
+
+    def test_sum_negation_and_multiples(self, monkeypatch):
+        original = bloch._decompose
+        corrections = []
+        monkeypatch.setattr(bloch, "_decompose", lambda z, cands: (
+            corrections.append(r := original(z, cands)) or r))
+        rng = random.Random(43)
+        repeated = vanishing = 0
+        for base, elements in _shared_base_cases(random.Random(42)):
+            images = [nu_symbolic(e, base) for e in elements]
+            for a, nu_a in zip(elements, images):
+                b = rng.choice(elements)
+                assert nu_symbolic(a + b, base) == nu_a + nu_symbolic(b, base)
+                assert nu_symbolic(-a, base) == -nu_a
+                n = rng.choice((-3, -1, 0, 2, 5))
+                assert nu_symbolic(n * a, base) == n * nu_a
+                sums = {}
+                for param, coeff in a.terms.items():
+                    sums.setdefault(param.numeric_z(), []).append(coeff)
+                repeated += any(len(cs) > 1 for cs in sums.values())
+                vanishing += any(sum(cs) == 0 for cs in sums.values())
+        # of 2400 elements; the decompositions count every nu call
+        assert repeated >= 1500 and vanishing >= 1000
+        assert sum(ka != 0 for _, ka, _, _ in corrections) >= 1500
+        assert sum(kb != 0 for _, _, _, kb in corrections) >= 1500
+
+    def test_unmatched_values_are_refused_inside_any_sum(self):
+        from cvol.errors import SymbolMatchError
+
+        z = 0.3 + 0.4j
+        # 5e-10 lies within the match radius of the base point 1e-12, but
+        # its log is not log(1e-12) plus a multiple of pi i
+        for element, base, message in (
+            (generator(0.9 + 0.9j, 0, 0), z, "not a known monomial"),
+            (generator(5e-10, 0, 0), 1e-12, "not an integer"),
+        ):
+            for whole in (element, element + chi(z) - chi(z),
+                          element + transfer_instance(z, 1, 2, 3, 4),
+                          3 * element):
+                with pytest.raises(SymbolMatchError, match=message):
+                    nu_symbolic(whole, base)
+                with pytest.raises(SymbolMatchError):
+                    nu_reference(whole, base)
+
+
 class TestSuitesCatchFaults:
     def test_dilog_off_by_1e7_fails_five_term_rogers(self, monkeypatch):
         assert suite_five_term_rogers(20, random.Random(0), 1e-9).passed
@@ -596,14 +684,31 @@ class TestSuitesCatchFaults:
 
     def test_branch_correction_off_by_one_fails_five_term_nu(self, monkeypatch):
         assert suite_five_term_nu(20, random.Random(0), 1e-9).passed
-        original = bloch._log_vector
+        original = bloch._decompose
 
-        def off_by_one(*args):
-            vec = original(*args)
-            return (*vec[:-1], vec[-1] + 1)
+        def off_by_one(z, cands):
+            i, ka, j, kb = original(z, cands)
+            return [i, ka + 1, j, kb + 1]
 
-        monkeypatch.setattr(bloch, "_log_vector", off_by_one)
+        monkeypatch.setattr(bloch, "_decompose", off_by_one)
         assert not suite_five_term_nu(20, random.Random(0), 1e-9).passed
+
+    def test_dropped_one_minus_z_correction_is_caught(self, monkeypatch):
+        # no identity suite draws a nonzero branch correction, so no suite
+        # sees this fault; the reference does, on cut-tagged generators
+        cases = list(_shared_base_cases(random.Random(41)))
+        assert all(nu_symbolic(e, base) == nu_reference(e, base)
+                   for base, elements in cases for e in elements)
+        original = bloch._decompose
+
+        def drop_kb(z, cands):
+            i, ka, j, kb = original(z, cands)
+            return [i, ka, j, 0]
+
+        monkeypatch.setattr(bloch, "_decompose", drop_kb)
+        wrong = sum(nu_symbolic(e, base) != nu_reference(e, base)
+                    for base, elements in cases for e in elements)
+        assert wrong >= 200  # of 2400
 
 
 class TestSharedShapeSum:

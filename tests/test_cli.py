@@ -387,6 +387,19 @@ class TestOtherCommands:
         assert result.stdout == (golden / "verify-seed0.json").read_text()
         assert result.stderr.strip() == "[]"
 
+    def test_only_the_edge_kernel_suite_loads_integer_linear_algebra(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import random, sys, cvol.verify as v; "
+             "print('cvol.intlinalg' in sys.modules); "
+             "v.suite_edge_kernel(1, random.Random(0), 1e-9); "
+             "print('cvol.intlinalg' in sys.modules)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "True"]
+
 
 #: ``cvol.__all__`` when the package imported every submodule eagerly
 PACKAGE_NAMES = {

@@ -6,8 +6,10 @@ import json
 import math
 import pathlib
 import random
+import sys
 import types
 
+import mpmath
 import pytest
 
 from cvol import flattening
@@ -39,7 +41,12 @@ from cvol.intlinalg import (
     solve_integer_system,
 )
 from cvol.params import ExtendedParam
-from cvol.polylog import PI_SQUARED, bloch_wigner, reduce_mod
+from cvol.polylog import (
+    PI_SQUARED,
+    bloch_wigner,
+    lifted_rogers_sum,
+    reduce_mod,
+)
 from cvol.triangulation import parse_triangulation, path_terms
 from cvol.verify import random_ft_plus
 
@@ -52,6 +59,7 @@ from oracles import (
     reference_beta,
     reference_prune_kernel,
     relabel_document,
+    rogers_sum_mp,
     xi,
 )
 
@@ -707,6 +715,29 @@ class TestComplexVolume:
         cs = reduce_mod(complex(-value.real, 0.0), PI_SQUARED).value.real
         assert complex_volume(tri, shapes, assignment) == (
             value.imag, snap_cs(cs, tri.num_tetrahedra))
+
+    @pytest.mark.parametrize("name", ["fig8_cover8", "fig8_cover32"])
+    def test_rogers_sum_against_mpmath(self, name):
+        # the float Rogers sum behind complex_volume against a 50-digit
+        # one over the same float shapes and flattening integers: vol and
+        # the unsnapped cs stay within T eps pi^2, one ulp of pi^2 per
+        # tetrahedron (1.4e-13 at T = 64, where the errors are 1.9e-14
+        # and 3.9e-15; 3.5e-14 at T = 16, where both are 2.5e-15)
+        tri = _load(name)
+        shapes = solve_shapes(tri).shapes
+        assignment = solve_flattenings(tri, shapes)
+        terms = assignment.signed_terms()
+        value = reduce_mod(lifted_rogers_sum(terms), PI_SQUARED).value
+        vol, _ = complex_volume(tri, shapes, assignment)
+        assert vol == value.imag
+        cs = reduce_mod(complex(-value.real, 0.0), PI_SQUARED).value.real
+        bound = tri.num_tetrahedra * sys.float_info.epsilon * PI_SQUARED
+        with mpmath.workdps(50):
+            exact = rogers_sum_mp(terms, 50)
+            assert abs(vol - exact.imag) <= bound
+            # cs against -Re(exact), as classes modulo pi^2
+            gap, pi2 = cs + exact.real, mpmath.pi ** 2
+            assert abs(gap - pi2 * mpmath.nint(gap / pi2)) <= bound
 
     def test_snap_just_below_pi_squared(self):
         assert snap_cs(math.nextafter(PI_SQUARED, 0.0), 2) == 0.0
