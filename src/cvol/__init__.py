@@ -23,9 +23,10 @@ import types
 _EXPORTS = {
     "bloch": (
         "CycleSimplex", "EBElement", "FiveTermTuple", "chi", "chi_hat",
-        "cycle_relation_check", "epsilon_parity", "five_term_instance",
-        "generator", "kappa_element", "nu_symbolic", "r_of_element",
-        "super_transfer_rhs", "transfer_instance",
+        "cycle_relation_check", "epsilon_parity",
+        "five_point_edge_conditions", "five_point_shapes",
+        "five_term_instance", "generator", "kappa_element", "nu_symbolic",
+        "r_of_element", "super_transfer_rhs", "transfer_instance",
     ),
     "errors": (
         "ConvergenceError", "CVolError", "DegenerateGeometryError",
@@ -33,21 +34,18 @@ _EXPORTS = {
         "SymbolMatchError", "TriangulationError",
     ),
     "flattening": (
-        "FlatteningAssignment", "JComplex", "build_j_complex",
-        "complex_volume", "fundamental_element", "homology_of_j",
+        "FlatteningAssignment", "complex_volume", "fundamental_element",
         "integral_defect", "omega", "solve_flattenings",
     ),
-    "geometry": (
-        "IdealSimplexShape", "five_point_edge_conditions",
-        "five_point_shapes", "flatten", "unflatten",
-    ),
+    "geometry": ("IdealSimplexShape",),
     "gluing": (
         "GluingSystem", "ShapeSolution", "gluing_equations", "solve_shapes",
     ),
+    "jcomplex": ("JComplex", "build_j_complex", "homology_of_j"),
     "params": ("ExtendedParam", "Flattening"),
     "polylog": (
-        "ModPiSquared", "bloch_wigner", "dilog", "lifted_rogers",
-        "principal_log", "reduce_mod", "rogers",
+        "ModPiSquared", "bloch_wigner", "dilog", "flatten", "lifted_rogers",
+        "principal_log", "reduce_mod", "rogers", "unflatten",
     ),
     "triangulation": (
         "Combinatorics", "EdgeClass", "NormalPath", "PathStep",

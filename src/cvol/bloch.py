@@ -15,6 +15,12 @@ separating computable homomorphisms:
 * ``epsilon_parity`` -- the (p*q mod 2) homomorphism that detects the
                         order-two element kappa.
 
+Five-point configurations: five points on the sphere at infinity span five
+ideal simplices whose shapes are ``five_point_shapes``; one walk of the ten
+connecting edges (``FIVE_POINT_EDGES``) gives their signed log-parameter
+sums (``five_point_edge_conditions``) and integer rows
+(``five_point_edge_rows``), both through ``cvol.geometry.pass_rows``.
+
 ``five_term_instance`` produces the alternating five-term combination for a
 base point with y in the upper half plane and x inside the triangle 0,1,y
 (where all five shapes are in the upper half plane), shifted by the
@@ -28,6 +34,7 @@ import cmath
 import math
 import operator
 from collections.abc import Iterable, Mapping
+from itertools import combinations
 
 from .errors import (
     DegenerateGeometryError,
@@ -35,14 +42,8 @@ from .errors import (
     NonIntegralError,
     SymbolMatchError,
 )
-from .geometry import (
-    derived_indices,
-    five_point_shapes,
-    in_ft_plus,
-    pass_rows,
-    slot_values,
-)
-from .params import ExtendedParam, Value
+from .geometry import EDGE_SLOT, pass_rows
+from .params import ExtendedParam, Flattening, Value
 from .polylog import (
     MODULI,
     ModPiSquared,
@@ -51,6 +52,7 @@ from .polylog import (
     lifted_rogers_sum,
     principal_log,
     reduce_mod,
+    slot_values,
 )
 from .wedge import WedgeExpr, sym, wedge
 
@@ -418,3 +420,104 @@ def cycle_relation_check(
     r_ok = r_of_element(difference).distance_to_zero() < tol
     nu_ok = nu_symbolic(difference, base_point).is_zero()
     return r_ok and nu_ok
+
+
+# ---------------------------------------------------------------------------
+# Five-point configurations
+# ---------------------------------------------------------------------------
+
+def five_point_shapes(x: complex, y: complex) -> tuple[complex, ...]:
+    """Cross-ratios (x0..x4) of the five simplices spanned by five points,
+    expressed through x = x0 and y = x1."""
+    x, y = complex(x), complex(y)
+    if x == y:
+        raise DegenerateGeometryError("five-point configuration needs x != y")
+    if x == 0 or y == 1:  # x0 = 0 or x1 = 1; later shapes divide by 0
+        raise DegenerateGeometryError("five-point shape hits {0, 1, inf}")
+    shapes = (
+        x,
+        y,
+        y / x,
+        y * (1 - x) / (x * (1 - y)),
+        (1 - x) / (1 - y),
+    )
+    for s in shapes:
+        if s == 0 or s == 1 or not cmath.isfinite(s):
+            raise DegenerateGeometryError("five-point shape hits {0, 1, inf}")
+    return shapes
+
+
+def in_ft_plus(x: complex, y: complex) -> bool:
+    """True when y is in the upper half plane and x lies strictly inside the
+    triangle with vertices 0, 1, y (so all five shapes are in the upper
+    half plane)."""
+    if y.imag <= 0:
+        return False
+    c = x.imag / y.imag
+    b = x.real - c * y.real
+    a = 1.0 - b - c
+    return min(a, b, c) > 0
+
+
+#: edge (a, b) of a five-point configuration -> (simplex i, slot of the
+#: edge in simplex i) over the three simplices containing it; simplex i
+#: omits point i and renumbers the other four in order
+FIVE_POINT_EDGES = {
+    (a, b): [(i, EDGE_SLOT[(a - (a > i), b - (b > i))])
+             for i in range(5) if i not in (a, b)]
+    for a, b in combinations(range(5), 2)
+}
+
+
+def five_point_edge_conditions(
+    flats: tuple[Flattening, ...],
+    signs: tuple[int, ...] = (1, -1, 1, -1, 1),
+) -> dict[tuple[int, int], complex]:
+    """Signed three-term log-parameter sum over each of the ten edges of a
+    five-point configuration; all ten vanish exactly when the flattenings
+    satisfy the flattening condition."""
+    if len(flats) != 5 or len(signs) != 5:
+        raise ValueError("need five flattenings and five signs")
+    values = [(f.w0, f.w1, f.w2) for f in flats]
+    return {
+        edge: pass_rows([(i, s, signs[i]) for i, s in terms], values).value
+        for edge, terms in FIVE_POINT_EDGES.items()
+    }
+
+
+def five_point_edge_rows() -> dict[tuple[int, int], list[int]]:
+    """Integer coefficient rows of the ten edge conditions in the unknowns
+    (p0..p4, q0..q4): the sparse ``pass_rows`` row of each edge, with
+    alternating signs, laid out densely as all p's, then all q's."""
+    rows: dict[tuple[int, int], list[int]] = {}
+    for edge, terms in FIVE_POINT_EDGES.items():
+        pq = pass_rows([(i, slot, (-1) ** i) for i, slot in terms]).pq
+        rows[edge] = [pq.get(2 * i + k, 0) for k in (0, 1) for i in range(5)]
+    return rows
+
+
+def lift_index_basis() -> list[list[int]]:
+    """Basis of the five-parameter index family: rows are the (p0..p4,
+    q0..q4) vectors obtained from unit choices of the free indices
+    (p0, p1, q0, q1, q2) with the dependent ones filled in."""
+    basis = []
+    for free in range(5):
+        p0, p1, q0, q1, q2 = (1 if i == free else 0 for i in range(5))
+        basis.append(derived_indices(p0, p1, q0, q1, q2))
+    return basis
+
+
+def derived_indices(p0: int, p1: int, q0: int, q1: int, q2: int) -> list[int]:
+    """Full index vector (p0..p4, q0..q4) from the five free indices."""
+    p2 = p1 - p0
+    p3 = p1 - p0 + q1 - q0
+    q3 = q2 - q1
+    p4 = q1 - q0
+    q4 = q2 - q1 - p0
+    return [p0, p1, p2, p3, p4, q0, q1, q2, q3, q4]
+
+
+def in_lift_index_family(vec: list[int]) -> bool:
+    """Membership test for the index lattice of ``lift_index_basis``."""
+    p0, p1, p2, p3, p4, q0, q1, q2, q3, q4 = vec
+    return vec == derived_indices(p0, p1, q0, q1, q2)

@@ -14,8 +14,9 @@ Output is text or JSON; JSON field order is fixed and floats use the
 shortest round-trip decimal, so identical inputs (and seeds) give
 byte-identical output.  Exit code 0 means every requested check passed.
 A command loads and computes only what it prints: each handler imports the
-modules it uses, so ``verify`` loads no triangulation code and ``cvol`` no
-Bloch-group or wedge code, and only ``flatten`` prunes the flattening kernel.
+modules it uses, so ``verify`` loads no triangulation code, ``cvol`` no
+Bloch-group or wedge code, ``homology`` and ``edges`` no logarithm, and only
+``flatten`` prunes the flattening kernel.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    from .flattening import build_j_complex, h1_mod2, homology_of_j
+    from .jcomplex import build_j_complex, h1_mod2, homology_of_j
 
     tri = _stage("parse", _load, args.file)
     jc = build_j_complex(tri)

@@ -1,4 +1,5 @@
-"""Branch-correct logarithms, the dilogarithm, and the Rogers dilogarithm.
+"""Branch-correct logarithms, flattenings, the dilogarithm, and the Rogers
+dilogarithm.
 
 All functions use the principal branch with arg in (-pi, pi].  The central
 object is the lifted Rogers function
@@ -8,6 +9,15 @@ object is the lifted Rogers function
 which is well defined modulo pi^2 (modulo 2*pi^2 when p and q are even).
 Values modulo a real lattice pi^2*Z or 2*pi^2*Z are wrapped in
 ``ModPiSquared``.
+
+A flattening refines a shape by a choice of log branches: the map
+
+    flatten(z; p, q) = (log z + p*pi*i, -log(1-z) + q*pi*i,
+                        log(1-z) - log z - (p+q)*pi*i)
+
+is a bijection onto zero-sum log-parameter triples, inverted by
+``unflatten``; ``slot_values`` gives the triples in the per-tetrahedron form
+that ``cvol.geometry.pass_rows`` sums.
 
 ``bloch_wigner`` is the classical two-variable volume function
 D(z) = Im Li2(z) + arg(1-z) * log|z|; it serves as an independent oracle for
@@ -20,8 +30,8 @@ import cmath
 import math
 from collections.abc import Iterable
 
-from .errors import DomainError
-from .params import ExtendedParam, Value
+from .errors import DomainError, NonIntegralError
+from .params import ExtendedParam, Flattening, Value
 
 PI = math.pi
 PI_SQUARED = math.pi * math.pi
@@ -79,6 +89,57 @@ def principal_log(z: complex) -> complex:
     if z == 0:
         raise DomainError("logarithm of zero")
     return cmath.log(z)
+
+
+def flatten(param: ExtendedParam) -> Flattening:
+    """Log-parameter triple of (z; p, q); the zero-sum is exact because the
+    third component is derived."""
+    z = param.numeric_z()
+    w0 = principal_log(z) + 1j * math.pi * param.p
+    w1 = -principal_log(1 - z) + 1j * math.pi * param.q
+    return Flattening.from_components(w0, w1)
+
+
+def slot_values(
+    params: Iterable[ExtendedParam],
+) -> list[tuple[complex, complex, complex]]:
+    """Flattening components (w0, w1, w2) per parameter, for ``pass_rows``."""
+    return [(f.w0, f.w1, f.w2) for f in map(flatten, params)]
+
+
+
+def unflatten(w: Flattening, tol: float = 1e-9) -> ExtendedParam:
+    """Recover (z; p, q) from a flattening using z = +-e^{w0} and
+    1 - z = +-e^{-w1}; non-integer branch residuals are rejected."""
+    ez = cmath.exp(w.w0)
+    em = cmath.exp(-w.w1)
+    scale = max(1.0, abs(ez), abs(em))
+    best = None
+    for sz in (1.0, -1.0):
+        for sm in (1.0, -1.0):
+            z = sz * ez
+            one_minus = sm * em
+            err = abs(z + one_minus - 1.0)
+            if best is None or err < best[0]:
+                best = (err, z)
+    err, z = best
+    if err > tol * scale:
+        raise NonIntegralError("flattening does not exponentiate to a shape")
+    if abs(z.imag) <= 1e-14 * max(1.0, abs(z)):
+        z = complex(z.real, 0.0)  # roundoff from exp(log z)
+    if z == 0 or z == 1:
+        raise DomainError("flattening exponentiates to a degenerate shape")
+    p_float = (w.w0 - principal_log(z)) / (1j * math.pi)
+    q_float = (w.w1 + principal_log(1 - z)) / (1j * math.pi)
+    p, q = round(p_float.real), round(q_float.real)
+    if abs(p_float - p) > tol or abs(q_float - q) > tol:
+        raise NonIntegralError(
+            "branch residuals (%r, %r) are not integers" % (p_float, q_float)
+        )
+    cut_side = None
+    if z.imag == 0.0 and (z.real < 0 or z.real > 1):
+        cut_side = +1
+    return ExtendedParam(z, p, q, cut_side)
 
 
 def _reject_dilog_cut(z: complex) -> complex:

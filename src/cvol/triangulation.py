@@ -22,7 +22,7 @@ each ordered vertex pair.  What derives from the gluings and the cusp
 paths is computed once per triangulation, by ``parse_triangulation``, into
 a named tuple ``Combinatorics``: the edge classes with the faces crossed
 on the walk around each edge (``edge_loop`` and the face rows of
-``cvol.flattening.h1_mod2`` read them), the vertex classes, the
+``cvol.jcomplex.h1_mod2`` read them), the vertex classes, the
 orientation signs, the (tet, vertex) -> vertex lookup, and the edge and
 cusp-path conditions as (tet, slot, weight) terms (``edge_terms``,
 ``cusp_terms``).  A cusp path that leaves its vertex link fails there, at
@@ -182,6 +182,7 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
 
 
 _STEP_KEYS = set(PathStep._fields)
+_GLUING_KEYS = {"tet", "perm"}
 
 
 def _is_int(value) -> bool:
@@ -237,9 +238,22 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
             raise TriangulationError(f"tetrahedron {t} needs exactly 4 gluings")
         row = []
         for f, g in enumerate(raw):
+            # a well-formed gluing, checked without building messages; any
+            # other goes through the checks below, which name the fault
+            if (
+                type(g) is dict
+                and g.keys() == _GLUING_KEYS
+                and type(target := g["tet"]) is int
+                and 0 <= target < len(tets)
+                and type(perm := g["perm"]) is list
+                and all(type(v) is int for v in perm)
+                and (key := tuple(perm)) in _PERM_PARITY
+            ):
+                row.append(Gluing(target, key))
+                continue
             if not isinstance(g, dict):
                 raise TriangulationError(f"gluing ({t},{f}) must be an object")
-            _require_keys(g, {"tet", "perm"}, {"tet", "perm"}, f"gluing ({t},{f})")
+            _require_keys(g, _GLUING_KEYS, _GLUING_KEYS, f"gluing ({t},{f})")
             target, perm = g["tet"], g["perm"]
             if not _is_int(target) or not 0 <= target < len(tets):
                 raise TriangulationError(f"gluing ({t},{f}) targets bad tet")

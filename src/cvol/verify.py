@@ -35,21 +35,19 @@ from .bloch import (
     chi_hat,
     cycle_relation_check,
     epsilon_parity,
+    five_point_edge_rows,
     five_term_instance,
     generator,
+    in_lift_index_family,
     indexed_element,
     kappa_element,
+    lift_index_basis,
     nu_symbolic,
     r_of_element,
     super_transfer_rhs,
     transfer_instance,
 )
 from .errors import NonIntegralError
-from .geometry import (
-    five_point_edge_rows,
-    in_lift_index_family,
-    lift_index_basis,
-)
 from .params import ExtendedParam
 from .polylog import PI_SQUARED, TWO_PI_SQUARED, principal_log, reduce_mod
 from .wedge import WedgeExpr

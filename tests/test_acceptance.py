@@ -18,30 +18,26 @@ from cvol.bloch import (
     chi_hat,
     cycle_relation_check,
     epsilon_parity,
+    five_point_edge_rows,
     five_term_instance,
     generator,
+    in_lift_index_family,
     kappa_element,
+    lift_index_basis,
     nu_symbolic,
     r_of_element,
     super_transfer_rhs,
 )
 from cvol.flattening import (
     _prune_kernel,
-    build_j_complex,
     complex_volume,
-    h1_mod2,
-    homology_of_j,
     integral_defect,
     omega,
     solve_flattenings,
 )
-from cvol.geometry import (
-    five_point_edge_rows,
-    in_lift_index_family,
-    lift_index_basis,
-)
 from cvol.gluing import solve_shapes
 from cvol.intlinalg import AbelianGroup, lattice_equal, solve_integer_system
+from cvol.jcomplex import build_j_complex, h1_mod2, homology_of_j
 from cvol.polylog import PI_SQUARED, bloch_wigner, principal_log, reduce_mod
 from cvol.triangulation import parse_triangulation
 from cvol.verify import random_ft_plus, random_offsets

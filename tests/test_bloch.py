@@ -16,6 +16,7 @@ from cvol.bloch import (
     chi_hat,
     cycle_relation_check,
     epsilon_parity,
+    five_point_shapes,
     five_term_instance,
     generator,
     kappa_element,
@@ -25,7 +26,6 @@ from cvol.bloch import (
     transfer_instance,
 )
 from cvol.errors import DegenerateGeometryError, DomainError
-from cvol.geometry import five_point_shapes
 from cvol.params import ExtendedParam
 from cvol.polylog import (
     MODULI,

@@ -345,9 +345,11 @@ class TestOtherCommands:
     @pytest.mark.parametrize(
         "command,fixture,unloaded",
         [("homology", "fig8_cover8.json", ("bloch", "wedge", "gluing",
-                                           "verify")),
+                                           "verify", "flattening", "polylog")),
          ("cvol", "fig8.json", ("bloch", "wedge", "verify")),
-         ("flatten", "fig8.json", ("bloch", "wedge", "verify"))],
+         ("flatten", "fig8.json", ("bloch", "wedge", "verify")),
+         ("edges", "fig8.json", ("flattening", "gluing", "polylog",
+                                 "intlinalg", "bloch", "wedge", "verify"))],
     )
     def test_command_loads_only_what_it_runs(self, command, fixture,
                                              unloaded):
@@ -416,8 +418,9 @@ PACKAGE_NAMES = {
     "five_point_edge_conditions", "five_point_shapes", "five_term_instance",
     "flatten", "flattening", "fundamental_element", "generator", "geometry",
     "gluing", "gluing_equations", "homology_of_j", "integral_defect",
-    "intlinalg", "is_zero", "kappa_element", "lifted_rogers", "nu_symbolic",
-    "omega", "orientation_signs", "params", "parse_triangulation",
+    "intlinalg", "is_zero", "jcomplex", "kappa_element", "lifted_rogers",
+    "nu_symbolic", "omega", "orientation_signs", "params",
+    "parse_triangulation",
     "path_passes", "polylog", "principal_log", "r_of_element", "reduce_mod",
     "rogers", "solve_flattenings", "solve_shapes", "super_transfer_rhs",
     "sym", "transfer_instance", "triangulation", "unflatten", "wedge",
@@ -426,7 +429,8 @@ PACKAGE_NAMES = {
 #: the names in ``PACKAGE_NAMES`` that are submodules; ``wedge`` is the
 #: function ``cvol.wedge.wedge``
 PACKAGE_MODULES = {"bloch", "errors", "flattening", "geometry", "gluing",
-                   "intlinalg", "params", "polylog", "triangulation"}
+                   "intlinalg", "jcomplex", "params", "polylog",
+                   "triangulation"}
 
 RESOLVE_NAMES = """
 import json, sys, types

@@ -22,11 +22,8 @@ from cvol.bloch import (
 )
 from cvol.errors import NonIntegralError
 from cvol.flattening import (
-    build_j_complex,
     complex_volume,
     fundamental_element,
-    h1_mod2,
-    homology_of_j,
     integral_defect,
     omega,
     snap_cs,
@@ -40,10 +37,12 @@ from cvol.intlinalg import (
     smith_invariant_factors,
     solve_integer_system,
 )
+from cvol.jcomplex import build_j_complex, h1_mod2, homology_of_j
 from cvol.params import ExtendedParam
 from cvol.polylog import (
     PI_SQUARED,
     bloch_wigner,
+    flatten,
     lifted_rogers_sum,
     reduce_mod,
 )
@@ -230,7 +229,7 @@ class TestStarredMapsShareSmithForms:
             smith_invariant_factors(jc.alpha)
 
     def test_homology_takes_two_smith_forms(self, fig8_cover3, monkeypatch):
-        import cvol.flattening as flattening
+        import cvol.jcomplex as jcomplex
 
         seen = []
 
@@ -238,7 +237,7 @@ class TestStarredMapsShareSmithForms:
             seen.append(m)
             return smith_invariant_factors(m)
 
-        monkeypatch.setattr(flattening, "smith_invariant_factors", counted)
+        monkeypatch.setattr(jcomplex, "smith_invariant_factors", counted)
         jc = build_j_complex(fig8_cover3)
         groups = homology_of_j(jc)
         assert seen == [jc.alpha, jc.beta]
@@ -262,8 +261,6 @@ class TestOmega:
         # w1 e0 - w0 e1 = w2 e1 - w1 e2 after the slot relations
         rng = random.Random(1)
         z = complex(rng.uniform(0.1, 0.9), rng.uniform(0.2, 1.0))
-        from cvol.geometry import flatten
-
         w = flatten(ExtendedParam(z, rng.randint(-3, 3), rng.randint(-3, 3)))
         a0, a1 = xi(w)
         # w2 e1 - w1 e2 with e2 = -e0 - e1: coords (w1, w2 + w1) = (w1, -w0)
@@ -388,7 +385,7 @@ class TestSolveFlattenings:
         assert a.pq() == b.pq()
 
     def test_perturbed_assignment_breaks_conditions(self, fig8, fig8_shapes):
-        from cvol.geometry import EDGE_SLOT, flatten
+        from cvol.geometry import EDGE_SLOT
         from cvol.triangulation import edge_classes, path_passes
 
         assignment = solve_flattenings(fig8, fig8_shapes)

@@ -8,22 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvol.errors import DegenerateGeometryError, NonIntegralError
-from cvol.geometry import (
-    IdealSimplexShape,
+from cvol.bloch import (
     derived_indices,
     five_point_edge_conditions,
     five_point_edge_rows,
     five_point_shapes,
-    flatten,
     in_ft_plus,
     in_lift_index_family,
     lift_index_basis,
-    pass_rows,
-    unflatten,
 )
+from cvol.errors import DegenerateGeometryError, NonIntegralError
+from cvol.geometry import IdealSimplexShape, pass_rows
 from cvol.intlinalg import lattice_equal, solve_integer_system
 from cvol.params import ExtendedParam, Flattening
+from cvol.polylog import flatten, unflatten
 from cvol.verify import random_ft_plus
 
 from oracles import (

@@ -36,6 +36,19 @@ DELETE = object()
 GLUING = ("tetrahedra", 0, "gluings")
 STEP = ("cusp_paths", 0, 0)
 
+#: (place of a 0 or 1 in a fig8 document, message when it is a boolean);
+#: the ids where0..where5 predate the cases of perm[1] to perm[3]
+PERM_MESSAGE = "gluing (0,0) needs a permutation of 0..3"
+BOOLEAN_CASES = [
+    (GLUING + (0, "tet"), "gluing (0,0) targets bad tet"),
+    (GLUING + (0, "perm", 0), PERM_MESSAGE),
+    (STEP[:2] + (1, "tet"), "cusp path 0 step 1: ints required"),
+    (STEP + ("enter_face",), "cusp path 0 step 0: ints required"),
+    (STEP[:2] + (1, "exit_face"), "cusp path 0 step 1: ints required"),
+    (("shapes", 1, 0), "shapes entries must be [re, im] of finite numbers"),
+    *[(GLUING + (0, "perm", i), PERM_MESSAGE) for i in (1, 2, 3)],
+]
+
 #: case -> (edits of the fig8 document as (path, value), exact message);
 #: the empty path replaces the whole document and ``DELETE`` drops a key
 PARSE_MESSAGES = {
@@ -226,29 +239,29 @@ class TestParser:
             parse_triangulation(text)
 
     @pytest.mark.parametrize(
-        "where",
-        [
-            ("tetrahedra", 0, "gluings", 0, "tet"),
-            ("tetrahedra", 0, "gluings", 0, "perm", 0),
-            ("cusp_paths", 0, 1, "tet"),
-            ("cusp_paths", 0, 0, "enter_face"),
-            ("cusp_paths", 0, 1, "exit_face"),
-            ("shapes", 1, 0),
-        ],
+        "where, message",
+        [pytest.param(*case, id=f"where{i}")
+         for i, case in enumerate(BOOLEAN_CASES)],
     )
-    def test_json_boolean_is_not_a_number(self, fig8_doc, where):
-        # each entry is 0 or 1, and the document parses with it; the JSON
-        # boolean of the same truth value must not
-        doc = copy.deepcopy(fig8_doc)
-        doc["shapes"] = [[0.5, 0.8], [1, 0.9]]
+    def test_json_boolean_is_not_a_number(self, fig8_doc, where, message):
+        # the entry is 0 or 1 in fig8 or in one of its relabelings, and the
+        # document parses with it; the JSON boolean of the same truth value
+        # must not, although a permutation such as (True, False, 2, 3)
+        # hashes and compares equal to (1, 0, 2, 3)
         *outer, key = where
-        container = doc
-        for k in outer:
-            container = container[k]
+        relabelings = (relabel_document(fig8_doc, random.Random(seed))
+                       for seed in range(50))
+        for doc in (copy.deepcopy(fig8_doc), *relabelings):
+            doc["shapes"] = [[0.5, 0.8], [1, 0.9]]
+            container = doc
+            for k in outer:
+                container = container[k]
+            if container[key] in (0, 1):
+                break
         assert container[key] in (0, 1)
         parse_triangulation(doc)
         container[key] = bool(container[key])
-        with pytest.raises(TriangulationError):
+        with pytest.raises(TriangulationError, match=f"^{re.escape(message)}$"):
             parse_triangulation(doc)
 
     @pytest.mark.parametrize(
