@@ -107,7 +107,6 @@ def slot_values(
     return [(f.w0, f.w1, f.w2) for f in map(flatten, params)]
 
 
-
 def unflatten(w: Flattening, tol: float = 1e-9) -> ExtendedParam:
     """Recover (z; p, q) from a flattening using z = +-e^{w0} and
     1 - z = +-e^{-w1}; non-integer branch residuals are rejected."""

@@ -238,34 +238,22 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
             raise TriangulationError(f"tetrahedron {t} needs exactly 4 gluings")
         row = []
         for f, g in enumerate(raw):
-            # a well-formed gluing, checked without building messages; any
-            # other goes through the checks below, which name the fault
-            if (
-                type(g) is dict
-                and g.keys() == _GLUING_KEYS
-                and type(target := g["tet"]) is int
-                and 0 <= target < len(tets)
-                and type(perm := g["perm"]) is list
-                and all(type(v) is int for v in perm)
-                and (key := tuple(perm)) in _PERM_PARITY
-            ):
-                row.append(Gluing(target, key))
-                continue
             if not isinstance(g, dict):
                 raise TriangulationError(f"gluing ({t},{f}) must be an object")
-            _require_keys(g, _GLUING_KEYS, _GLUING_KEYS, f"gluing ({t},{f})")
+            if g.keys() != _GLUING_KEYS:
+                _require_keys(g, _GLUING_KEYS, _GLUING_KEYS, f"gluing ({t},{f})")
             target, perm = g["tet"], g["perm"]
             if not _is_int(target) or not 0 <= target < len(tets):
                 raise TriangulationError(f"gluing ({t},{f}) targets bad tet")
             if not (
                 isinstance(perm, list)
                 and all(map(_is_int, perm))
-                and tuple(perm) in _PERM_PARITY
+                and (key := tuple(perm)) in _PERM_PARITY
             ):
                 raise TriangulationError(
                     f"gluing ({t},{f}) needs a permutation of 0..3"
                 )
-            row.append(Gluing(target, tuple(perm)))
+            row.append(Gluing(target, key))
         gluings.append(row)
 
     for t, row in enumerate(gluings):
