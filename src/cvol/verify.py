@@ -8,16 +8,21 @@ suite reports does not depend on where or in which order it runs.
 
 ``run_all`` runs every suite in turn, in process: it is the reference.
 ``run_parallel``, which the command line's ``verify`` subcommand calls,
-returns exactly what ``run_all`` returns, with the suites shared out over
-every CPU the process may run on, so its output does not depend on the CPU
-count.  It forks one worker per CPU beyond the first (at most one per
-suite); the workers and the calling process take suites from one queue
-until it is empty.  It runs every suite in process, as ``run_all`` does,
-when the platform has no ``os.fork`` or ``os.sched_getaffinity``, when one
-CPU is available, when the process runs other threads (forking one is
-unsafe), or when ``os.fork`` fails.  A suite whose result a worker did not
-send back (the worker died, or the suite raised) is run again in process,
-so a suite that raises raises from ``run_parallel`` too.
+returns what ``run_all`` returns, every field alike but the run times in
+``seconds``, with the suites shared out over every CPU the process may run
+on, so its output does not depend on the CPU count.  It forks one worker per
+CPU beyond the first (at most one per suite); the workers and the calling
+process take suites from one queue until it is empty.  The queue is filled
+costliest suite first (``_COST_RANKING``), so the processes finish at about
+the same time; the results are returned in ``ALL_SUITES`` order all the
+same, so the output's order and bytes do not depend on the queue's.  It runs
+every suite in process, as ``run_all`` does, when the platform has no
+``os.fork`` or ``os.sched_getaffinity``, when one CPU is available, when the
+process runs other threads (forking one is unsafe), or when ``os.fork``
+fails.  A worker sends its results back with ``marshal``.  A suite whose
+result a worker did not send back (the worker died, or the suite raised) is
+run again in process, so a suite that raises raises from ``run_parallel``
+too.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import time
 
 from .bloch import (
     CycleSimplex,
@@ -57,14 +63,31 @@ NU_CHI = WedgeExpr({("log_x", "pi_i"): 1})
 
 
 class SuiteResult:
-    """One suite's outcome: passed until a check fed to ``record*`` fails."""
+    """One suite's outcome: passed until a check fed to ``record*`` fails.
+    ``seconds`` is the suite's run time in the process that ran it; it is
+    never printed."""
 
-    __slots__ = ("name", "count", "passed", "max_residual", "failures")
+    __slots__ = ("name", "count", "passed", "max_residual", "failures",
+                 "seconds")
 
     def __init__(self, name: str, count: int) -> None:
         self.name, self.count, self.passed = name, count, True
         self.max_residual = 0.0
         self.failures: list[dict] = []
+        self.seconds = 0.0
+
+    def fields(self) -> tuple:
+        """The values of ``__slots__``, in order; all of built-in types,
+        so ``marshal`` can send them."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    @classmethod
+    def from_fields(cls, fields: tuple) -> SuiteResult:
+        """The result whose ``fields()`` are ``fields``."""
+        out = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(out, name, value)
+        return out
 
     def record(self, residual: float, tol: float, **instance) -> None:
         """A check that passes when ``residual < tol``; a NaN residual
@@ -385,9 +408,36 @@ ALL_SUITES = (
 )
 
 
+#: the suites' function names, costliest first: ``run_parallel`` queues
+#: them in this order (Graham's longest-processing-time-first rule), so that
+#: no process runs a long suite alone while the others have finished.
+#: Ranked by the median ``SuiteResult.seconds`` of 20 forked runs at
+#: ``--count 500`` (``BENCH_verify_claim_order.json``).
+_COST_RANKING = (
+    "suite_cycle_relation",
+    "suite_three_equations",
+    "suite_kappa",
+    "suite_homo",
+    "suite_five_term_nu",
+    "suite_five_term_eep",
+    "suite_five_term_rogers",
+    "suite_super_transfer",
+    "suite_transfer",
+    "suite_one_minus_x",
+    "suite_chi_hat",
+    "suite_chi",
+    "suite_five_term_parity",
+    "suite_edge_kernel",
+)
+
+
 def _run_suite(suite, count: int, seed: int, tol: float) -> SuiteResult:
-    """One suite, with the RNG its name and ``seed`` determine."""
-    return suite(count, random.Random((seed, suite.__name__).__repr__()), tol)
+    """One suite, with the RNG its name and ``seed`` determine, timed into
+    its ``seconds``."""
+    start = time.perf_counter()
+    out = suite(count, random.Random((seed, suite.__name__).__repr__()), tol)
+    out.seconds = time.perf_counter() - start
+    return out
 
 
 def run_all(count: int = 100, seed: int = 0, tol: float = 1e-9) -> list[SuiteResult]:
@@ -409,8 +459,9 @@ def run_parallel(count: int = 100, seed: int = 0,
                  tol: float = 1e-9) -> list[SuiteResult]:
     """``run_all``'s results, from the suites shared out over forked
     workers and this process; see the module docstring."""
-    import pickle
-    import signal
+    # marshal is loaded at start-up, so sending the results back costs no
+    # import on the way to the fork
+    import marshal
     import threading
 
     suites = ALL_SUITES
@@ -418,13 +469,17 @@ def run_parallel(count: int = 100, seed: int = 0,
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1):
         workers = min(len(os.sched_getaffinity(0)), len(suites)) - 1
+    # ranked suites costliest first, then any others in index order
+    rank = {name: i for i, name in enumerate(_COST_RANKING)}
+    order = sorted(range(len(suites)),
+                   key=lambda i: rank.get(suites[i].__name__, len(rank)))
     pids, readers = [], []
     queue, fill = os.pipe()
     try:
         # fewer bytes than PIPE_BUF, so written at once; each one-byte
         # read then claims exactly one suite
         with open(fill, "wb") as out:
-            out.write(bytes(range(len(suites))))
+            out.write(bytes(order))
         for _ in range(workers):
             reader, writer = os.pipe()
             try:
@@ -439,8 +494,9 @@ def run_parallel(count: int = 100, seed: int = 0,
                 # suite raises, whose result then goes missing
                 try:
                     with open(writer, "wb") as out:
-                        pickle.dump(_take_suites(queue, suites, count, seed,
-                                                 tol), out)
+                        marshal.dump(
+                            {i: result.fields() for i, result in _take_suites(
+                                queue, suites, count, seed, tol).items()}, out)
                 finally:
                     os._exit(0)
             os.close(writer)
@@ -451,10 +507,14 @@ def run_parallel(count: int = 100, seed: int = 0,
             with open(reader, "rb", closefd=False) as result:
                 data = result.read()
             try:
-                done.update(pickle.loads(data))
-            except (EOFError, pickle.UnpicklingError):
-                pass  # an incomplete result: its suites run again below
+                sent = marshal.loads(data)
+            except (EOFError, ValueError):
+                continue  # an incomplete result: its suites run again below
+            done.update((i, SuiteResult.from_fields(fields))
+                        for i, fields in sent.items())
     except BaseException:
+        import signal  # only here: its import costs 0.4 ms
+
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise

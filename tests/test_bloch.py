@@ -244,6 +244,29 @@ class TestOneMinusX:
         assert r_of_element(element).is_close(expected)
         assert nu_symbolic(element, 0.5).is_zero()
 
+    def test_cut_rays_draw_branch_corrections(self, monkeypatch):
+        # x and 1-x on the cut rays with opposite tags are one point seen
+        # from both sides; at the untagged base point x, whose logs take
+        # arg = pi, the logs of a shape tagged below its ray are m_i - 2 pi i
+        original = bloch._decompose
+        corrections = []
+        monkeypatch.setattr(bloch, "_decompose", lambda z, cands: (
+            corrections.append(r := original(z, cands)) or r))
+        rng = random.Random(23)
+        expected = reduce_mod(complex(-PI_SQUARED / 6), PI_SQUARED)
+        with_ka = with_kb = 0
+        for _ in range(300):
+            x, side = _random_cut_value(rng), rng.choice((1, -1))
+            p, q = _indices(rng)
+            element = EBElement([(ExtendedParam(x, p, q, side), 1),
+                                 (ExtendedParam(1 - x, -q, -p, -side), 1)])
+            assert r_of_element(element).is_close(expected, tol=1e-9)
+            corrections.clear()
+            assert nu_symbolic(element, x).is_zero()
+            with_ka += any(ka for _, ka, _, _ in corrections)
+            with_kb += any(kb for _, _, _, kb in corrections)
+        assert with_ka >= 100 and with_kb >= 100  # of 300
+
 
 class TestEBElement:
     def test_mode_mismatch_rejected(self):

@@ -9,9 +9,10 @@ to have an unclosed file object fail them too.
 import contextlib
 import errno
 import functools
+import marshal
+import math
 import os
 import pathlib
-import pickle
 import signal
 import subprocess
 import sys
@@ -38,7 +39,8 @@ def _open_fds() -> set[str]:
 
 
 def _key(results) -> str:
-    """Every field of every result; repr makes NaN equal to NaN."""
+    """Every field of every result but its run time; repr makes NaN equal
+    to NaN."""
     return repr([(r.name, r.count, r.passed, r.max_residual, r.failures)
                  for r in results])
 
@@ -91,6 +93,23 @@ def patch_suites(monkeypatch, wrap) -> None:
                         tuple(wrap(suite) for suite in verify.ALL_SUITES))
 
 
+def log_claims(monkeypatch, log: pathlib.Path) -> None:
+    """Have each suite note its name in the append-only ``log`` when it
+    starts, in whichever process runs it."""
+    def logged(suite):
+        @functools.wraps(suite)
+        def run(count, rng, tol):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{suite.__name__}\n".encode())
+            finally:
+                os.close(fd)
+            return suite(count, rng, tol)
+        return run
+
+    patch_suites(monkeypatch, logged)
+
+
 class TestSameAsSerial:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     @pytest.mark.parametrize("count", [0, 1, 50])
@@ -138,19 +157,7 @@ class TestSameAsSerial:
         names = sorted(suite.__name__ for suite in verify.ALL_SUITES)
         expected = {(count, seed): _key(verify.run_all(count, seed))
                     for count in (0, 1, 7) for seed in range(4)}
-
-        def logged(suite):
-            @functools.wraps(suite)
-            def run(count, rng, tol):
-                fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-                try:
-                    os.write(fd, f"{suite.__name__}\n".encode())
-                finally:
-                    os.close(fd)
-                return suite(count, rng, tol)
-            return run
-
-        patch_suites(monkeypatch, logged)
+        log_claims(monkeypatch, log)
         cpus(monkeypatch, 8)
         calls = fork_calls(monkeypatch)
         rounds, stop = 0, time.monotonic() + 5.0
@@ -162,6 +169,50 @@ class TestSameAsSerial:
                 assert sorted(log.read_text().split()) == names
                 rounds += 1
         assert len(calls) == 7 * rounds
+
+    @pytest.mark.parametrize("n", [None, 2, 8])
+    def test_every_result_carries_its_run_time(self, n, monkeypatch):
+        # None runs run_all; a worker's times come back in its result, so
+        # none may be left at the constructor's 0.0
+        if n is None:
+            results = verify.run_all(10, 3)
+        else:
+            cpus(monkeypatch, n)
+            results = parallel(10, 3)
+        assert all(0.0 < r.seconds < math.inf for r in results)
+
+
+class TestClaimOrder:
+    def test_ranking_names_each_suite_once(self):
+        assert sorted(verify._COST_RANKING) == sorted(
+            suite.__name__ for suite in verify.ALL_SUITES)
+
+    def test_one_process_claims_costliest_first(self, monkeypatch, tmp_path):
+        log = tmp_path / "claims"
+        expected = _key(verify.run_all(3, 0))
+        log_claims(monkeypatch, log)
+        cpus(monkeypatch, 1)
+        assert _key(parallel(3, 0)) == expected
+        assert log.read_text().split() == list(verify._COST_RANKING)
+
+    def test_unranked_suites_follow_in_index_order(self, monkeypatch,
+                                                    tmp_path):
+        # rename the first two and the last suite: the others keep their
+        # ranked order, and the renamed ones come after them, first to last
+        renamed = {0: "first", 1: "second", 13: "last"}
+        suites = list(verify.ALL_SUITES)
+        for index, name in renamed.items():
+            suites[index] = functools.partial(suites[index])
+            suites[index].__name__ = name
+        monkeypatch.setattr(verify, "ALL_SUITES", tuple(suites))
+        log = tmp_path / "claims"
+        log_claims(monkeypatch, log)
+        cpus(monkeypatch, 1)
+        parallel(3, 0)
+        kept = {suite.__name__ for suite in suites}
+        assert log.read_text().split() == [
+            name for name in verify._COST_RANKING if name in kept
+        ] + ["first", "second", "last"]
 
 
 class TestFailures:
@@ -216,9 +267,9 @@ class TestFailures:
 
     def test_incomplete_result_reruns_in_process(self, monkeypatch):
         def truncated(obj, out):
-            out.write(pickle.dumps(obj)[:-5])
+            out.write(marshal.dumps(obj)[:-5])
 
-        monkeypatch.setattr(pickle, "dump", truncated)
+        monkeypatch.setattr(marshal, "dump", truncated)
         cpus(monkeypatch, 4)
         assert _key(parallel(10, 4)) == _key(verify.run_all(10, 4))
 
