@@ -1,5 +1,7 @@
 """Command-line interface: reports, determinism, exit codes."""
 
+import atexit
+import gc
 import json
 import math
 import os
@@ -12,17 +14,40 @@ import pytest
 from cvol.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+#: the command line of the benchmark's child process (``perfbench/run.py``)
+CHILD_MAIN = "import sys; from cvol.cli import main; sys.exit(main())"
 
 
-def run_cli(args, capsys):
+def call_main(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
+def run_cli(argv, prelude=""):
+    """``cvol argv`` in a fresh interpreter, launched as the benchmark
+    launches it, with ``prelude`` (Python source) run before
+    ``CHILD_MAIN``; stdout and stderr come back through pipes."""
+    return subprocess.run(
+        [sys.executable, "-c", prelude + CHILD_MAIN, *map(str, argv)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+
+
+def at_exit_print(expression):
+    """A ``run_cli`` prelude that prints ``expression`` to stderr when the
+    interpreter exits.  Its callback is registered before ``cvol.cli`` is
+    imported, so it runs after every callback that ``main`` registers."""
+    return ("import atexit, gc, sys\n"
+            f"atexit.register(lambda: print({expression}, file=sys.stderr))\n")
+
+
 class TestCvolCommand:
     def test_json_report(self, fig8_path, capsys):
-        code, out, _ = run_cli(
+        code, out, _ = call_main(
             ["--format", "json", "cvol", str(fig8_path)], capsys
         )
         assert code == 0
@@ -41,8 +66,8 @@ class TestCvolCommand:
         assert report["residuals"]["defect_even"] is True
 
     def test_byte_identical_reruns(self, fig8_path, capsys):
-        _, out1, _ = run_cli(["--format", "json", "cvol", str(fig8_path)], capsys)
-        _, out2, _ = run_cli(["--format", "json", "cvol", str(fig8_path)], capsys)
+        _, out1, _ = call_main(["--format", "json", "cvol", str(fig8_path)], capsys)
+        _, out2, _ = call_main(["--format", "json", "cvol", str(fig8_path)], capsys)
         assert out1 == out2
 
     def test_no_cusp_paths_degraded_mode(self, fig8_doc, tmp_path, capsys):
@@ -50,7 +75,8 @@ class TestCvolCommand:
         doc.pop("cusp_paths")
         path = tmp_path / "nocusp.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run_cli(["--format", "json", "cvol", str(path)], capsys)
+        code, out, _ = call_main(["--format", "json", "cvol", str(path)],
+                                 capsys)
         assert code == 0
         report = json.loads(out)
         assert report["volume"] == pytest.approx(2.029883212819307, abs=1e-9)
@@ -68,7 +94,7 @@ class TestCvolCommand:
         for k, (content, message) in enumerate(cases):
             path = tmp_path / f"bad{k}.json"
             path.write_bytes(content)
-            code, out, err = run_cli(["cvol", str(path)], capsys)
+            code, out, err = call_main(["cvol", str(path)], capsys)
             assert code == 2
             assert out == ""
             assert "error at stage parse" in err
@@ -85,8 +111,8 @@ class TestCvolCommand:
         ]]
         path = tmp_path / "off_link.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["--format", "json", "cvol", str(path)],
-                                 capsys)
+        code, out, err = call_main(["--format", "json", "cvol", str(path)],
+                                   capsys)
         assert code == 2
         assert out == ""
         assert "error at stage parse" in err
@@ -103,8 +129,8 @@ class TestCvolCommand:
         ]]
         path = tmp_path / "unlinked.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["--format", "json", "cvol", str(path)],
-                                 capsys)
+        code, out, err = call_main(["--format", "json", "cvol", str(path)],
+                                   capsys)
         assert code == 2
         assert out == ""
         assert "error at stage parse" in err
@@ -120,8 +146,8 @@ class TestCvolCommand:
         doc = dict(fig8_doc, shapes=[[0.5, 0.8], [0.5, 0.9]])
         path = tmp_path / "bad_shape.json"
         path.write_text(json.dumps(doc).replace("0.9", value))
-        code, out, err = run_cli(["--format", "json", "cvol", str(path)],
-                                 capsys)
+        code, out, err = call_main(["--format", "json", "cvol", str(path)],
+                                   capsys)
         assert code == 2
         assert out == ""
         assert "error at stage parse" in err
@@ -129,7 +155,7 @@ class TestCvolCommand:
 
 class TestVerifyCommand:
     def test_default_run_passes(self, capsys):
-        code, out, _ = run_cli(
+        code, out, _ = call_main(
             ["--format", "json", "verify", "--count", "20"], capsys
         )
         assert code == 0
@@ -144,12 +170,12 @@ class TestVerifyCommand:
 
     def test_seed_determinism(self, capsys):
         args = ["--format", "json", "--seed", "5", "verify", "--count", "10"]
-        _, out1, _ = run_cli(args, capsys)
-        _, out2, _ = run_cli(args, capsys)
+        _, out1, _ = call_main(args, capsys)
+        _, out2, _ = call_main(args, capsys)
         assert out1 == out2
 
     def test_count_zero_vacuous_pass(self, capsys):
-        code, out, _ = run_cli(
+        code, out, _ = call_main(
             ["--format", "json", "verify", "--count", "0"], capsys
         )
         assert code == 0
@@ -174,7 +200,7 @@ class TestVerifyCommand:
     def test_tight_tolerance_reports_instead_of_aborting(self, capsys):
         # at 1e-15 rounding alone makes Rogers comparisons miss, the cycle
         # relation's among them; the instances fail and the run goes on
-        code, out, err = run_cli(
+        code, out, err = call_main(
             ["--format", "json", "--tolerance", "1e-15", "verify", "--count",
              "50"], capsys
         )
@@ -264,7 +290,7 @@ class TestVerifyCommand:
 
 class TestOtherCommands:
     def test_homology(self, fig8_path, capsys):
-        code, out, _ = run_cli(
+        code, out, _ = call_main(
             ["--format", "json", "homology", str(fig8_path)], capsys
         )
         assert code == 0
@@ -274,7 +300,7 @@ class TestOtherCommands:
         assert report["homology"]["H1"] == "Z/2"
 
     def test_edges(self, fig8_path, capsys):
-        code, out, _ = run_cli(
+        code, out, _ = call_main(
             ["--format", "json", "edges", str(fig8_path)], capsys
         )
         assert code == 0
@@ -282,7 +308,7 @@ class TestOtherCommands:
         assert [e["valence"] for e in report["edge_classes"]] == [6, 6]
 
     def test_flatten(self, fig8_path, capsys):
-        code, out, _ = run_cli(
+        code, out, _ = call_main(
             ["--format", "json", "flatten", str(fig8_path)], capsys
         )
         assert code == 0
@@ -320,20 +346,12 @@ class TestOtherCommands:
         assert result.stdout.strip() == "[]"
         # a full run of every command, Newton included, leaves them all
         # unloaded at exit
+        loaded = at_exit_print(
+            f"[m for m in {modules.split()!r} if m in sys.modules]")
         for args in (["cvol", str(fig8_path)], ["flatten", str(fig8_path)],
                      ["homology", str(fig8_path)], ["edges", str(fig8_path)],
                      ["verify", "--count", "2"]):
-            result = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys, cvol.cli; "
-                 "code = cvol.cli.main(sys.argv[2:]); "
-                 "print([m for m in sys.argv[1].split() "
-                 "if m in sys.modules], file=sys.stderr); "
-                 "sys.exit(code)",
-                 modules, "--format", "json", *args],
-                capture_output=True, text=True,
-                env=dict(os.environ, PYTHONPATH=str(SRC)),
-            )
+            result = run_cli(["--format", "json", *args], loaded)
             assert result.returncode == 0, result.stderr
             report = json.loads(result.stdout)
             if args[0] == "cvol":
@@ -353,40 +371,26 @@ class TestOtherCommands:
     )
     def test_command_loads_only_what_it_runs(self, command, fixture,
                                              unloaded):
-        fixtures = pathlib.Path(__file__).parent / "fixtures"
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cvol.cli; "
-             "code = cvol.cli.main(sys.argv[2:]); "
-             "print([m for m in sys.argv[1].split() "
-             "if f'cvol.{m}' in sys.modules], file=sys.stderr); "
-             "sys.exit(code)",
-             " ".join(unloaded), "--format", "json", command,
-             str(fixtures / fixture)],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        result = run_cli(
+            ["--format", "json", command, FIXTURES / fixture],
+            at_exit_print("[m for m in %r if f'cvol.{m}' in sys.modules]"
+                          % (unloaded,)),
         )
         assert result.returncode == 0, result.stderr
-        golden = fixtures / "golden" / f"{command}-{fixture}"
+        golden = FIXTURES / "golden" / f"{command}-{fixture}"
         assert result.stdout == golden.read_text()
         assert result.stderr.strip() == "[]"
 
 
     def test_verify_loads_no_triangulation_code(self):
-        golden = pathlib.Path(__file__).parent / "fixtures" / "golden"
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cvol.cli; "
-             "code = cvol.cli.main(sys.argv[1:]); "
-             "print([m for m in ('triangulation', 'flattening', 'gluing') "
-             "if f'cvol.{m}' in sys.modules], file=sys.stderr); "
-             "sys.exit(code)",
-             "--format", "json", "--seed", "0", "verify", "--count", "50"],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        result = run_cli(
+            ["--format", "json", "--seed", "0", "verify", "--count", "50"],
+            at_exit_print("[m for m in ('triangulation', 'flattening', "
+                          "'gluing') if f'cvol.{m}' in sys.modules]"),
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == (golden / "verify-seed0.json").read_text()
+        golden = FIXTURES / "golden" / "verify-seed0.json"
+        assert result.stdout == golden.read_text()
         assert result.stderr.strip() == "[]"
 
     def test_only_the_edge_kernel_suite_loads_integer_linear_algebra(self):
@@ -394,13 +398,16 @@ class TestOtherCommands:
             [sys.executable, "-c",
              "import random, sys, cvol.verify as v; "
              "print('cvol.intlinalg' in sys.modules); "
+             "v.suite_edge_kernel(0, random.Random(0), 1e-9); "
+             "print('cvol.intlinalg' in sys.modules); "
              "v.suite_edge_kernel(1, random.Random(0), 1e-9); "
              "print('cvol.intlinalg' in sys.modules)"],
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["False", "True"]
+        # ``verify --count 0`` has no edge-kernel instance to check
+        assert result.stdout.split() == ["False", "False", "True"]
 
 
 #: ``cvol.__all__`` when the package imported every submodule eagerly
@@ -506,7 +513,7 @@ class TestGoldenOutput:
     )
     def test_bytes_match(self, command, fixture, capsys):
         fixtures = pathlib.Path(__file__).parent / "fixtures"
-        code, out, _ = run_cli(
+        code, out, _ = call_main(
             ["--format", "json", command, str(fixtures / f"{fixture}.json")],
             capsys,
         )
@@ -515,7 +522,7 @@ class TestGoldenOutput:
         assert out == golden.read_text()
 
     def test_verify_bytes_match(self, capsys):
-        code, out, _ = run_cli(
+        code, out, _ = call_main(
             ["--format", "json", "--seed", "0", "verify", "--count", "50"],
             capsys,
         )
@@ -535,7 +542,7 @@ class TestGoldenOutput:
                 return _original(*args)
 
             monkeypatch.setattr(triangulation, name, counted)
-        code, _, _ = run_cli(["cvol", str(fig8_path)], capsys)
+        code, _, _ = call_main(["cvol", str(fig8_path)], capsys)
         assert code == 0
         # one path_passes per cusp path: the terms are derived at parse
         assert calls == {"edge_classes": 1, "orientation_signs": 1,
@@ -556,10 +563,10 @@ class TestGoldenOutput:
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counted)
-        code, _, _ = run_cli(["cvol", str(fig8_path)], capsys)
+        code, _, _ = call_main(["cvol", str(fig8_path)], capsys)
         assert code == 0
         assert calls == {"_prune_kernel": 0, "link_arcs": 0}
-        code, out, _ = run_cli(
+        code, out, _ = call_main(
             ["--format", "json", "flatten", str(fig8_path)], capsys)
         assert code == 0
         golden = pathlib.Path(__file__).parent / "fixtures" / "golden"
@@ -569,7 +576,90 @@ class TestGoldenOutput:
 
 class TestTextFormat:
     def test_default_text_output(self, fig8_path, capsys):
-        code, out, _ = run_cli(["cvol", str(fig8_path)], capsys)
+        code, out, _ = call_main(["cvol", str(fig8_path)], capsys)
         assert code == 0
         assert "volume: 2.029883212819307" in out
         assert "cs_mod_pi2:" in out
+
+
+class TestExitHook:
+    """``main`` registers ``gc.freeze`` with ``atexit``: a ``cvol``
+    process skips the shutdown collection, an in-process caller's heap is
+    left alone while its interpreter runs."""
+
+    def test_child_main_is_the_benchmarks(self):
+        run_py = (SRC.parent / "perfbench" / "run.py").read_text()
+        assert f'CHILD_MAIN = "{CHILD_MAIN}"' in run_py
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["cvol", FIXTURES / "fig8.json"], 0),
+         (["homology", FIXTURES / "fig8_cover8.json"], 0),
+         (["verify", "--count", "0"], 0),
+         (["cvol", FIXTURES / "missing.json"], 2)],
+        ids=["cvol", "homology", "verify-count-0", "missing-file"],
+    )
+    def test_fresh_interpreter_freezes_the_heap_at_exit(self, argv, code):
+        result = run_cli(argv, at_exit_print("gc.get_freeze_count()"))
+        assert result.returncode == code, result.stderr
+        frozen = int(result.stderr.splitlines()[-1])
+        assert frozen > 0
+
+    def test_in_process_main_freezes_nothing(self, fig8_path, capsys):
+        frozen = gc.get_freeze_count()
+        for _ in range(2):
+            code, _, _ = call_main(["edges", str(fig8_path)], capsys)
+            assert code == 0
+            assert gc.get_freeze_count() == frozen
+
+    def test_second_main_registers_no_second_freeze(self, fig8_path):
+        # the prelude counts gc.freeze's calls and runs main once before
+        # the child's own main; the heap is frozen once, at exit
+        prelude = (
+            "import atexit, gc, sys\n"
+            "freeze, calls = gc.freeze, []\n"
+            "gc.freeze = lambda: calls.append(freeze())\n"
+            "atexit.register(lambda: print(len(calls), "
+            "gc.get_freeze_count(), file=sys.stderr))\n"
+            "from cvol.cli import main\n"
+            f"main(['edges', {str(fig8_path)!r}])\n"
+            "print(len(calls), gc.get_freeze_count(), file=sys.stderr)\n"
+        )
+        result = run_cli(["edges", fig8_path], prelude)
+        assert result.returncode == 0, result.stderr
+        during, at_exit = result.stderr.splitlines()
+        assert during == "0 0"
+        calls, frozen = map(int, at_exit.split())
+        assert calls == 1
+        assert frozen > 0
+
+
+GOLDEN_RUNS = [
+    ([command, FIXTURES / f"{fixture}.json"], f"{command}-{fixture}.json")
+    for fixture in ("fig8", "fig8_cover3", "fig8_cover8", "fig8_cover32")
+    for command in ("cvol", "flatten", "edges", "homology")
+] + [(["--seed", "0", "verify", "--count", "50"], "verify-seed0.json")]
+
+
+class TestPipedOutput:
+    """Output of fresh ``cvol`` processes through pipes, launched as the
+    benchmark launches them: the golden bytes, and an error run's exit
+    code and message."""
+
+    @pytest.mark.parametrize("argv,golden", GOLDEN_RUNS,
+                             ids=[golden for _, golden in GOLDEN_RUNS])
+    def test_golden_bytes(self, argv, golden):
+        result = run_cli(["--format", "json", *argv])
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert result.stdout == (FIXTURES / "golden" / golden).read_text()
+
+    def test_error_run(self, tmp_path, capsys):
+        argv = ["cvol", str(tmp_path / "missing.json")]
+        result = run_cli(argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert (result.returncode, result.stdout, result.stderr) == \
+            call_main(argv, capsys)
