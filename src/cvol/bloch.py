@@ -400,11 +400,12 @@ def cycle_relation_check(
     params = [ExtendedParam(s.shape, s.p, s.q) for s in simplices]
     values = slot_values(params)
     terms = [(j, s.edge_slot, s.sign) for j, s in enumerate(simplices)]
-    edge = pass_rows(terms, values)
+    edge = pass_rows(terms)
+    value = edge.value(values)
     scale = sum(max(map(abs, w)) for w in values)
-    if abs(edge.value) > EDGE_SUM_ULPS * math.ulp(1.0) * scale:
+    if abs(value) > EDGE_SUM_ULPS * math.ulp(1.0) * scale:
         raise NonIntegralError(
-            f"signed log-parameter sum around the edge is {edge.value!r}, "
+            f"signed log-parameter sum around the edge is {value!r}, "
             "not 0"
         )
     if edge.parity_of([v for s in simplices for v in (s.p, s.q)]):
@@ -480,7 +481,7 @@ def five_point_edge_conditions(
         raise ValueError("need five flattenings and five signs")
     values = [(f.w0, f.w1, f.w2) for f in flats]
     return {
-        edge: pass_rows([(i, s, signs[i]) for i, s in terms], values).value
+        edge: pass_rows([(i, s, signs[i]) for i, s in terms]).value(values)
         for edge, terms in FIVE_POINT_EDGES.items()
     }
 

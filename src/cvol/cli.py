@@ -18,19 +18,18 @@ modules it uses, so ``verify`` loads no triangulation code, ``cvol`` no
 Bloch-group or wedge code, ``homology`` and ``edges`` no logarithm, and only
 ``flatten`` prunes the flattening kernel.
 
-``main`` registers ``gc.freeze`` with ``atexit``, so that when the
-interpreter exits every live object is moved to the permanent generation
+Importing this module registers ``gc.freeze`` with ``atexit``, so that when
+the interpreter exits every live object is moved to the permanent generation
 and the shutdown collection skips it: every object a command loads or
 builds lives until exit anyway, and collecting them costs a ``cvol``
 process about 4 ms.  Freezing allocates nothing and frees nothing, and
 the interpreter flushes stdout and stderr after the atexit callbacks
 whatever the collector does, so output and exit code are unchanged.  A
 frozen reference cycle is not finalized at exit; no command leaves one
-holding an open file or process.  ``main`` unregisters the callback before
-registering it, so calling ``main`` again leaves one.  An in-process caller
-(a test, a tracer) is affected only when its own interpreter exits; a
-forked ``verify`` worker leaves by ``os._exit`` and runs no atexit
-callback.
+holding an open file or process.  The callback is registered once, at
+import, so calling ``main`` again adds none.  An in-process caller (a test,
+a tracer) is affected only when its own interpreter exits; a forked
+``verify`` worker leaves by ``os._exit`` and runs no atexit callback.
 """
 
 from __future__ import annotations
@@ -43,6 +42,8 @@ import math
 import sys
 
 from .errors import CVolError
+
+atexit.register(gc.freeze)
 
 
 def _load(path: str):
@@ -281,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,10 +10,11 @@ gluing equations (1/pi i) beta*(omega) is an even integer vector
 ``solve_flattenings`` finds integer branch indices (p_i, q_i) such that
 every edge class has zero signed log-parameter sum and every supplied cusp
 path has zero log-parameter and zero parity, by solving one combined
-integer linear system in Hermite normal form.  Each condition is a list of
-(tet, slot, weight) terms, derived at parse (``Combinatorics``), that
-``cvol.geometry.pass_rows``, the one condition-to-row helper, turns into
-sparse rows, as it does beta's columns and the pruning walk's arcs.
+integer linear system in Hermite normal form.  It reads the condition
+table built at parse (``Combinatorics.edge_rows`` and ``cusp_rows``): the
+sparse rows as they are, and each condition's value at the shapes and at
+the solution (``PassRows.value``).  Only the pruning walk's one-term arcs
+go through ``cvol.geometry.pass_rows`` here.
 ``complex_volume`` sums the lifted Rogers function over sum_i eps_i [z_i,
 p_i, q_i] to i(vol + i cs) modulo pi^2; only ``flatten`` prunes the
 system's kernel (``_prune_kernel``).
@@ -125,21 +126,21 @@ def _build_system(
     conditions (the latter with an auxiliary doubled unknown each)."""
     comb = tri.combinatorics
     n = tri.num_tetrahedra
-    width = 2 * n + len(comb.cusp_terms)
+    width = 2 * n + len(comb.cusp_rows)
     constants = slot_values(ExtendedParam(z, 0, 0) for z in shapes)
     sparse: list[dict[int, int]] = []
     rhs: list[int] = []
-    for k, terms in enumerate(comb.edge_terms):
-        edge = pass_rows(terms, constants)
+    for k, edge in enumerate(comb.edge_rows):
         sparse.append(edge.pq)
-        rhs.append(-_pi_i_multiple(edge.value, tol, f"edge {k} constant"))
+        rhs.append(-_pi_i_multiple(edge.value(constants), tol,
+                                   f"edge {k} constant"))
 
-    for k, terms in enumerate(comb.cusp_terms):
-        cusp = pass_rows(terms, constants)
+    for k, cusp in enumerate(comb.cusp_rows):
         sparse.append(cusp.pq)
-        rhs.append(-_pi_i_multiple(cusp.value, tol, f"cusp path {k} constant"))
-        cusp.parity[2 * n + k] = 2
-        sparse.append(cusp.parity)
+        rhs.append(-_pi_i_multiple(cusp.value(constants), tol,
+                                   f"cusp path {k} constant"))
+        # a copy: the parse-time entry is shared by every solve
+        sparse.append({**cusp.parity, 2 * n + k: 2})
         rhs.append(-cusp.parity_const)
     rows = [[0] * width for _ in sparse]
     for row, entries in zip(rows, sparse):
@@ -228,15 +229,12 @@ def _assignment_from_vector(
         ExtendedParam(shapes[t], x[2 * t], x[2 * t + 1]) for t in range(n)
     ]
     components = slot_values(params)
-
-    edge_residuals = [pass_rows(t, components).value for t in comb.edge_terms]
-    paths = [pass_rows(terms, components) for terms in comb.cusp_terms]
     return FlatteningAssignment(
         params=params,
         signs=comb.signs,
-        edge_residuals=edge_residuals,
-        path_residuals=[path.value for path in paths],
-        path_parities=[path.parity_of(x) for path in paths],
+        edge_residuals=[e.value(components) for e in comb.edge_rows],
+        path_residuals=[c.value(components) for c in comb.cusp_rows],
+        path_parities=[c.parity_of(x) for c in comb.cusp_rows],
         defect=defect,
         edge_flattened_only=not tri.cusp_paths,
         kernel=kernel,

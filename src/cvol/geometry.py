@@ -10,7 +10,9 @@ The slot convention of the integer conditions lives here: ``EDGE_SLOT``
 (vertex pair -> slot) and ``SLOT_PQ_COEFF`` (slot -> pi*i coefficients on
 (p, q), equally its (e_0, e_1) coordinates in the J-complex).
 ``pass_rows``, the one condition-to-row helper, turns a condition, a list
-of (tet, slot, weight) terms, into sparse integer rows and a value.  This
+of (tet, slot, weight) terms, into a ``PassRows`` entry: its sparse
+integer rows, its exponent sums and its value at given slot values.  Parse
+builds the entry of every edge and cusp path once (``Combinatorics``).  This
 module takes no logarithm, so the integer commands load it without the
 numeric code.
 """
@@ -64,11 +66,20 @@ class PassRows(NamedTuple):
     """A condition sum weight * w_slot(tet) over (tet, slot, weight) terms,
     as rows on (p_0, q_0, p_1, q_1, ...) without zero entries."""
 
+    terms: list[Term]
     pq: dict[int, int]      # pi*i coefficients of the condition
     parity: dict[int, int]  # branch indices whose sum is its parity
     parity_const: int       # one per w2 pass: its parity parameter is p+q+1
-    value: complex          # sum of weight * values[tet][slot], in term order
-    slot_sums: dict[int, list[int]]  # tet -> summed weights of (w0, w1, w2)
+    #: (tet, a, b, c) by tetrahedron: the summed weights of (w0, w1, w2),
+    #: all-zero triples dropped
+    exponents: list[tuple[int, int, int, int]]
+
+    def value(self, values: list[tuple[complex, complex, complex]]) -> complex:
+        """sum weight * values[tet][slot], in term order."""
+        total = 0j
+        for tet, slot, weight in self.terms:
+            total += weight * values[tet][slot]
+        return total
 
     def parity_of(self, x: list[int]) -> int:
         """The condition's parity at the branch indices x."""
@@ -76,28 +87,19 @@ class PassRows(NamedTuple):
                 + self.parity_const) % 2
 
 
-def pass_rows(
-    terms: list[Term],
-    values: list[tuple[complex, complex, complex]] | None = None,
-) -> PassRows:
-    """Sparse integer rows of a condition and, given per-tetrahedron slot
-    values (``cvol.polylog.slot_values``), its value; the one reader of
-    SLOT_PQ_COEFF."""
+def pass_rows(terms: list[Term]) -> PassRows:
+    """The ``PassRows`` of a condition; the one reader of SLOT_PQ_COEFF."""
     pq: dict[int, int] = {}
     parity: dict[int, int] = {}
-    slot_sums: dict[int, list[int]] = {}
+    sums: dict[int, list[int]] = {}
     parity_const = 0
-    value = 0j
     for tet, slot, weight in terms:
-        slot_sums.setdefault(tet, [0, 0, 0])[slot] += weight
+        sums.setdefault(tet, [0, 0, 0])[slot] += weight
         for j, c in enumerate(SLOT_PQ_COEFF[slot], 2 * tet):
             if c:
                 pq[j] = pq.get(j, 0) + weight * c
                 parity[j] = parity.get(j, 0) + abs(c)
         parity_const += slot == 2
-        if values is not None:
-            value += weight * values[tet][slot]
     pq = {j: c for j, c in pq.items() if c}
-    return PassRows(pq, parity, parity_const, value, slot_sums)
-
-
+    exponents = [(t, *abc) for t, abc in sorted(sums.items()) if any(abc)]
+    return PassRows(terms, pq, parity, parity_const, exponents)

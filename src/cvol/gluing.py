@@ -9,11 +9,11 @@ logarithmic form with principal branches,
                          corner) = 0
 
 Each log term is a * log z + b * log z' + c * log z'' with integer exponents
-a, b, c: the per-slot weight sums that ``cvol.geometry.pass_rows``, the one
-condition-to-row helper, returns beside its sparse rows for the (tet, slot,
-weight) terms derived at parse (``Combinatorics``).  An equation is a
-sparse row of (tet, a, b, c) terms, one per tetrahedron it involves, plus a
-constant target.  A negatively oriented tetrahedron (eps = -1) has its
+a, b, c: the per-slot weight sums of the condition, which the condition
+table built at parse (``Combinatorics.edge_rows`` and ``cusp_rows``)
+already holds as ``PassRows.exponents``.  An equation is that sparse row of
+(tet, a, b, c) terms, one per tetrahedron it involves, plus a constant
+target.  A negatively oriented tetrahedron (eps = -1) has its
 geometric shape in the lower half plane.
 
 Newton iterates in the shape variables with a halving line search.  The
@@ -43,7 +43,6 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DegenerateGeometryError
-from .geometry import pass_rows
 from .triangulation import Triangulation
 
 TWO_PI_I = 2j * math.pi
@@ -110,16 +109,9 @@ def _slot_log_derivatives(z: complex) -> tuple[complex, complex, complex]:
 
 def gluing_equations(tri: Triangulation) -> GluingSystem:
     """Exponent rows of the edge and cusp-path equations."""
-
-    def exponent_row(terms) -> Row:
-        sums = pass_rows(terms).slot_sums
-        return [(tet, *abc) for tet, abc in sorted(sums.items()) if any(abc)]
-
     comb = tri.combinatorics
-    return GluingSystem(
-        [exponent_row(terms) for terms in comb.edge_terms],
-        [exponent_row(terms) for terms in comb.cusp_terms],
-    )
+    return GluingSystem([e.exponents for e in comb.edge_rows],
+                        [c.exponents for c in comb.cusp_rows])
 
 
 def _min_norm_step(

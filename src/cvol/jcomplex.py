@@ -13,7 +13,9 @@ the skew form.  The maps have O(T) nonzero entries (two per edge in alpha,
 at most eight per simplex in beta), so alpha and beta are stored as sparse
 ``{col: value}`` rows and never as dense matrices; alpha* and beta* are
 read off them as adjoints on demand.  beta's columns are the edge
-conditions, turned into rows by ``cvol.geometry.pass_rows``.
+conditions' ``pq`` rows from the condition table built at parse
+(``Combinatorics.edge_rows``), each entry times the orientation sign of
+its simplex: every term of an edge carries that sign as its weight.
 
 Everything here is exact integer work and needs no logarithm: the
 ``homology`` command loads this module and not the flattening solver.
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .geometry import pass_rows
 from .intlinalg import AbelianGroup, gf2_rank, smith_invariant_factors
 from .triangulation import EdgeClass, Triangulation
 
@@ -85,12 +86,13 @@ def build_j_complex(tri: Triangulation) -> JComplex:
             row[endpoint] = row.get(endpoint, 0) + 1
         alpha.append(row)
 
-    # beta: edge class -> the pq row of its terms taken with weight 1 (the
-    # slots identified with it, per simplex; they may cancel).
+    # beta: edge class -> the slots identified with it, per simplex, summed
+    # without sign (they may cancel): its pq row with the weight eps of
+    # each term's simplex divided out again.
     beta: list[dict[int, int]] = [{} for _ in range(2 * tri.num_tetrahedra)]
-    for col, terms in enumerate(comb.edge_terms):
-        for j, c in pass_rows([(t, s, 1) for t, s, _ in terms]).pq.items():
-            beta[j][col] = c
+    for col, edge in enumerate(comb.edge_rows):
+        for j, c in edge.pq.items():
+            beta[j][col] = comb.signs[j >> 1] * c
     return JComplex(tri, comb.edges, comb.vertices, alpha, beta)
 
 

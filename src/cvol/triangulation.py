@@ -23,10 +23,10 @@ paths is computed once per triangulation, by ``parse_triangulation``, into
 a named tuple ``Combinatorics``: the edge classes with the faces crossed
 on the walk around each edge (``edge_loop`` and the face rows of
 ``cvol.jcomplex.h1_mod2`` read them), the vertex classes, the
-orientation signs, the (tet, vertex) -> vertex lookup, and the edge and
-cusp-path conditions as (tet, slot, weight) terms (``edge_terms``,
-``cusp_terms``).  A cusp path that leaves its vertex link fails there, at
-parse.
+orientation signs, the (tet, vertex) -> vertex lookup, and the condition
+table: one ``cvol.geometry.PassRows`` entry per edge (``edge_rows``) and
+per cusp path (``cusp_rows``), which every later stage reads.  A cusp path
+that leaves its vertex link fails there, at parse.
 
 Conditions on log-parameters are lists of (tet, slot, weight) terms,
 meaning sum weight * w_slot(tet), slots as in ``cvol.geometry``.  One
@@ -44,7 +44,7 @@ from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from .errors import TriangulationError
-from .geometry import EDGE_SLOT, Term
+from .geometry import EDGE_SLOT, PassRows, Term, pass_rows
 from .params import Value
 
 _PERM_PARITY = {
@@ -142,8 +142,8 @@ class Combinatorics(NamedTuple):
     vertices: list[list[tuple[int, int]]]
     signs: list[int]
     vertex_of: dict[tuple[int, int], int]
-    edge_terms: list[list[Term]]
-    cusp_terms: list[list[Term]]
+    edge_rows: list[PassRows]
+    cusp_rows: list[PassRows]
 
     @classmethod
     def of(cls, tri: Triangulation) -> Combinatorics:
@@ -159,12 +159,14 @@ class Combinatorics(NamedTuple):
                 for index, orbit in enumerate(vertices)
                 for slot in orbit
             },
-            edge_terms=[
-                [(tet, EDGE_SLOT[pair], signs[tet])
-                 for tet, pair, _ in e.incidences]
+            edge_rows=[
+                pass_rows([(tet, EDGE_SLOT[pair], signs[tet])
+                           for tet, pair, _ in e.incidences])
                 for e in edges
             ],
-            cusp_terms=[path_terms(tri, path) for path in tri.cusp_paths],
+            cusp_rows=[
+                pass_rows(path_terms(tri, path)) for path in tri.cusp_paths
+            ],
         )
 
 

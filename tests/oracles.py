@@ -543,11 +543,12 @@ def reference_exponent_row(terms):
 
 
 def reference_beta(comb, num_tetrahedra):
-    """beta as first built: each edge's unsigned slots added into the two
-    rows of their simplex, zero entries dropped afterwards."""
+    """beta as first built: each edge's unsigned slots, read off the terms
+    of its condition-table entry, added into the two rows of their simplex,
+    zero entries dropped afterwards."""
     beta = [{} for _ in range(2 * num_tetrahedra)]
-    for col, terms in enumerate(comb.edge_terms):
-        for tet, slot, _ in terms:
+    for col, edge in enumerate(comb.edge_rows):
+        for tet, slot, _ in edge.terms:
             for row, c in zip(beta[2 * tet:2 * tet + 2], SLOT_PQ_COEFF[slot]):
                 if c:
                     row[col] = row.get(col, 0) + c

@@ -40,7 +40,7 @@ def run_cli(argv, prelude=""):
 def at_exit_print(expression):
     """A ``run_cli`` prelude that prints ``expression`` to stderr when the
     interpreter exits.  Its callback is registered before ``cvol.cli`` is
-    imported, so it runs after every callback that ``main`` registers."""
+    imported, so it runs after every callback that ``cvol.cli`` registers."""
     return ("import atexit, gc, sys\n"
             f"atexit.register(lambda: print({expression}, file=sys.stderr))\n")
 
@@ -381,6 +381,39 @@ class TestOtherCommands:
         assert result.stdout == golden.read_text()
         assert result.stderr.strip() == "[]"
 
+    @pytest.mark.parametrize("command", ["cvol", "flatten", "homology"])
+    def test_each_condition_becomes_rows_once(self, command, monkeypatch,
+                                              capsys):
+        # fig8_cover8 has 16 edges of valence 6 and 2 cusp paths: the
+        # condition table built at parse is the one multi-term conversion
+        # of each; only flatten's pruning walk converts one-term arcs
+        import importlib
+
+        import cvol.geometry as geometry
+        from cvol.cli import _load
+
+        path = str(FIXTURES / "fig8_cover8.json")
+        comb = _load(path).combinatorics
+        tables = [e.terms for e in comb.edge_rows + comb.cusp_rows]
+        assert (len(comb.edge_rows), len(comb.cusp_rows)) == (16, 2)
+        original, calls = geometry.pass_rows, []
+
+        def counted(terms):
+            calls.append(terms)
+            return original(terms)
+
+        for name in sorted(PACKAGE_MODULES):
+            module = importlib.import_module(f"cvol.{name}")
+            if getattr(module, "pass_rows", None) is original:
+                monkeypatch.setattr(module, "pass_rows", counted)
+        code, out, _ = call_main(["--format", "json", command, path], capsys)
+        assert code == 0
+        golden = FIXTURES / "golden" / f"{command}-fig8_cover8.json"
+        assert out == golden.read_text()
+        assert [terms for terms in calls if len(terms) > 1] == tables
+        one_term = any(len(terms) == 1 for terms in calls)
+        assert one_term == (command == "flatten")
+
 
     def test_verify_loads_no_triangulation_code(self):
         result = run_cli(
@@ -583,7 +616,7 @@ class TestTextFormat:
 
 
 class TestExitHook:
-    """``main`` registers ``gc.freeze`` with ``atexit``: a ``cvol``
+    """``cvol.cli`` registers ``gc.freeze`` with ``atexit``: a ``cvol``
     process skips the shutdown collection, an in-process caller's heap is
     left alone while its interpreter runs."""
 
@@ -632,6 +665,22 @@ class TestExitHook:
         calls, frozen = map(int, at_exit.split())
         assert calls == 1
         assert frozen > 0
+
+    def test_main_adds_no_exit_callback(self, fig8_path):
+        # ``atexit._ncallbacks`` counts unregistered slots too, so an
+        # unregister-then-register in ``main`` would grow it by one a call
+        prelude = (
+            "import atexit, sys\n"
+            "from cvol.cli import main\n"
+            "before = atexit._ncallbacks()\n"
+            "for _ in range(3):\n"
+            f"    main(['edges', {str(fig8_path)!r}])\n"
+            "print(before, atexit._ncallbacks(), file=sys.stderr)\n"
+        )
+        result = run_cli(["edges", fig8_path], prelude)
+        assert result.returncode == 0, result.stderr
+        before, after = map(int, result.stderr.split())
+        assert before == after
 
 
 GOLDEN_RUNS = [

@@ -121,9 +121,12 @@ class TestJComplex:
 
     def test_cancelling_slots_leave_no_entry(self, fig8):
         # an edge class holding slots 0 and 2 of one simplex: its beta
-        # coordinates (1, 0) + (-1, -1) cancel in the first row
+        # coordinates (1, 0) + (-1, -1) cancel in the first row; fig8's
+        # signs are both +1, the weight of every term of an edge
+        assert fig8.combinatorics.signs == [1, 1]
         comb = fig8.combinatorics._replace(
-            edge_terms=[[(0, 0, 1), (0, 2, 1)], [(1, 1, 1)]],
+            edge_rows=[pass_rows([(0, 0, 1), (0, 2, 1)]),
+                       pass_rows([(1, 1, 1)])],
         )
         jc = build_j_complex(
             types.SimpleNamespace(combinatorics=comb, num_tetrahedra=2)
@@ -149,14 +152,22 @@ class TestJComplex:
                                          tri.num_tetrahedra)
 
     def test_beta_matches_reference_on_drawn_edges(self, fig8):
-        # alpha reads fig8's edges; beta reads only the drawn edge terms
+        # alpha reads fig8's edges; beta reads only the drawn edges and
+        # signs.  Every term of an edge carries its simplex's sign as its
+        # weight; repeated passes of one simplex cancel across slots
         rng = random.Random(18)
+        cancelled = 0
         for _ in range(100):
-            comb = fig8.combinatorics._replace(
-                edge_terms=[random_terms(rng, 3) for _ in range(4)])
+            signs = [rng.choice((1, -1)) for _ in range(3)]
+            edges = [pass_rows([(t, s, signs[t])
+                                for t, s, _ in random_terms(rng, 3)])
+                     for _ in range(4)]
+            comb = fig8.combinatorics._replace(signs=signs, edge_rows=edges)
             jc = build_j_complex(
                 types.SimpleNamespace(combinatorics=comb, num_tetrahedra=3))
             assert jc.beta == reference_beta(comb, 3)
+            cancelled += any(j not in e.pq for e in edges for j in e.parity)
+        assert cancelled > 40, cancelled
 
     @pytest.mark.parametrize("name", ["fig8", "fig8_cover3", "fig8_cover32"])
     def test_rows_hold_only_nonzero_entries(self, name):
@@ -168,8 +179,8 @@ class TestJComplex:
         ne, nv = len(jc.edges), len(jc.vertices)
         # the dense matrices, built entry by entry from the incidences
         beta = [[0] * ne for _ in range(jc.j_rank)]
-        for col, terms in enumerate(comb.edge_terms):
-            for tet, slot, _ in terms:
+        for col, edge in enumerate(comb.edge_rows):
+            for tet, slot, _ in edge.terms:
                 c0, c1 = SLOT_PQ_COEFF[slot]
                 beta[2 * tet][col] += c0
                 beta[2 * tet + 1][col] += c1
@@ -384,6 +395,19 @@ class TestSolveFlattenings:
         b = solve_flattenings(fig8, fig8_shapes)
         assert a.pq() == b.pq()
 
+    @pytest.mark.parametrize("name", ["fig8", "fig8_cover3"])
+    def test_solves_leave_the_condition_table_alone(self, name, request):
+        # every solve reads the entries built at parse; the parity rows
+        # it extends by an auxiliary column are copies
+        tri = request.getfixturevalue(name)
+        shapes = request.getfixturevalue(f"{name}_shapes")
+        cusp_rows = tri.combinatorics.cusp_rows
+        parities = [dict(c.parity) for c in cusp_rows]
+        assert cusp_rows
+        first = solve_flattenings(tri, shapes)
+        assert solve_flattenings(tri, shapes) == first
+        assert [c.parity for c in cusp_rows] == parities
+
     def test_perturbed_assignment_breaks_conditions(self, fig8, fig8_shapes):
         from cvol.geometry import EDGE_SLOT
         from cvol.triangulation import edge_classes, path_passes
@@ -589,7 +613,7 @@ class TestPrunedKernel:
         # random kernels give several independent link functionals, so the
         # columns of [F | kernel] must come in the order the walk meets them
         tri = request.getfixturevalue(name)
-        width = 2 * tri.num_tetrahedra + len(tri.combinatorics.cusp_terms)
+        width = 2 * tri.num_tetrahedra + len(tri.combinatorics.cusp_rows)
         rng = random.Random(15)
         for _ in range(30):
             k = [[rng.randint(-2, 2) for _ in range(width)]

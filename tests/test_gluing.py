@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cvol.errors import ConvergenceError, CVolError, DegenerateGeometryError
+from cvol.geometry import pass_rows
 from cvol.gluing import _min_norm_step, gluing_equations, solve_shapes
 from cvol.polylog import bloch_wigner
 from cvol.triangulation import parse_triangulation
@@ -74,8 +75,8 @@ class TestGluingEquations:
         # cancelling slots and weights +-1, +-2
         rng = random.Random(18)
         drawn = types.SimpleNamespace(
-            edge_terms=[random_terms(rng, 4) for _ in range(200)],
-            cusp_terms=[random_terms(rng, 4) for _ in range(200)],
+            edge_rows=[pass_rows(random_terms(rng, 4)) for _ in range(200)],
+            cusp_rows=[pass_rows(random_terms(rng, 4)) for _ in range(200)],
         )
         tris = [fig8, _load(fixtures, "fig8_cover3"),
                 types.SimpleNamespace(combinatorics=drawn)]
@@ -83,9 +84,9 @@ class TestGluingEquations:
             comb = tri.combinatorics
             system = gluing_equations(tri)
             assert system.edge_rows == [
-                reference_exponent_row(t) for t in comb.edge_terms]
+                reference_exponent_row(e.terms) for e in comb.edge_rows]
             assert system.cusp_rows == [
-                reference_exponent_row(t) for t in comb.cusp_terms]
+                reference_exponent_row(c.terms) for c in comb.cusp_rows]
 
     def test_no_cusp_paths_flagged(self, fig8_doc):
         doc = copy.deepcopy(fig8_doc)
