@@ -4,8 +4,10 @@ The J-complex itself, its integer maps alpha and beta and its homology,
 lives in ``cvol.jcomplex``, which needs no logarithm; its names stay
 importable from here.  ``omega`` is the element of J (x) C whose
 Delta-component is -(log(1-z) e_0 + log(z) e_1); at a solution of the
-gluing equations (1/pi i) beta*(omega) is an even integer vector
-(``integral_defect``).
+gluing equations with every orientation sign +1, (1/pi i) beta*(omega) is
+an integer vector (``integral_defect``).  Its parity is not fixed: it
+depends on how the vertices are labelled, and on 7 of 12 seeded vertex
+relabelings of fig8 it is odd at some edge.
 
 ``solve_flattenings`` finds integer branch indices (p_i, q_i) such that
 every edge class has zero signed log-parameter sum and every supplied cusp
@@ -71,8 +73,11 @@ def _pi_i_multiple(value: complex, tol: float, what: str) -> int:
 def integral_defect(
     jc: JComplex, omega_vec: list[complex], tol: float = 1e-9
 ) -> list[int]:
-    """c = (1/pi i) beta*(omega): integral exactly when the shapes satisfy
-    the gluing equations, and then even at every edge."""
+    """c = (1/pi i) beta*(omega): integral when the shapes satisfy the
+    gluing equations and every orientation sign is +1.  beta reads an
+    edge's slots without their signs, so with mixed signs away from regular
+    shapes the sum can miss every multiple of pi i.  c need not be even:
+    its parity changes with the vertex labelling."""
     return [
         _pi_i_multiple(
             sum(c * omega_vec[j] for j, c in row.items()), tol,

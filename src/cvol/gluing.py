@@ -232,12 +232,14 @@ def _check_nondegenerate(shapes, what: str) -> None:
         if not cmath.isfinite(z):
             raise DegenerateGeometryError(
                 f"{what}: shape {k} = {z!r} is not finite")
-        if abs(z.imag) < FLAT_IM_MARGIN:
+        # z' = 1/(1 - z) and z'' = 1 - 1/z have Im z / |1 - z|^2 and
+        # Im z / |z|^2, so they flatten as z runs off to infinity
+        scale = max(1.0, abs(z) * abs(z), abs(1 - z) * abs(1 - z))
+        if abs(z.imag) < FLAT_IM_MARGIN * scale:
             raise DegenerateGeometryError(
-                f"{what}: shape {k} = {z!r} is flat (|Im z| < {FLAT_IM_MARGIN})"
+                f"{what}: shape {k} = {z!r} is flat "
+                f"(|Im| of z, z' or z'' < {FLAT_IM_MARGIN})"
             )
-        if z == 0 or z == 1:
-            raise DegenerateGeometryError(f"{what}: shape {k} hits 0 or 1")
 
 
 def solve_shapes(

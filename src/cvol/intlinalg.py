@@ -7,12 +7,15 @@ GF(2), and a small descriptor type for finitely generated abelian groups.
 
 The Smith form works in two steps, because the matrices of a triangulation
 are very sparse and almost all their pivots are units.  A sparse pass
-eliminates +-1 pivots in one sweep over the dict rows; the small dense core
-that is left is diagonalized by alternating row Hermite forms of the matrix
-and of its transpose (Kannan-Bachem).  Both steps are exact: no modular or
-floating-point shortcut is taken.  The Smith form and the GF(2) rank also
-take sparse rows, ``{col: value}`` dicts, and int bitmasks respectively, so
-a caller holding a sparse matrix never builds the dense one.
+eliminates +-1 pivots in one sweep over the dict rows, visited breadth-first
+over the rows' shared columns (Cuthill-McKee order) so that fill stays low
+however the rows are labelled; the small dense core that is left, one row
+per set of rows equal up to sign, is diagonalized by alternating row
+Hermite forms of the matrix and of its transpose (Kannan-Bachem).  Both
+steps are exact: no modular or floating-point shortcut is taken.  The Smith
+form and the GF(2) rank also take sparse rows, ``{col: value}`` dicts, and
+int bitmasks respectively, so a caller holding a sparse matrix never builds
+the dense one.
 """
 
 from __future__ import annotations
@@ -153,11 +156,13 @@ def smith_invariant_factors(
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, given
     as dense rows or as sparse ``{col: value}`` rows.
 
-    First a sparse pass: one sweep over the rows in index order pivots on
-    the first +-1 entry of each row that still has one, clears its column
-    with row operations and drops its row and column.  Elimination on a
-    unit pivot is unimodular, so SNF(M) = [1] + SNF(Schur complement): each
-    such pivot contributes one factor 1.  The dense core left over is
+    First a sparse pass: one sweep over the rows in breadth-first order
+    (``_eliminate_unit_pivots``) pivots on the first +-1 entry of each row
+    that still has one, clears its column with row operations and drops its
+    row and column.  Elimination on a unit pivot is unimodular, so SNF(M) =
+    [1] + SNF(Schur complement): each such pivot contributes one factor 1.
+    Of the core rows that are equal up to sign only the first is kept: a
+    unimodular row operation zeroes the others.  The dense core left over is
     diagonalized by ``_dense_smith_factors``.
     """
     core, units = _eliminate_unit_pivots(m)
@@ -171,12 +176,17 @@ def _eliminate_unit_pivots(
 
     Rows are copied into ``{col: value}`` dicts, from dense rows or from
     sparse ones, with a column -> rows index.  The rows are visited once,
-    in index order; a row that still holds a +-1 entry when it is reached
-    pivots on the first one, so its column is cleared from the other rows
-    and the row and the column are dropped.  A row passed over that gains
-    a unit entry later stays in the core, which is still exact.
-    Returns the dense Schur complement (rows and columns with a nonzero
-    entry only) and the number of unit pivots taken.
+    breadth-first over the row-column graph (Cuthill-McKee order): each
+    search starts at the lowest-index row not yet reached, and a row queues
+    the unreached rows of its columns, columns and rows in index order.
+    Consecutive pivots then touch nearby rows, so fill stays low whatever
+    the row labelling.  A row that still holds a +-1 entry when it is
+    reached pivots on the first one, so its column is cleared from the other
+    rows and the row and the column are dropped.  A row passed over that
+    gains a unit entry later stays in the core, which is still exact.
+    Returns the dense Schur complement (columns with a nonzero entry only,
+    and one row of each set of rows equal up to sign, which a unimodular
+    row operation would zero) and the number of unit pivots taken.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -188,8 +198,27 @@ def _eliminate_unit_pivots(
             for j in entries:
                 cols.setdefault(j, set()).add(i)
 
+    order: list[int] = []
+    reached: set[int] = set()
+    spanned: set[int] = set()  # columns whose rows are all reached
+    k = 0
+    for root in rows:
+        if root in reached:
+            continue
+        reached.add(root)
+        order.append(root)
+        while k < len(order):  # breadth-first from root
+            for j in sorted(rows[order[k]]):
+                if j not in spanned:
+                    spanned.add(j)
+                    near = sorted(cols[j] - reached)
+                    reached.update(near)
+                    order += near
+            k += 1
+
     units = 0
-    for p, pivot_row in list(rows.items()):  # rows change in place
+    for p in order:
+        pivot_row = rows[p]
         q = next((j for j, v in pivot_row.items() if v == 1 or v == -1), None)
         if q is None:
             continue
@@ -214,8 +243,13 @@ def _eliminate_unit_pivots(
                     cols[j].discard(i)
 
     live = sorted(j for j, c in cols.items() if c)
-    core = [[row.get(j, 0) for j in live] for row in rows.values() if row]
-    return core, units
+    core: dict[tuple[int, ...], None] = {}
+    for row in rows.values():
+        if row:
+            dense = tuple([row.get(j, 0) for j in live])
+            if tuple([-v for v in dense]) not in core:
+                core[dense] = None
+    return [list(row) for row in core], units
 
 
 def _dense_smith_factors(a: list[list[int]]) -> list[int]:

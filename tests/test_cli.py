@@ -152,6 +152,25 @@ class TestCvolCommand:
         assert out == ""
         assert "error at stage parse" in err
 
+    def test_shapes_at_infinity_fail_at_solve_shapes(self, tmp_path, capsys):
+        # Newton drifts to both shapes near 2e12 i: z stays off the real
+        # line while z' = 1/(1 - z) and z'' = 1 - 1/z flatten
+        gluings = [{"tet": 1, "perm": [0, 1, 3, 2]},
+                   {"tet": 1, "perm": [2, 1, 0, 3]},
+                   {"tet": 1, "perm": [3, 1, 2, 0]},
+                   {"tet": 1, "perm": [0, 2, 1, 3]}]
+        doc = {"name": "s", "tetrahedra": [
+            {"gluings": gluings},
+            {"gluings": [dict(g, tet=0) for g in gluings]},
+        ]}
+        path = tmp_path / "at_infinity.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = call_main(["--format", "json", "cvol", str(path)],
+                                   capsys)
+        assert code == 2
+        assert out == ""
+        assert "error at stage solve_shapes" in err
+
 
 class TestVerifyCommand:
     def test_default_run_passes(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 from cvol.intlinalg import (
     AbelianGroup,
     _dense_smith_factors,
+    _eliminate_unit_pivots,
     gf2_rank,
     lattice_equal,
     matvec,
@@ -222,6 +223,38 @@ class TestSparseSmith:
         assert smith_invariant_factors(
             [[1, 1, 0], [1, -1, 0], [0, 0, 2]]
         ) == [1, 2, 2]
+
+    def test_permuted_rows_and_columns_keep_factors(self):
+        # the sweep's order follows the labels; the factors must not
+        rng = random.Random(22)
+        for _ in range(200):
+            m = random_sparse_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+            expected = _dense_smith_factors([list(r) for r in m])
+            row_order = rng.sample(range(len(m)), len(m))
+            col_order = rng.sample(range(len(m[0])), len(m[0]))
+            permuted = [[m[i][j] for j in col_order] for i in row_order]
+            assert smith_invariant_factors(permuted) == expected
+
+    def test_repeated_and_negated_rows_keep_factors(self):
+        # a copy of a row, or of its negation, adds nothing to the row space
+        rng = random.Random(23)
+        for _ in range(200):
+            m = random_sparse_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
+            expected = _dense_smith_factors([list(r) for r in m])
+            extra = [[sign * v for v in rng.choice(m)]
+                     for sign in rng.choices((1, -1), k=rng.randint(1, 6))]
+            grown = m + extra
+            rng.shuffle(grown)
+            assert smith_invariant_factors(grown) == expected
+
+    def test_core_holds_distinct_rows_up_to_sign(self):
+        # no entry is a unit, so every nonzero row reaches the core, where
+        # the copy and the negated copy of [2, 4] are dropped
+        core, units = _eliminate_unit_pivots(
+            [[2, 4], [-2, -4], [2, 4], [4, 2], [0, 0]])
+        assert units == 0
+        assert core == [[2, 4], [4, 2]]
+        assert _eliminate_unit_pivots([[2]] * 5 + [[-2]] * 5) == ([[2]], 0)
 
 
 def dense_gf2_rank(m):
