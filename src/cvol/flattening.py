@@ -13,9 +13,10 @@ relabelings of fig8 it is odd at some edge.
 every edge class has zero signed log-parameter sum and every supplied cusp
 path has zero log-parameter and zero parity, by solving one combined
 integer linear system in Hermite normal form.  It reads the condition
-table built at parse (``Combinatorics.edge_rows`` and ``cusp_rows``): the
-sparse rows as they are, and each condition's value at the shapes and at
-the solution (``PassRows.value``).  Only the pruning walk's one-term arcs
+table (``Combinatorics.edge_rows`` and ``cusp_rows``, built on their first
+read and kept with the triangulation): the sparse rows as they are, and
+each condition's value at the shapes and at the solution
+(``PassRows.value``).  Only the pruning walk's one-term arcs
 go through ``cvol.geometry.pass_rows`` here.
 ``complex_volume`` sums the lifted Rogers function over sum_i eps_i [z_i,
 p_i, q_i] to i(vol + i cs) modulo pi^2; only ``flatten`` prunes the

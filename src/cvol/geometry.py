@@ -11,10 +11,10 @@ The slot convention of the integer conditions lives here: ``EDGE_SLOT``
 (p, q), equally its (e_0, e_1) coordinates in the J-complex).
 ``pass_rows``, the one condition-to-row helper, turns a condition, a list
 of (tet, slot, weight) terms, into a ``PassRows`` entry: its sparse
-integer rows, its exponent sums and its value at given slot values.  Parse
-builds the entry of every edge and cusp path once (``Combinatorics``).  This
-module takes no logarithm, so the integer commands load it without the
-numeric code.
+integer rows, its exponent sums and its value at given slot values.
+``Combinatorics`` builds the entry of every edge and cusp path once, on
+the first read of its table.  This module takes no logarithm, so the
+integer commands load it without the numeric code.
 """
 
 from __future__ import annotations

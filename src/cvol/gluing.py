@@ -10,8 +10,8 @@ logarithmic form with principal branches,
 
 Each log term is a * log z + b * log z' + c * log z'' with integer exponents
 a, b, c: the per-slot weight sums of the condition, which the condition
-table built at parse (``Combinatorics.edge_rows`` and ``cusp_rows``)
-already holds as ``PassRows.exponents``.  An equation is that sparse row of
+table (``Combinatorics.edge_rows`` and ``cusp_rows``, built on their first
+read) holds as ``PassRows.exponents``.  An equation is that sparse row of
 (tet, a, b, c) terms, one per tetrahedron it involves, plus a constant
 target.  A negatively oriented tetrahedron (eps = -1) has its
 geometric shape in the lower half plane.
@@ -242,6 +242,20 @@ def _check_nondegenerate(shapes, what: str) -> None:
             )
 
 
+def _norm(vec: list[complex]) -> float:
+    # a NaN entry counts as inf: max would skip it unless it came first
+    return max((abs(v) if v == v else math.inf for v in vec), default=0.0)
+
+
+def _lowers(system: GluingSystem, shapes, best: float) -> bool:
+    """Whether the residual at ``shapes`` is below ``best``; false where a
+    shape is 0 or 1, at which the logarithms are not defined."""
+    try:
+        return _norm(system.residual(shapes)) < best
+    except (ValueError, ArithmeticError):
+        return False
+
+
 def solve_shapes(
     tri: Triangulation,
     initial: list[complex] | None = None,
@@ -255,7 +269,10 @@ def solve_shapes(
     Each iteration takes the minimum-norm least-squares step
     (``_min_norm_step``); a simple halving line search keeps the residual
     monotone.  Iterates that flatten a simplex abort, non-finite shapes are
-    refused, and a residual with a NaN entry never counts as converged.
+    refused, and a residual with a NaN entry never counts as converged.  A
+    line search that stalls after refusing a flat trial with a lower
+    residual raises that trial's ``DegenerateGeometryError``: the shapes
+    are running into a flat simplex, at the real line or at infinity.
     ``geometric`` means eps * Im z > 0 for every shape.
     """
     system = gluing_equations(tri)
@@ -271,12 +288,8 @@ def solve_shapes(
     shapes = [complex(z) for z in initial]
     _check_nondegenerate(shapes, "initial shapes")
 
-    def norm(vec: list[complex]) -> float:
-        # a NaN entry counts as inf: max would skip it unless it came first
-        return max((abs(v) if v == v else math.inf for v in vec), default=0.0)
-
     res = system.residual(shapes)
-    best = norm(res)
+    best = _norm(res)
     history: list[tuple[float, int]] = []
     while not best < tol:
         if len(history) >= max_iter:
@@ -287,26 +300,30 @@ def solve_shapes(
         step = _min_norm_step(system.jacobian(shapes), res, n)
         alpha = 1.0
         halvings = 0
+        refused = None  # the first flat trial that would have lowered best
         while True:
             trial = [z + alpha * dz for z, dz in zip(shapes, step)]
             try:
                 _check_nondegenerate(trial, "Newton iterate")
                 trial_res = system.residual(trial)
-            except DegenerateGeometryError:
+            except DegenerateGeometryError as exc:
                 if alpha < 2**-20:
                     raise
+                if refused is None and _lowers(system, trial, best):
+                    refused = exc
                 alpha *= 0.5
                 halvings += 1
                 continue
-            if norm(trial_res) < best or alpha < 2**-20:
+            if _norm(trial_res) < best or alpha < 2**-20:
                 break
             alpha *= 0.5
             halvings += 1
-        if not norm(trial_res) < best:
-            raise ConvergenceError(
+        if not _norm(trial_res) < best:
+            # a stall behind a refused flat trial is the shapes degenerating
+            raise refused or ConvergenceError(
                 f"line search stalled at residual {best:g}"
             )
-        shapes, res, best = trial, trial_res, norm(trial_res)
+        shapes, res, best = trial, trial_res, _norm(trial_res)
         history.append((best, halvings))
     geometric = all(eps * z.imag > 0 for eps, z in zip(signs, shapes))
     return ShapeSolution(shapes, best, len(history), geometric, history)

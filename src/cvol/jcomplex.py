@@ -13,9 +13,10 @@ the skew form.  The maps have O(T) nonzero entries (two per edge in alpha,
 at most eight per simplex in beta), so alpha and beta are stored as sparse
 ``{col: value}`` rows and never as dense matrices; alpha* and beta* are
 read off them as adjoints on demand.  beta's columns are the edge
-conditions' ``pq`` rows from the condition table built at parse
-(``Combinatorics.edge_rows``), each entry times the orientation sign of
-its simplex: every term of an edge carries that sign as its weight.
+conditions' ``pq`` rows from the condition table
+(``Combinatorics.edge_rows``, built on its first read; ``homology`` builds
+no cusp entry), each entry times the orientation sign of its simplex:
+every term of an edge carries that sign as its weight.
 
 Everything here is exact integer work and needs no logarithm: the
 ``homology`` command loads this module and not the flattening solver.
@@ -127,14 +128,15 @@ def h1_mod2(jc: JComplex) -> int:
     ``1 << edge`` over its three edge slots.  The walk around each edge
     crosses one glued face pair per step and each edge slot of a face
     exactly once, so the rows are read off the walks, keyed by the smaller
-    side of the pair.
+    side of the pair as 4 * tet + face.
     """
-    tri = jc.tri
+    gluings = jc.tri.gluings
     d1 = [sum((c & 1) << v for v, c in row.items()) for row in jc.alpha]
-    d2: dict[tuple[int, int], int] = {}
-    for e in tri.combinatorics.edges:
+    d2: dict[int, int] = {}
+    for e in jc.edges:
+        bit = 1 << e.index
         for (tet, _, _), (_, exit_) in zip(e.incidences, e.faces):
-            g = tri.gluing(tet, exit_)
-            face = min((tet, exit_), (g.tet, g.perm[exit_]))
-            d2[face] = d2.get(face, 0) ^ (1 << e.index)
+            target, perm = gluings[tet][exit_]
+            face = min(4 * tet + exit_, 4 * target + perm[exit_])
+            d2[face] = d2.get(face, 0) ^ bit
     return len(jc.edges) - gf2_rank(d1) - gf2_rank(list(d2.values()))

@@ -18,15 +18,19 @@ and ``link_arcs`` are built from it.
 
 The gluing table is read through tables built once at import: the parity
 and the inverse of each of the 24 permutations, and the sorted pair of
-each ordered vertex pair.  What derives from the gluings and the cusp
-paths is computed once per triangulation, by ``parse_triangulation``, into
-a named tuple ``Combinatorics``: the edge classes with the faces crossed
-on the walk around each edge (``edge_loop`` and the face rows of
-``cvol.jcomplex.h1_mod2`` read them), the vertex classes, the
-orientation signs, the (tet, vertex) -> vertex lookup, and the condition
-table: one ``cvol.geometry.PassRows`` entry per edge (``edge_rows``) and
-per cusp path (``cusp_rows``), which every later stage reads.  A cusp path
-that leaves its vertex link fails there, at parse.
+each ordered vertex pair.  The walks index ``Triangulation.gluings``
+directly and mark what they have seen in a ``bytearray`` indexed by
+6 * tet + pair or 4 * tet + vertex.
+What derives from the gluings and the cusp paths is computed once per
+triangulation into a ``Combinatorics``: at parse, the edge classes with the
+faces crossed on the walk around each edge (``edge_loop`` and the face rows
+of ``cvol.jcomplex.h1_mod2`` read them), the vertex classes, the
+orientation signs, the (tet, vertex) -> vertex lookup and the passes of
+each cusp path, whose walk is the path's check: a cusp path that leaves its
+vertex link fails there, at parse.  The condition table, one
+``cvol.geometry.PassRows`` entry per edge (``edge_rows``) and per cusp path
+(``cusp_rows``), which every later stage reads, is built the first time it
+is read, so ``edges`` builds none of it and ``homology`` only the edges'.
 
 Conditions on log-parameters are lists of (tet, slot, weight) terms,
 meaning sum weight * w_slot(tet), slots as in ``cvol.geometry``.  One
@@ -40,7 +44,8 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import combinations, permutations, product
+from functools import cached_property
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .errors import TriangulationError
@@ -52,8 +57,12 @@ _PERM_PARITY = {
     for perm in permutations(range(4))
 }
 _PERM_INVERSE = {perm: tuple(map(perm.index, range(4))) for perm in _PERM_PARITY}
-#: ordered vertex pair -> the sorted pair that keys ``EDGE_SLOT``
-_PAIR = {(a, b): (min(a, b), max(a, b)) for a, b in permutations(range(4), 2)}
+#: the six sorted vertex pairs, which key ``EDGE_SLOT``, in the order the
+#: edge walk starts from them
+_PAIRS = tuple(combinations(range(4), 2))
+#: [a][b] -> index in ``_PAIRS`` of the pair {a, b}
+_PAIR_INDEX = [[_PAIRS.index((min(a, b), max(a, b))) if a != b else -1
+                for b in range(4)] for a in range(4)]
 
 
 def perm_parity(perm: tuple[int, ...]) -> int:
@@ -133,41 +142,51 @@ class Triangulation:
         return self.gluings[tet][face]
 
 
-class Combinatorics(NamedTuple):
+class Combinatorics:
     """Data derived from the gluings and the cusp paths, built once per
     triangulation.  The glued face pairs are not listed: the walk around
-    each edge crosses one per step (``EdgeClass.faces``)."""
+    each edge crosses one per step (``EdgeClass.faces``).
 
-    edges: list[EdgeClass]
-    vertices: list[list[tuple[int, int]]]
-    signs: list[int]
-    vertex_of: dict[tuple[int, int], int]
-    edge_rows: list[PassRows]
-    cusp_rows: list[PassRows]
+    The walks run at parse; the condition table (``edge_rows`` and
+    ``cusp_rows``) is built the first time it is read, from the edge
+    classes and from the passes that validated each cusp path at parse.
+    """
+
+    def __init__(self, edges: list[EdgeClass],
+                 vertices: list[list[tuple[int, int]]], signs: list[int],
+                 cusp_passes: list[list[tuple[int, tuple[int, int], int]]]
+                 ) -> None:
+        self.edges, self.vertices, self.signs = edges, vertices, signs
+        self.vertex_of: dict[tuple[int, int], int] = {
+            slot: index for index, orbit in enumerate(vertices)
+            for slot in orbit
+        }
+        self.cusp_passes = cusp_passes
 
     @classmethod
     def of(cls, tri: Triangulation) -> Combinatorics:
         signs = orientation_signs(tri)  # raises for non-orientable complexes
         edges = edge_classes(tri)
         vertices = vertex_classes(tri)
-        return cls(
-            edges=edges,
-            vertices=vertices,
-            signs=signs,
-            vertex_of={
-                slot: index
-                for index, orbit in enumerate(vertices)
-                for slot in orbit
-            },
-            edge_rows=[
-                pass_rows([(tet, EDGE_SLOT[pair], signs[tet])
-                           for tet, pair, _ in e.incidences])
-                for e in edges
-            ],
-            cusp_rows=[
-                pass_rows(path_terms(tri, path)) for path in tri.cusp_paths
-            ],
-        )
+        # raises for a cusp path that is not a closed normal path in one
+        # vertex link
+        passes = [path_passes(tri, path) for path in tri.cusp_paths]
+        return cls(edges, vertices, signs, passes)
+
+    @cached_property
+    def edge_rows(self) -> list[PassRows]:
+        """One entry per edge class; each term weighs its simplex's sign."""
+        signs = self.signs
+        return [
+            pass_rows([(tet, EDGE_SLOT[pair], signs[tet])
+                       for tet, pair, _ in e.incidences])
+            for e in self.edges
+        ]
+
+    @cached_property
+    def cusp_rows(self) -> list[PassRows]:
+        """One entry per cusp path."""
+        return [pass_rows(_terms(passes)) for passes in self.cusp_passes]
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +204,11 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
 
 _STEP_KEYS = set(PathStep._fields)
 _GLUING_KEYS = {"tet", "perm"}
+_TET_KEYS = {"gluings"}
+_INT4 = (int,) * 4
+_FACES = range(4)
+#: vertex -> the three faces that contain it
+_OTHER_FACES = [tuple(f for f in _FACES if f != v) for v in _FACES]
 
 
 def _is_int(value) -> bool:
@@ -230,11 +254,16 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
     if not isinstance(tets, list) or not tets:
         raise TriangulationError("tetrahedra must be a non-empty list")
 
+    # Each check below first tries the form every valid document has (exact
+    # key sets, plain ints); the full check, with its message, runs only
+    # when that fails.
+    n = len(tets)
     gluings: list[list[Gluing]] = []
     for t, entry in enumerate(tets):
         if not isinstance(entry, dict):
             raise TriangulationError(f"tetrahedron {t} must be an object")
-        _require_keys(entry, {"gluings"}, {"gluings"}, f"tetrahedron {t}")
+        if entry.keys() != _TET_KEYS:
+            _require_keys(entry, _TET_KEYS, _TET_KEYS, f"tetrahedron {t}")
         raw = entry["gluings"]
         if not isinstance(raw, list) or len(raw) != 4:
             raise TriangulationError(f"tetrahedron {t} needs exactly 4 gluings")
@@ -245,11 +274,15 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
             if g.keys() != _GLUING_KEYS:
                 _require_keys(g, _GLUING_KEYS, _GLUING_KEYS, f"gluing ({t},{f})")
             target, perm = g["tet"], g["perm"]
-            if not _is_int(target) or not 0 <= target < len(tets):
+            if (
+                not (type(target) is int or _is_int(target))
+                or not 0 <= target < n
+            ):
                 raise TriangulationError(f"gluing ({t},{f}) targets bad tet")
             if not (
                 isinstance(perm, list)
-                and all(map(_is_int, perm))
+                and (tuple(map(type, perm)) == _INT4
+                     or all(map(_is_int, perm)))
                 and (key := tuple(perm)) in _PERM_PARITY
             ):
                 raise TriangulationError(
@@ -260,11 +293,13 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
 
     for t, row in enumerate(gluings):
         for f, (target, perm) in enumerate(row):
-            if target == t and perm[f] == f:
+            image = perm[f]
+            if target == t and image == f:
                 raise TriangulationError(
                     f"face ({t},{f}) is glued to itself"
                 )
-            if gluings[target][perm[f]] != (t, _PERM_INVERSE[perm]):
+            back, back_perm = gluings[target][image]
+            if back != t or back_perm != _PERM_INVERSE[perm]:
                 raise TriangulationError(
                     f"gluing ({t},{f}) is not involutive with inverse "
                     "permutation"
@@ -281,9 +316,15 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
         for s, raw in enumerate(raw_path):
             if not isinstance(raw, dict):
                 raise TriangulationError(f"step {s} of cusp path {k} malformed")
-            _require_keys(raw, _STEP_KEYS, _STEP_KEYS, f"cusp path {k} step {s}")
+            if raw.keys() != _STEP_KEYS:
+                _require_keys(raw, _STEP_KEYS, _STEP_KEYS,
+                              f"cusp path {k} step {s}")
             step = PathStep(raw["tet"], raw["enter_face"], raw["exit_face"])
-            if not all(map(_is_int, step)):
+            tet, enter, exit_ = step
+            if not (
+                type(tet) is type(enter) is type(exit_) is int
+                or all(map(_is_int, step))
+            ):
                 raise TriangulationError(f"cusp path {k} step {s}: ints required")
             steps.append(step)
         paths.append(NormalPath(tuple(steps)))
@@ -319,52 +360,57 @@ def parse_triangulation(document: dict | str | bytes) -> Triangulation:
 def edge_classes(tri: Triangulation) -> list[EdgeClass]:
     """Orbits of (tet, edge) incidences, each in cyclic order around the
     edge with propagated direction signs."""
-    seen: set[tuple[int, tuple[int, int]]] = set()
+    gluings = tri.gluings
+    seen = bytearray(6 * len(gluings))  # [6 * tet + index in _PAIRS]
     classes: list[EdgeClass] = []
-    for t0, pair0 in product(
-        range(tri.num_tetrahedra), combinations(range(4), 2)
-    ):
-        if (t0, pair0) in seen:
-            continue
-        incidences, faces = [], []
-        # walk the directed edge tail -> head around itself, crossing the
-        # larger free face first; orientation +1 means tail < head
-        tet, (tail, head) = t0, pair0
-        enter = next(f for f in range(4) if f not in pair0)
-        while True:
-            pair = _PAIR[tail, head]
-            exit_ = 6 - tail - head - enter
-            incidences.append((tet, pair, 1 if tail < head else -1))
-            faces.append((enter, exit_))
-            seen.add((tet, pair))
-            g = tri.gluing(tet, exit_)
-            tet, tail, head = g.tet, g.perm[tail], g.perm[head]
-            enter = g.perm[exit_]
-            if (tet, _PAIR[tail, head]) == (t0, pair0):
-                if tail > head:
-                    raise TriangulationError("edge link is not orientable")
-                break
-        classes.append(EdgeClass(len(classes), tuple(incidences), tuple(faces)))
+    for t0 in range(len(gluings)):
+        for k0, pair0 in enumerate(_PAIRS):
+            if seen[6 * t0 + k0]:
+                continue
+            incidences, faces = [], []
+            # walk the directed edge tail -> head around itself, crossing
+            # the larger free face first; orientation +1 means tail < head
+            tet, k, (tail, head) = t0, k0, pair0
+            enter = 0 if tail else 1 if head > 1 else 2  # smallest free face
+            while True:
+                exit_ = 6 - tail - head - enter
+                incidences.append((tet, _PAIRS[k], 1 if tail < head else -1))
+                faces.append((enter, exit_))
+                seen[6 * tet + k] = 1
+                tet, perm = gluings[tet][exit_]
+                tail, head, enter = perm[tail], perm[head], perm[exit_]
+                k = _PAIR_INDEX[tail][head]
+                if k == k0 and tet == t0:
+                    if tail > head:
+                        raise TriangulationError("edge link is not orientable")
+                    break
+            classes.append(
+                EdgeClass(len(classes), tuple(incidences), tuple(faces)))
     return classes
 
 
 def vertex_classes(tri: Triangulation) -> list[list[tuple[int, int]]]:
     """Orbits of (tet, vertex) slots under the face gluings."""
-    seen: set[tuple[int, int]] = set()
+    gluings = tri.gluings
+    seen = bytearray(4 * len(gluings))  # [4 * tet + vertex]
     classes = []
-    for start in product(range(tri.num_tetrahedra), range(4)):
-        if start in seen:
+    for start in range(len(seen)):
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = 1
         orbit, stack = [], [start]
         while stack:
-            tet, v = slot = stack.pop()
+            slot = stack.pop()
             orbit.append(slot)
-            for f, g in enumerate(tri.gluings[tet]):
-                if f != v and (g.tet, g.perm[v]) not in seen:
-                    seen.add((g.tet, g.perm[v]))
-                    stack.append((g.tet, g.perm[v]))
-        classes.append(sorted(orbit))
+            v, row = slot & 3, gluings[slot >> 2]
+            for f in _OTHER_FACES[v]:
+                target, perm = row[f]
+                image = 4 * target + perm[v]
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
+        orbit.sort()
+        classes.append([(slot >> 2, slot & 3) for slot in orbit])
     return classes
 
 
@@ -376,27 +422,27 @@ def orientation_signs(tri: Triangulation) -> list[int]:
     epsilon' = -sign(sigma) * epsilon; the first tetrahedron of every
     connected component is normalized to +1.
     """
-    n = tri.num_tetrahedra
-    signs: list[int | None] = [None] * n
-    for start in range(n):
-        if signs[start] is not None:
+    gluings = tri.gluings
+    signs = [0] * len(gluings)  # 0: not reached yet
+    for start in range(len(gluings)):
+        if signs[start]:
             continue
         signs[start] = +1
         stack = [start]
         while stack:
             t = stack.pop()
-            for f in range(4):
-                g = tri.gluing(t, f)
-                expected = -perm_parity(g.perm) * signs[t]
-                if signs[g.tet] is None:
-                    signs[g.tet] = expected
-                    stack.append(g.tet)
-                elif signs[g.tet] != expected:
+            sign = signs[t]
+            for f, (target, perm) in enumerate(gluings[t]):
+                expected = -_PERM_PARITY[perm] * sign
+                if not signs[target]:
+                    signs[target] = expected
+                    stack.append(target)
+                elif signs[target] != expected:
                     raise TriangulationError(
                         "complex is not orientable (gluing at "
                         f"({t},{f}) conflicts)"
                     )
-    return signs  # type: ignore[return-value]
+    return signs
 
 
 def edge_loop(tri: Triangulation, edge: EdgeClass) -> NormalPath:
@@ -419,11 +465,11 @@ def link_step(
     edge as viewed from the vertex, +1 for counterclockwise), which is the
     parity of (vertex, other end, enter, exit)."""
     other = 6 - vertex - enter - exit_  # the fourth of 0..3
-    g = tri.gluing(tet, exit_)
+    target, perm = tri.gluings[tet][exit_]
     return (
-        (g.tet, g.perm[vertex], g.perm[exit_]),
-        (tet, _PAIR[vertex, other],
-         perm_parity((vertex, other, enter, exit_))),
+        (target, perm[vertex], perm[exit_]),
+        (tet, _PAIRS[_PAIR_INDEX[vertex][other]],
+         _PERM_PARITY[vertex, other, enter, exit_]),
     )
 
 
@@ -440,19 +486,19 @@ def path_passes(
     steps = path.steps
     if not steps:
         raise TriangulationError("normal path must have at least one step")
-    for i, step in enumerate(steps):
-        if not 0 <= step.tet < tri.num_tetrahedra:
+    gluings = tri.gluings
+    for i, (tet, enter, exit_) in enumerate(steps):
+        if not 0 <= tet < len(gluings):
             raise TriangulationError(f"path step {i} references bad tet")
-        if not ({step.enter_face, step.exit_face} <= {0, 1, 2, 3}):
+        if enter not in _FACES or exit_ not in _FACES:
             raise TriangulationError(f"path step {i} has bad faces")
-        if step.enter_face == step.exit_face:
+        if enter == exit_:
             raise TriangulationError(
                 f"path step {i} enters and exits the same face"
             )
         j = (i + 1) % len(steps)
-        g = tri.gluing(step.tet, step.exit_face)
-        if (g.tet, g.perm[step.exit_face]) != (steps[j].tet,
-                                               steps[j].enter_face):
+        target, perm = gluings[tet][exit_]
+        if target != steps[j].tet or perm[exit_] != steps[j].enter_face:
             raise TriangulationError(
                 f"path steps {i} -> {j} are not linked by a gluing"
             )
@@ -460,12 +506,10 @@ def path_passes(
         if start in (steps[0].enter_face, steps[0].exit_face):
             continue
         vertex, passes = start, []
-        for step in steps:
-            if vertex in (step.enter_face, step.exit_face):
+        for tet, enter, exit_ in steps:
+            if vertex == enter or vertex == exit_:
                 break
-            (_, vertex, _), passed = link_step(
-                tri, step.tet, vertex, step.enter_face, step.exit_face
-            )
+            (_, vertex, _), passed = link_step(tri, tet, vertex, enter, exit_)
             passes.append(passed)
         else:
             if vertex == start:
@@ -475,10 +519,13 @@ def path_passes(
 
 def path_terms(tri: Triangulation, path: NormalPath) -> list[Term]:
     """The path's log-parameter condition as (tet, slot, rotation sign)."""
-    return [
-        (tet, EDGE_SLOT[pair], rot)
-        for tet, pair, rot in path_passes(tri, path)
-    ]
+    return _terms(path_passes(tri, path))
+
+
+def _terms(
+    passes: list[tuple[int, tuple[int, int], int]]
+) -> list[Term]:
+    return [(tet, EDGE_SLOT[pair], rot) for tet, pair, rot in passes]
 
 
 def link_arcs(

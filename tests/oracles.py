@@ -16,12 +16,17 @@ lifted Rogers sum as one ``lifted_rogers_raw`` per generator, the loop
 logarithms; ``rogers_sum_mp`` is the same sum in 50-digit mpmath, for
 the rounding of the float one.  ``relabel_document`` renames the
 tetrahedra and vertices of a triangulation document, for checks that a
-result does not depend on the labels.  ``reference_edge_classes``,
+result does not depend on the labels; ``relabeled_cover`` does the same
+with the benchmark's generator (``perfbench_inputs``) to its cyclic covers
+of fig8.  ``reference_edge_classes``,
+``reference_vertex_classes``, ``reference_orientation_signs``,
 ``reference_path_passes`` and ``reference_link_arcs`` are the earlier walks
 of ``cvol.triangulation``, kept as a differential reference: the edge walk
-that collects the entered and exited faces in separate lists, and the path
-passes from a validation pass, a vertex inference pass and a per-step
-lookup of the passed edge and its rotation sign.  ``reference_prune_kernel``
+that collects the entered and exited faces in separate lists, the vertex
+and sign walks over sets of (tet, vertex) slots and a list of optional
+signs, read through ``tri.gluing``, and the path passes from a validation
+pass, a vertex inference pass and a per-step lookup of the passed edge and
+its rotation sign.  ``reference_prune_kernel``
 is the earlier kernel pruning, a second integer solve on every off-tree
 functional followed by a matrix product.  ``reference_pass_rows`` (dense
 rows of a given width), ``reference_exponent_row`` and ``reference_beta``
@@ -39,8 +44,11 @@ the package and live here for the tests that use them.
 """
 
 import cmath
+import importlib.util
 import itertools
 import math
+import pathlib
+import random
 
 import mpmath
 from scipy.integrate import quad
@@ -54,6 +62,8 @@ from cvol.params import ExtendedParam
 from cvol.polylog import lifted_rogers_raw, principal_log
 from cvol.triangulation import NormalPath, PathStep, link_arcs
 from cvol.wedge import combine, sym, wedge
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def dilog_quadrature(z: complex, tol: float = 1e-13) -> complex:
@@ -183,6 +193,55 @@ def reference_edge_classes(tri):
     return classes
 
 
+def reference_vertex_classes(tri):
+    """Orbits of (tet, vertex) slots under the face gluings, each sorted."""
+    seen = set()
+    classes = []
+    for start in itertools.product(range(tri.num_tetrahedra), range(4)):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit, stack = [], [start]
+        while stack:
+            tet, v = slot = stack.pop()
+            orbit.append(slot)
+            for f in range(4):
+                g = tri.gluing(tet, f)
+                if f != v and (g.tet, g.perm[v]) not in seen:
+                    seen.add((g.tet, g.perm[v]))
+                    stack.append((g.tet, g.perm[v]))
+        classes.append(sorted(orbit))
+    return classes
+
+
+def reference_orientation_signs(tri):
+    """Signs with eps' = -sign(sigma) * eps across every gluing, +1 on the
+    first tetrahedron of each component; raises ``ValueError`` with the
+    program's message for a non-orientable complex."""
+    n = tri.num_tetrahedra
+    signs = [None] * n
+    for start in range(n):
+        if signs[start] is not None:
+            continue
+        signs[start] = +1
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for f in range(4):
+                g = tri.gluing(t, f)
+                parity = 1 if tuple(g.perm) in EVEN_PERMS else -1
+                expected = -parity * signs[t]
+                if signs[g.tet] is None:
+                    signs[g.tet] = expected
+                    stack.append(g.tet)
+                elif signs[g.tet] != expected:
+                    raise ValueError(
+                        "complex is not orientable (gluing at "
+                        f"({t},{f}) conflicts)"
+                    )
+    return signs
+
+
 def _reference_validate(tri, path):
     n = len(path.steps)
     if n == 0:
@@ -308,6 +367,23 @@ def relabel_document(doc: dict, rng) -> dict:
     ]
     return {"name": doc.get("name", ""), "tetrahedra": tets,
             "cusp_paths": paths}
+
+
+def perfbench_inputs():
+    """The benchmark's input generator, ``perfbench/inputs.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def relabeled_cover(n, vertices):
+    """The benchmark's n-fold cyclic cover of fig8, relabeled with seed n:
+    tetrahedra shuffled, and with ``vertices`` their vertices renamed."""
+    inputs = perfbench_inputs()
+    cover = inputs.cyclic_cover(inputs.FIG8, n)
+    return inputs.relabel(cover, random.Random(n), vertices)
 
 
 def _reference_candidates(x, y):

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from cvol.cli import main
+from cvol.cli import build_parser, main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -170,6 +170,8 @@ class TestCvolCommand:
         assert code == 2
         assert out == ""
         assert "error at stage solve_shapes" in err
+        # the line search stalls behind a flat trial, which names the cause
+        assert "Newton iterate: shape 0 = " in err and " is flat " in err
 
 
 class TestVerifyCommand:
@@ -400,12 +402,14 @@ class TestOtherCommands:
         assert result.stdout == golden.read_text()
         assert result.stderr.strip() == "[]"
 
-    @pytest.mark.parametrize("command", ["cvol", "flatten", "homology"])
+    @pytest.mark.parametrize("command",
+                             ["cvol", "flatten", "homology", "edges"])
     def test_each_condition_becomes_rows_once(self, command, monkeypatch,
                                               capsys):
         # fig8_cover8 has 16 edges of valence 6 and 2 cusp paths: the
-        # condition table built at parse is the one multi-term conversion
-        # of each; only flatten's pruning walk converts one-term arcs
+        # condition table, built on first read, is the one multi-term
+        # conversion of each; homology reads only the edge conditions and
+        # edges none; only flatten's pruning walk converts one-term arcs
         import importlib
 
         import cvol.geometry as geometry
@@ -413,8 +417,11 @@ class TestOtherCommands:
 
         path = str(FIXTURES / "fig8_cover8.json")
         comb = _load(path).combinatorics
-        tables = [e.terms for e in comb.edge_rows + comb.cusp_rows]
-        assert (len(comb.edge_rows), len(comb.cusp_rows)) == (16, 2)
+        edge_tables = [e.terms for e in comb.edge_rows]
+        cusp_tables = [c.terms for c in comb.cusp_rows]
+        assert (len(edge_tables), len(cusp_tables)) == (16, 2)
+        tables = {"homology": edge_tables, "edges": []}.get(
+            command, edge_tables + cusp_tables)
         original, calls = geometry.pass_rows, []
 
         def counted(terms):
@@ -432,7 +439,6 @@ class TestOtherCommands:
         assert [terms for terms in calls if len(terms) > 1] == tables
         one_term = any(len(terms) == 1 for terms in calls)
         assert one_term == (command == "flatten")
-
 
     def test_verify_loads_no_triangulation_code(self):
         result = run_cli(
@@ -700,6 +706,57 @@ class TestExitHook:
         assert result.returncode == 0, result.stderr
         before, after = map(int, result.stderr.split())
         assert before == after
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector while the command runs and
+    leaves it as it found it; the pause is safe because the commands make
+    no cyclic garbage."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_main_restores_the_collector(self, enabled, fig8_path,
+                                         monkeypatch, capsys):
+        import cvol.cli as cli
+
+        seen = []
+        original = cli.cmd_edges
+        monkeypatch.setattr(
+            cli, "cmd_edges",
+            lambda args: seen.append(gc.isenabled()) or original(args))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _, _ = call_main(["edges", str(fig8_path)], capsys)
+            assert (code, gc.isenabled()) == (0, enabled)
+            code, _, err = call_main(
+                ["edges", str(FIXTURES / "missing.json")], capsys)
+            assert (code, gc.isenabled()) == (2, enabled)
+            assert "cannot read" in err
+        finally:
+            gc.enable()
+        assert seen == [False, False]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cvol", FIXTURES / "fig8_cover32.json"],
+         ["homology", FIXTURES / "fig8_cover32.json"],
+         ["--seed", "0", "verify", "--count", "500"]],
+        ids=["cvol", "homology", "verify"],
+    )
+    def test_commands_leave_no_cyclic_garbage(self, argv, capsys):
+        # each main call drops its argument parser, whose objects refer to
+        # one another; a bare parser's count is taken off
+        gc.collect()
+        gc.disable()
+        try:
+            build_parser()
+            parser_garbage = gc.collect()
+            code, _, _ = call_main(["--format", "json", *map(str, argv)],
+                                   capsys)
+            garbage = gc.collect() - parser_garbage
+        finally:
+            gc.enable()
+        assert code == 0
+        assert garbage < 200
 
 
 GOLDEN_RUNS = [

@@ -1,7 +1,7 @@
 """J-complex structure, flattening solver, homology, cycle relation."""
 
 import cmath
-import importlib.util
+import copy
 import json
 import math
 import pathlib
@@ -54,11 +54,13 @@ from oracles import (
     alternate_assignment,
     chain_complex_composites,
     matmul,
+    perfbench_inputs,
     random_link_walk,
     random_terms,
     reference_beta,
     reference_prune_kernel,
     relabel_document,
+    relabeled_cover,
     rogers_sum_mp,
     xi,
 )
@@ -66,24 +68,14 @@ from oracles import (
 PI = math.pi
 REGULAR = cmath.exp(1j * PI / 3)
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def perfbench_inputs():
-    """The benchmark's input generator, ``perfbench/inputs.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", PERFBENCH / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs
-
-
-def relabeled_cover(n, vertices):
-    """The benchmark's n-fold cyclic cover of fig8, relabeled with seed n:
-    tetrahedra shuffled, and with ``vertices`` their vertices renamed."""
-    inputs = perfbench_inputs()
-    cover = inputs.cyclic_cover(inputs.FIG8, n)
-    return inputs.relabel(cover, random.Random(n), vertices)
+def replaced(comb, **fields):
+    """A copy of ``comb`` with the given fields set; a set ``edge_rows`` or
+    ``cusp_rows`` is read in place of the table built on first read."""
+    comb = copy.copy(comb)
+    vars(comb).update(fields)
+    return comb
 
 
 def dense(rows, width):
@@ -125,7 +117,8 @@ class TestJComplex:
         # coordinates (1, 0) + (-1, -1) cancel in the first row; fig8's
         # signs are both +1, the weight of every term of an edge
         assert fig8.combinatorics.signs == [1, 1]
-        comb = fig8.combinatorics._replace(
+        comb = replaced(
+            fig8.combinatorics,
             edge_rows=[pass_rows([(0, 0, 1), (0, 2, 1)]),
                        pass_rows([(1, 1, 1)])],
         )
@@ -163,7 +156,7 @@ class TestJComplex:
             edges = [pass_rows([(t, s, signs[t])
                                 for t, s, _ in random_terms(rng, 3)])
                      for _ in range(4)]
-            comb = fig8.combinatorics._replace(signs=signs, edge_rows=edges)
+            comb = replaced(fig8.combinatorics, signs=signs, edge_rows=edges)
             jc = build_j_complex(
                 types.SimpleNamespace(combinatorics=comb, num_tetrahedra=3))
             assert jc.beta == reference_beta(comb, 3)

@@ -26,8 +26,11 @@ from oracles import (
     random_link_walk,
     reference_edge_classes,
     reference_link_arcs,
+    reference_orientation_signs,
     reference_path_passes,
+    reference_vertex_classes,
     relabel_document,
+    relabeled_cover,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -430,19 +433,36 @@ def _closed_normal_path(tri, rng):
 
 
 class TestReferenceWalks:
-    """The edge walk, the path passes and the link state graph against the
-    earlier walks kept in ``tests/oracles.py``, on seeded relabelings."""
+    """The edge, vertex and sign walks, the path passes and the link state
+    graph against the earlier walks kept in ``tests/oracles.py``, on seeded
+    relabelings."""
 
-    @pytest.mark.parametrize("name", ["fig8", "fig8_cover3", "fig8_cover8"])
+    @pytest.mark.parametrize(
+        "name", ["fig8", "fig8_cover3", "fig8_cover8", "cover64"])
     def test_walks_match_reference(self, name):
-        doc = json.loads((FIXTURES / f"{name}.json").read_text())
-        for seed in range(50):
-            rng = random.Random(seed)
-            tri = parse_triangulation(relabel_document(doc, rng))
+        # 50 seeded relabelings of a fixture; cover64 is one seeded
+        # relabeling of the T=128 cyclic cover
+        if name == "cover64":
+            relabelings = [(relabeled_cover(64, True), random.Random(64))]
+        else:
+            doc = json.loads((FIXTURES / f"{name}.json").read_text())
+            relabelings = (
+                (relabel_document(doc, rng), rng)
+                for rng in map(random.Random, range(50))
+            )
+        for relabeled, rng in relabelings:
+            tri = parse_triangulation(relabeled)
             edges = edge_classes(tri)
             assert [(e.incidences, e.faces) for e in edges] == (
                 reference_edge_classes(tri)
             )
+            vertices = reference_vertex_classes(tri)
+            assert vertex_classes(tri) == vertices
+            assert list(tri.combinatorics.vertex_of.items()) == [
+                (slot, k) for k, orbit in enumerate(vertices)
+                for slot in orbit
+            ]
+            assert orientation_signs(tri) == reference_orientation_signs(tri)
             paths = [
                 *tri.cusp_paths,
                 *(edge_loop(tri, e) for e in edges),
