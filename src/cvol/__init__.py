@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "flattening": (
         "FlatteningAssignment", "complex_volume", "fundamental_element",
-        "integral_defect", "omega", "solve_flattenings",
+        "solve_flattenings",
     ),
     "geometry": ("IdealSimplexShape",),
     "gluing": (

@@ -1,13 +1,4 @@
-"""The log side of the J-complex and the flattening solver.
-
-The J-complex itself, its integer maps alpha and beta and its homology,
-lives in ``cvol.jcomplex``, which needs no logarithm; its names stay
-importable from here.  ``omega`` is the element of J (x) C whose
-Delta-component is -(log(1-z) e_0 + log(z) e_1); at a solution of the
-gluing equations with every orientation sign +1, (1/pi i) beta*(omega) is
-an integer vector (``integral_defect``).  Its parity is not fixed: it
-depends on how the vertices are labelled, and on 7 of 12 seeded vertex
-relabelings of fig8 it is odd at some edge.
+"""The flattening solver and the complex volume.
 
 ``solve_flattenings`` finds integer branch indices (p_i, q_i) such that
 every edge class has zero signed log-parameter sum and every supplied cusp
@@ -18,9 +9,23 @@ read and kept with the triangulation): the sparse rows as they are, and
 each condition's value at the shapes and at the solution
 (``PassRows.value``).  Only the pruning walk's one-term arcs
 go through ``cvol.geometry.pass_rows`` here.
+
+The edge defect is read off the same system: ``defect`` is minus its edge
+rows' right-hand side, each edge's signed log-parameter sum at p = q = 0
+divided by pi i.  That is (1/pi i) beta*(omega) with every term weighted by
+the orientation sign of its simplex, where omega in J (x) C has the
+Delta-component -(log(1-z) e_0 + log(z) e_1) (Neumann 1992), so the
+orientation signs enter in one place only, ``cvol.geometry.pass_rows``.
+
 ``complex_volume`` sums the lifted Rogers function over sum_i eps_i [z_i,
 p_i, q_i] to i(vol + i cs) modulo pi^2; only ``flatten`` prunes the
 system's kernel (``_prune_kernel``).
+
+The J-complex, its integer maps alpha and beta and its homology, lives in
+``cvol.jcomplex``, which needs no logarithm.  The solver calls none of it;
+``build_j_complex``, ``homology_of_j`` and ``h1_mod2`` stay importable from
+here because the benchmark's tracer (``perfbench/tracer.py``) resolves
+those layers on this module.
 """
 
 from __future__ import annotations
@@ -32,12 +37,11 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import InconsistentSystemError, NonIntegralError
 from .geometry import pass_rows
 from .intlinalg import reduce_mod_lattice, row_hnf, solve_integer_system
-from .jcomplex import JComplex, build_j_complex, h1_mod2, homology_of_j
+from .jcomplex import build_j_complex, h1_mod2, homology_of_j
 from .params import ExtendedParam
 from .polylog import (
     PI_SQUARED,
     lifted_rogers_sum,
-    principal_log,
     reduce_mod,
     slot_values,
 )
@@ -47,16 +51,6 @@ from .triangulation import Triangulation, link_arcs
 # ``fundamental_element``, so no command but ``verify`` loads it.
 if TYPE_CHECKING:
     from .bloch import EBElement
-
-
-def omega(tri: Triangulation, shapes: list[complex]) -> list[complex]:
-    """Element of J (x) C with Delta-component -(log(1-z) e_0 + log(z) e_1),
-    as a coordinate vector over the (e_0, e_1) bases."""
-    out: list[complex] = []
-    for z in shapes:
-        out.append(-principal_log(1 - z))
-        out.append(-principal_log(z))
-    return out
 
 
 def _pi_i_multiple(value: complex, tol: float, what: str) -> int:
@@ -71,23 +65,6 @@ def _pi_i_multiple(value: complex, tol: float, what: str) -> int:
     return nearest
 
 
-def integral_defect(
-    jc: JComplex, omega_vec: list[complex], tol: float = 1e-9
-) -> list[int]:
-    """c = (1/pi i) beta*(omega): integral when the shapes satisfy the
-    gluing equations and every orientation sign is +1.  beta reads an
-    edge's slots without their signs, so with mixed signs away from regular
-    shapes the sum can miss every multiple of pi i.  c need not be even:
-    its parity changes with the vertex labelling."""
-    return [
-        _pi_i_multiple(
-            sum(c * omega_vec[j] for j, c in row.items()), tol,
-            f"beta*(omega) at edge {k}",
-        )
-        for k, row in enumerate(jc.beta_star)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Flattening solver
 # ---------------------------------------------------------------------------
@@ -99,6 +76,13 @@ class FlatteningAssignment(NamedTuple):
     particular solution by it keeps the edge and supplied cusp-path
     conditions.  ``flatten`` prints its sub-lattice that keeps every closed
     vertex-link path condition too (``_prune_kernel``).
+
+    ``defect`` is -(the edge rows' right-hand side), the orientation-weighted
+    (1/pi i) beta*(omega).  Its parity is no check: it changes with the
+    vertex labelling (odd at some edge on 29 of 36 seeded even relabelings
+    of fig8 and its 3- and 5-fold covers), and it misses the k pi^2/6 error
+    of relabeled input (8 such relabelings with an odd defect give cs 0, 7
+    with an even one a wrong cs).  ``cvol``'s ``defect_even`` reports it.
     """
 
     params: list[ExtendedParam]
@@ -218,7 +202,7 @@ def solve_flattenings(
             "data is invalid"
         )
     x = reduce_mod_lattice(solution.particular, solution.kernel)
-    defect = integral_defect(build_j_complex(tri), omega(tri, shapes), tol)
+    defect = [-r for r in rhs[:len(tri.combinatorics.edge_rows)]]
     return _assignment_from_vector(tri, shapes, x, defect, solution.kernel)
 
 

@@ -36,8 +36,11 @@ they are compared on.  ``reference_generator`` and the other
 ``reference_*`` element builders are ``cvol.bloch`` and ``cvol.verify``'s
 builders as they stood before each became one ``EBElement`` constructor
 call: chains of single generators combined by ``+`` and ``-``, and the
-trusted dicts of ``five_term_instance`` and ``super_transfer_rhs``.  The
-last few helpers
+trusted dicts of ``five_term_instance`` and ``super_transfer_rhs``.
+``omega`` and ``reference_defect`` are the paper's edge defect
+(1/pi i) beta*(omega) written out with logarithms of the shapes, orientation
+signs included; the flattening solver reads the same integers off its
+system's right-hand side.  The last few helpers
 (``cross_ratio``, ``edge_parameter``, ``xi``, ``matmul``,
 ``chain_complex_composites``, ``alternate_assignment``) have no caller in
 the package and live here for the tests that use them.
@@ -54,7 +57,12 @@ import mpmath
 from scipy.integrate import quad
 
 from cvol.bloch import EBElement
-from cvol.errors import DegenerateGeometryError, DomainError, SymbolMatchError
+from cvol.errors import (
+    DegenerateGeometryError,
+    DomainError,
+    NonIntegralError,
+    SymbolMatchError,
+)
 from cvol.flattening import _assignment_from_vector, _prune_kernel
 from cvol.geometry import EDGE_SLOT, SLOT_PQ_COEFF
 from cvol.intlinalg import solve_integer_system, transpose
@@ -339,16 +347,16 @@ def rogers_sum_mp(terms, dps: int = 50):
         return total
 
 
-def relabel_document(doc: dict, rng) -> dict:
+def relabel_document(doc: dict, rng, perms=EVEN_PERMS) -> dict:
     """The triangulation document with its tetrahedra shuffled and the
-    vertices of each renamed by a random even permutation sigma_t, which
-    keeps every orientation sign: the gluing of face f of t becomes the
-    gluing of face sigma_t(f), with permutation sigma_u o perm o sigma_t^-1
-    into tetrahedron u."""
+    vertices of each renamed by a random sigma_t from ``perms``: the gluing
+    of face f of t becomes the gluing of face sigma_t(f), with permutation
+    sigma_u o perm o sigma_t^-1 into tetrahedron u.  An even sigma_t keeps
+    the orientation sign of t, an odd one turns it."""
     n = len(doc["tetrahedra"])
     new_index = list(range(n))
     rng.shuffle(new_index)
-    sigma = [rng.choice(EVEN_PERMS) for _ in range(n)]
+    sigma = [rng.choice(perms) for _ in range(n)]
     tets = [None] * n
     for t, entry in enumerate(doc["tetrahedra"]):
         gluings = [None] * 4
@@ -534,6 +542,38 @@ def chain_complex_composites(jc):
         _compose(beta_star, jc.beta, len(jc.edges)),
         _compose(jc.alpha_star, beta_star, jc.j_rank),
     )
+
+
+def omega(shapes) -> list[complex]:
+    """The element of J (x) C with Delta-component -(log(1-z) e_0 +
+    log(z) e_1), as a coordinate vector over the (e_0, e_1) bases."""
+    out = []
+    for z in shapes:
+        out.append(-principal_log(1 - z))
+        out.append(-principal_log(z))
+    return out
+
+
+def reference_defect(tri, shapes, tol=1e-9) -> list[int]:
+    """(1/pi i) beta*(omega) with every term weighted by the orientation
+    sign of its simplex.  beta's column of an edge is its condition-table
+    ``pq`` row, which carries those signs; beta* is its adjoint under
+    <e_0, e_1> = 1, so slot 2t+1 pairs with omega[2t] and slot 2t with
+    -omega[2t+1].  Off a solution of the gluing equations some entry misses
+    every multiple of pi i, and ``NonIntegralError`` is raised."""
+    w = omega(shapes)
+    defect = []
+    for k, edge in enumerate(tri.combinatorics.edge_rows):
+        total = sum(c * (w[j - 1] if j & 1 else -w[j + 1])
+                    for j, c in edge.pq.items())
+        ratio = total / (1j * math.pi)
+        nearest = round(ratio.real)
+        if abs(ratio - nearest) > tol:
+            raise NonIntegralError(
+                f"beta*(omega) at edge {k} is {total!r}, not an integer "
+                "multiple of pi i")
+        defect.append(nearest)
+    return defect
 
 
 def alternate_assignment(tri, shapes, base, kernel_coeffs):

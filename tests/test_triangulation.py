@@ -1,6 +1,7 @@
 """Parser, edge classes, orientation signs, and normal paths."""
 
 import copy
+import itertools
 import json
 import pathlib
 import random
@@ -451,35 +452,51 @@ class TestReferenceWalks:
                 for rng in map(random.Random, range(50))
             )
         for relabeled, rng in relabelings:
-            tri = parse_triangulation(relabeled)
-            edges = edge_classes(tri)
-            assert [(e.incidences, e.faces) for e in edges] == (
-                reference_edge_classes(tri)
+            self.check(parse_triangulation(relabeled), rng)
+
+    @pytest.mark.parametrize("name", ["fig8", "fig8_cover3", "fig8_cover8"])
+    def test_walks_match_reference_under_any_vertex_order(self, name):
+        # 20 seeded relabelings with vertex renamings drawn from all 24
+        # permutations, so that some orientation signs are -1
+        doc = json.loads((FIXTURES / f"{name}.json").read_text())
+        perms = list(itertools.permutations(range(4)))
+        signs = set()
+        for rng in map(random.Random, range(20)):
+            tri = parse_triangulation(relabel_document(doc, rng, perms))
+            signs.update(tri.combinatorics.signs)
+            self.check(tri, rng)
+        assert -1 in signs
+
+    @staticmethod
+    def check(tri, rng):
+        edges = edge_classes(tri)
+        assert [(e.incidences, e.faces) for e in edges] == (
+            reference_edge_classes(tri)
+        )
+        vertices = reference_vertex_classes(tri)
+        assert vertex_classes(tri) == vertices
+        assert list(tri.combinatorics.vertex_of.items()) == [
+            (slot, k) for k, orbit in enumerate(vertices)
+            for slot in orbit
+        ]
+        assert orientation_signs(tri) == reference_orientation_signs(tri)
+        paths = [
+            *tri.cusp_paths,
+            *(edge_loop(tri, e) for e in edges),
+            *(random_link_walk(tri, rng) for _ in range(20)),
+        ]
+        for path in paths:
+            assert path_passes(tri, path) == (
+                reference_path_passes(tri, path)
             )
-            vertices = reference_vertex_classes(tri)
-            assert vertex_classes(tri) == vertices
-            assert list(tri.combinatorics.vertex_of.items()) == [
-                (slot, k) for k, orbit in enumerate(vertices)
-                for slot in orbit
-            ]
-            assert orientation_signs(tri) == reference_orientation_signs(tri)
-            paths = [
-                *tri.cusp_paths,
-                *(edge_loop(tri, e) for e in edges),
-                *(random_link_walk(tri, rng) for _ in range(20)),
-            ]
-            for path in paths:
-                assert path_passes(tri, path) == (
-                    reference_path_passes(tri, path)
-                )
-            reference = {
-                state: [(nxt, (tet, EDGE_SLOT[pair], rot))
-                        for nxt, (tet, pair, rot) in out]
-                for state, out in reference_link_arcs(tri).items()
-            }
-            arcs = link_arcs(tri)
-            assert list(arcs) == list(reference)
-            assert arcs == reference
+        reference = {
+            state: [(nxt, (tet, EDGE_SLOT[pair], rot))
+                    for nxt, (tet, pair, rot) in out]
+            for state, out in reference_link_arcs(tri).items()
+        }
+        arcs = link_arcs(tri)
+        assert list(arcs) == list(reference)
+        assert arcs == reference
 
     def test_malformed_paths_match_reference(self, fig8_cover3):
         tri = fig8_cover3
