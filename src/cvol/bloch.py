@@ -4,7 +4,9 @@ Elements are integer combinations of generators [z, p, q] in one of two
 flavours: mode "ep" allows all integer branch indices (values of the Rogers
 lift live in C/pi^2*Z), mode "eep" restricts to even indices (values in
 C/2*pi^2*Z), as ``polylog.check_mode`` and ``check_branches`` enforce.  Every
-builder below is one call of the ``EBElement`` constructor.  Equality of
+builder below is one call of the ``EBElement`` constructor; the arithmetic,
+with integer coefficients and multipliers only, is that of
+``cvol.wedge.Combination``, and refuses to mix the two modes.  Equality of
 elements is never decided directly; identities are verified through the
 separating computable homomorphisms:
 
@@ -32,16 +34,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from collections.abc import Iterable, Mapping
 from itertools import combinations
 
-from .errors import (
-    DegenerateGeometryError,
-    DomainError,
-    NonIntegralError,
-    SymbolMatchError,
-)
+from .errors import DegenerateGeometryError, NonIntegralError, SymbolMatchError
 from .geometry import EDGE_SLOT, pass_rows
 from .params import ExtendedParam, Flattening, Value
 from .polylog import (
@@ -54,16 +50,7 @@ from .polylog import (
     reduce_mod,
     slot_values,
 )
-from .wedge import WedgeExpr, sym, wedge
-
-
-def _integer(coeff) -> int:
-    """``coeff`` as an int; a float such as 0.5 or 2.7 is refused rather
-    than truncated."""
-    try:
-        return operator.index(coeff)
-    except TypeError:
-        raise DomainError(f"coefficient {coeff!r} is not an integer") from None
+from .wedge import Combination, WedgeExpr, _integer, sym, wedge
 
 
 #: what the EBElement constructor takes: {generator: coeff}, or
@@ -71,17 +58,17 @@ def _integer(coeff) -> int:
 Terms = Mapping[ExtendedParam, int] | Iterable[tuple[ExtendedParam, int]]
 
 
-class EBElement:
+class EBElement(Combination):
     """Finite integer combination of ExtendedParam generators.
 
     The constructor is the one way to build an element from ``Terms``: it
     merges repeated generators in first-seen order, checks each coefficient
-    and each eep index once, and drops zero sums.  Arithmetic combines
-    operands that are already valid and wraps its result with ``_trusted``,
-    so no term is checked twice.
+    and each eep index once, and drops zero sums.  The arithmetic is
+    ``Combination``'s; it refuses to combine elements of two modes, and
+    the mode is part of equality and the hash.
     """
 
-    __slots__ = ("terms", "mode")
+    __slots__ = ("mode",)
 
     def __init__(self, terms: Terms | None = None, mode: str = "ep"):
         self.mode = check_mode(mode)
@@ -99,46 +86,20 @@ class EBElement:
     @classmethod
     def _trusted(cls, terms: dict[ExtendedParam, int], mode: str) -> "EBElement":
         """Wrap ``terms`` as is: valid for ``mode`` and free of zeros."""
-        element = object.__new__(cls)
-        element.terms = terms
+        element = super()._trusted(terms)
         element.mode = mode
         return element
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict[ExtendedParam, int]) -> "EBElement":
+        return EBElement._trusted(terms, self.mode)
+
+    def _key(self):
+        return self.mode, super()._key()
 
     def _binop(self, other: "EBElement", s: int) -> "EBElement":
         if self.mode != other.mode:
             raise ValueError("cannot combine elements of different modes")
-        out = dict(self.terms)
-        for param, coeff in other.terms.items():
-            value = out.get(param, 0) + s * coeff
-            if value:
-                out[param] = value
-            else:
-                del out[param]
-        return EBElement._trusted(out, self.mode)
-
-    def __add__(self, other: "EBElement") -> "EBElement":
-        return self._binop(other, +1)
-
-    def __sub__(self, other: "EBElement") -> "EBElement":
-        return self._binop(other, -1)
-
-    def __neg__(self) -> "EBElement":
-        return (-1) * self
-
-    def __rmul__(self, n: int) -> "EBElement":
-        n = _integer(n)
-        terms = {k: n * c for k, c in self.terms.items()} if n else {}
-        return EBElement._trusted(terms, self.mode)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, EBElement) and self.mode == other.mode
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.mode, frozenset(self.terms.items())))
+        return super()._binop(other, s)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -147,10 +108,9 @@ class EBElement:
         return "EBElement(" + " + ".join(parts) + f", mode={self.mode!r})"
 
 
-def generator(z: complex, p: int, q: int, mode: str = "ep",
-              cut_side: int | None = None) -> EBElement:
+def generator(z: complex, p: int, q: int, mode: str = "ep") -> EBElement:
     """Single-generator element [z, p, q]."""
-    return EBElement(((ExtendedParam(z, p, q, cut_side), 1),), mode)
+    return EBElement(((ExtendedParam(z, p, q), 1),), mode)
 
 
 def indexed_element(z: complex, indexed: Iterable[tuple[int, int, int]],
@@ -250,7 +210,7 @@ _LOGS = (_LX, _L1MX, _LY, _L1MY, _LY - _LX, _LXMY - _LX,
          _LXMY - _L1MY, sym(PI_I_SYMBOL))
 _PI_I = 10
 #: ``_WEDGES[i][j]``: the canonical (pair, coefficient) entries of m_i ^ m_j
-_WEDGES = [[tuple(wedge(a, b).coeffs.items()) for b in _LOGS] for a in _LOGS]
+_WEDGES = [[tuple(wedge(a, b).terms.items()) for b in _LOGS] for a in _LOGS]
 
 #: a value matches a monomial within this tolerance relative to
 #: max(1, |monomial|); a branch correction may be off an integer by
@@ -472,16 +432,15 @@ FIVE_POINT_EDGES = {
 
 def five_point_edge_conditions(
     flats: tuple[Flattening, ...],
-    signs: tuple[int, ...] = (1, -1, 1, -1, 1),
 ) -> dict[tuple[int, int], complex]:
     """Signed three-term log-parameter sum over each of the ten edges of a
-    five-point configuration; all ten vanish exactly when the flattenings
-    satisfy the flattening condition."""
-    if len(flats) != 5 or len(signs) != 5:
-        raise ValueError("need five flattenings and five signs")
+    five-point configuration, simplex i weighted by (-1)^i; all ten vanish
+    exactly when the flattenings satisfy the flattening condition."""
+    if len(flats) != 5:
+        raise ValueError("need five flattenings")
     values = [(f.w0, f.w1, f.w2) for f in flats]
     return {
-        edge: pass_rows([(i, s, signs[i]) for i, s in terms]).value(values)
+        edge: pass_rows([(i, s, (-1) ** i) for i, s in terms]).value(values)
         for edge, terms in FIVE_POINT_EDGES.items()
     }
 

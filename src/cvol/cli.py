@@ -14,9 +14,11 @@ Output is text or JSON; JSON field order is fixed and floats use the
 shortest round-trip decimal, so identical inputs (and seeds) give
 byte-identical output.  Exit code 0 means every requested check passed.
 A command loads and computes only what it prints: each handler imports the
-modules it uses, so ``verify`` loads no triangulation code, ``cvol`` no
-Bloch-group or wedge code, ``homology`` and ``edges`` no logarithm, and only
-``flatten`` prunes the flattening kernel.
+modules it uses, so ``verify`` loads no triangulation code, ``cvol`` and
+``flatten`` no Bloch-group, wedge or J-complex code, ``homology`` and
+``edges`` no logarithm, and only ``flatten`` prunes the flattening kernel.
+Every command that reads a triangulation refuses, at stage ``parse``, one
+whose vertex links are not all tori.
 
 Importing this module registers ``gc.freeze`` with ``atexit``, so that when
 the interpreter exits every live object is moved to the permanent generation

@@ -22,10 +22,9 @@ p_i, q_i] to i(vol + i cs) modulo pi^2; only ``flatten`` prunes the
 system's kernel (``_prune_kernel``).
 
 The J-complex, its integer maps alpha and beta and its homology, lives in
-``cvol.jcomplex``, which needs no logarithm.  The solver calls none of it;
-``build_j_complex``, ``homology_of_j`` and ``h1_mod2`` stay importable from
-here because the benchmark's tracer (``perfbench/tracer.py``) resolves
-those layers on this module.
+``cvol.jcomplex``, which needs no logarithm.  The solver calls none of it,
+and this module does not import it, so ``cvol`` and ``flatten`` never load
+it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import InconsistentSystemError, NonIntegralError
 from .geometry import pass_rows
 from .intlinalg import reduce_mod_lattice, row_hnf, solve_integer_system
-from .jcomplex import build_j_complex, h1_mod2, homology_of_j
 from .params import ExtendedParam
 from .polylog import (
     PI_SQUARED,

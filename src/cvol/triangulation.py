@@ -27,7 +27,11 @@ faces crossed on the walk around each edge (``edge_loop`` and the face rows
 of ``cvol.jcomplex.h1_mod2`` read them), the vertex classes, the
 orientation signs, the (tet, vertex) -> vertex lookup and the passes of
 each cusp path, whose walk is the path's check: a cusp path that leaves its
-vertex link fails there, at parse.  The condition table, one
+vertex link fails there, at parse.  After that walk, parse refuses a
+triangulation with a vertex link that is not a torus: the link of a vertex
+class with F slots is a surface of F triangles and 3F/2 sides with one
+vertex per edge end there, so its Euler characteristic is ends - F/2,
+counted from the edge classes' ``endpoints``.  The condition table, one
 ``cvol.geometry.PassRows`` entry per edge (``edge_rows``) and per cusp path
 (``cusp_rows``), which every later stage reads, is built the first time it
 is read, so ``edges`` builds none of it and ``homology`` only the edges'.
@@ -171,7 +175,18 @@ class Combinatorics:
         # raises for a cusp path that is not a closed normal path in one
         # vertex link
         passes = [path_passes(tri, path) for path in tri.cusp_paths]
-        return cls(edges, vertices, signs, passes)
+        comb = cls(edges, vertices, signs, passes)
+        # a link of F triangles has 3F/2 sides and a vertex per edge end,
+        # so its Euler characteristic is ends - F/2
+        chi = [-(len(orbit) // 2) for orbit in vertices]
+        for edge in edges:
+            for slot in edge.endpoints():
+                chi[comb.vertex_of[slot]] += 1
+        for k, c in enumerate(chi):
+            if c:
+                raise TriangulationError(f"vertex link {k} is not a torus "
+                                         f"(Euler characteristic {c})")
+        return comb
 
     @cached_property
     def edge_rows(self) -> list[PassRows]:

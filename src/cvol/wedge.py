@@ -1,4 +1,14 @@
-"""Exact antisymmetric bilinear expressions over a finite symbol basis.
+"""Exact integer combinations: the shared arithmetic and the wedge algebra.
+
+``Combination`` is a finite integer combination of hashable keys: its
+``terms`` map each key to a nonzero int.  It implements ``+``, ``-``,
+negation, integer multiples, ``is_zero``, ``==`` and ``hash`` once for the
+formal objects of the package: ``SymbolVector`` and ``WedgeExpr`` here, and
+``cvol.bloch.EBElement``.  Coefficients and multipliers must be integers
+(``_integer``): a float such as 0.4 or 2.0 is refused with ``DomainError``
+rather than truncated.  Each subclass's constructor checks its input once;
+arithmetic combines operands that are already valid and wraps its result as
+is (``_like``), so no term is checked twice.
 
 ``SymbolVector`` is an integer combination of named transcendentals such as
 "log_x" or "pi_i"; ``WedgeExpr`` is an integer combination of wedge products
@@ -9,48 +19,92 @@ arithmetic; no floating point enters this module.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping
 
+from .errors import DomainError
 
-class SymbolVector:
+
+def _integer(coeff) -> int:
+    """``coeff`` as an int; a float such as 0.5 or 2.7 is refused rather
+    than truncated."""
+    try:
+        return operator.index(coeff)
+    except TypeError:
+        raise DomainError(f"coefficient {coeff!r} is not an integer") from None
+
+
+class Combination:
+    """Finite integer combination of keys; ``terms`` holds no zero."""
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "Combination":
+        """Wrap ``terms`` as is: valid keys, no zero coefficient."""
+        combination = object.__new__(cls)
+        combination.terms = terms
+        return combination
+
+    def _like(self, terms: dict) -> "Combination":
+        """``terms``, wrapped as is, as a combination of this one's kind."""
+        return self._trusted(terms)
+
+    def _key(self):
+        """What equality compares and the hash reads."""
+        return frozenset(self.terms.items())
+
+    def _binop(self, other: "Combination", s: int) -> "Combination":
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            value = out.get(key, 0) + s * coeff
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+        return self._like(out)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return self._binop(other, +1)
+
+    def __sub__(self, other):
+        return self._binop(other, -1)
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __rmul__(self, n: int):
+        n = _integer(n)
+        terms = {k: n * c for k, c in self.terms.items()} if n else {}
+        return self._like(terms)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, type(self)) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class SymbolVector(Combination):
     """Integer linear combination of named symbols."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[str, int] | None = None):
-        self.coeffs: dict[str, int] = {
-            s: int(c) for s, c in (coeffs or {}).items() if c != 0
-        }
+    def __init__(self, terms: Mapping[str, int] | None = None):
+        checked = ((s, _integer(c)) for s, c in (terms or {}).items())
+        self.terms: dict[str, int] = {s: c for s, c in checked if c}
 
     @classmethod
     def symbol(cls, name: str, coeff: int = 1) -> "SymbolVector":
         return cls({name: coeff})
 
-    def __add__(self, other: "SymbolVector") -> "SymbolVector":
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0) + c
-        return SymbolVector(out)
-
-    def __sub__(self, other: "SymbolVector") -> "SymbolVector":
-        return self + (-1) * other
-
-    def __neg__(self) -> "SymbolVector":
-        return (-1) * self
-
-    def __rmul__(self, n: int) -> "SymbolVector":
-        return SymbolVector({s: n * c for s, c in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SymbolVector) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "SymbolVector(0)"
-        parts = [f"{c}*{s}" for s, c in sorted(self.coeffs.items())]
+        parts = [f"{c}*{s}" for s, c in sorted(self.terms.items())]
         return "SymbolVector(" + " + ".join(parts) + ")"
 
 
@@ -58,71 +112,41 @@ def sym(name: str, coeff: int = 1) -> SymbolVector:
     return SymbolVector.symbol(name, coeff)
 
 
-class WedgeExpr:
+class WedgeExpr(Combination):
     """Integer combination of wedges s ^ t of basis symbols, s < t."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[tuple[str, str], int] | None = None):
+    def __init__(self, terms: Mapping[tuple[str, str], int] | None = None):
         canon: dict[tuple[str, str], int] = {}
-        for (s, t), c in (coeffs or {}).items():
+        for (s, t), c in (terms or {}).items():
+            c = _integer(c)
             if s != t:
                 key, c = ((s, t), c) if s < t else ((t, s), -c)
                 canon[key] = canon.get(key, 0) + c
-        self.coeffs = {k: v for k, v in canon.items() if v != 0}
-
-    @classmethod
-    def _trusted(cls, coeffs: dict[tuple[str, str], int]) -> "WedgeExpr":
-        """Wrap ``coeffs`` as is: canonical pairs, no zero coefficient."""
-        expr = object.__new__(cls)
-        expr.coeffs = coeffs
-        return expr
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "WedgeExpr") -> "WedgeExpr":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return WedgeExpr(out)
-
-    def __sub__(self, other: "WedgeExpr") -> "WedgeExpr":
-        return self + (-1) * other
-
-    def __neg__(self) -> "WedgeExpr":
-        return (-1) * self
-
-    def __rmul__(self, n: int) -> "WedgeExpr":
-        return WedgeExpr({k: n * c for k, c in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WedgeExpr) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        self.terms = {k: v for k, v in canon.items() if v}
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "WedgeExpr(0)"
-        parts = [f"{c}*({s}^{t})" for (s, t), c in sorted(self.coeffs.items())]
+        parts = [f"{c}*({s}^{t})" for (s, t), c in sorted(self.terms.items())]
         return "WedgeExpr(" + " + ".join(parts) + ")"
 
 
 def wedge(a: SymbolVector, b: SymbolVector) -> WedgeExpr:
     """Bilinear expansion of a ^ b with a ^ a = 0 and a ^ b = -(b ^ a)."""
-    return WedgeExpr({(s, t): cs * ct for s, cs in a.coeffs.items()
-                      for t, ct in b.coeffs.items()})
+    return WedgeExpr({(s, t): cs * ct for s, cs in a.terms.items()
+                      for t, ct in b.terms.items()})
 
 
 def combine(terms: Iterable[tuple[int, WedgeExpr]]) -> WedgeExpr:
     """Integer linear combination of wedge expressions, canonicalized."""
     out: dict[tuple[str, str], int] = {}
     for n, w in terms:
-        for k, c in w.coeffs.items():
+        for k, c in w.terms.items():
             out[k] = out.get(k, 0) + n * c
     return WedgeExpr(out)
 

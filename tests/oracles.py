@@ -18,7 +18,9 @@ the rounding of the float one.  ``relabel_document`` renames the
 tetrahedra and vertices of a triangulation document, for checks that a
 result does not depend on the labels; ``relabeled_cover`` does the same
 with the benchmark's generator (``perfbench_inputs``) to its cyclic covers
-of fig8.  ``reference_edge_classes``,
+of fig8.  ``t2_documents`` enumerates every gluing of two tetrahedra in a
+fixed order; ``fixtures/t2_outcomes.json`` freezes the first of each
+outcome class.  ``reference_edge_classes``,
 ``reference_vertex_classes``, ``reference_orientation_signs``,
 ``reference_path_passes`` and ``reference_link_arcs`` are the earlier walks
 of ``cvol.triangulation``, kept as a differential reference: the edge walk
@@ -394,6 +396,37 @@ def relabeled_cover(n, vertices):
     return inputs.relabel(cover, random.Random(n), vertices)
 
 
+def _face_matchings(faces):
+    """Every pairing of the ``faces`` list: the first face with each later
+    one, then the pairings of the rest."""
+    if not faces:
+        yield []
+        return
+    first, rest = faces[0], faces[1:]
+    for k, other in enumerate(rest):
+        for matching in _face_matchings(rest[:k] + rest[k + 1:]):
+            yield [(first, other), *matching]
+
+
+def t2_documents():
+    """Every gluing of two tetrahedra, in a fixed order: each pairing of
+    the 8 faces (tet, face), each pair glued by each of the 6 vertex
+    bijections that carry one face to the other.  136 080 documents."""
+    perms = list(itertools.permutations(range(4)))
+    faces = [(t, f) for t in range(2) for f in range(4)]
+    for matching in _face_matchings(faces):
+        choices = [[p for p in perms if p[f] == g]
+                   for (_, f), (_, g) in matching]
+        for chosen in itertools.product(*choices):
+            gluings = [[None] * 4, [None] * 4]
+            for ((t, f), (u, g)), perm in zip(matching, chosen):
+                gluings[t][f] = {"tet": u, "perm": list(perm)}
+                gluings[u][g] = {"tet": t, "perm": [perm.index(v)
+                                                    for v in range(4)]}
+            yield {"name": "t2",
+                   "tetrahedra": [{"gluings": g} for g in gluings]}
+
+
 def _reference_candidates(x, y):
     """Monomials in x, 1-x, y, 1-y, x-y with their symbol vectors, and the
     numeric values of the base logarithms."""
@@ -422,7 +455,7 @@ def _reference_decompose(value, cands, numeric, match_tol, round_tol):
     for cand_value, vec in cands:
         if abs(value - cand_value) <= match_tol * max(1.0, abs(cand_value)):
             symbolic = sum(
-                (c * numeric[s] for s, c in vec.coeffs.items()), start=0j
+                (c * numeric[s] for s, c in vec.terms.items()), start=0j
             )
             c_float = (principal_log(value) - symbolic) / (1j * math.pi)
             c = round(c_float.real)

@@ -13,6 +13,8 @@ import pytest
 
 from cvol.cli import build_parser, main
 
+import oracles
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -172,6 +174,64 @@ class TestCvolCommand:
         assert "error at stage solve_shapes" in err
         # the line search stalls behind a flat trial, which names the cause
         assert "Newton iterate: shape 0 = " in err and " is flat " in err
+
+
+#: the first gluing of two tetrahedra, in ``oracles.t2_documents`` order, of
+#: each outcome class that ``main`` gives over all 136 080 of them
+T2_OUTCOMES = json.loads((FIXTURES / "t2_outcomes.json").read_text())
+#: outcome class -> the stage and message part of the refusal, or None and
+#: the volume that ``cvol`` prints, as an edge-only result, on exit 0
+T2_CONTRACTS = {
+    "sphere link": ("parse", "vertex link 0 is not a torus "
+                             "(Euler characteristic 2)"),
+    "non-orientable": ("parse", "complex is not orientable"),
+    "line search stalled": ("solve_shapes", "line search stalled"),
+    "genus-2 link": ("parse", "vertex link 0 is not a torus "
+                              "(Euler characteristic -2)"),
+    "flat shape": ("solve_shapes", " is flat "),
+    "sphere link at vertex 1": ("parse", "vertex link 1 is not a torus "
+                                         "(Euler characteristic 2)"),
+    "volume 2.029883": (None, 2.029883),
+    "incomplete volume": (None, 1.935624),
+}
+
+
+class TestT2Outcomes:
+    def test_fixture_holds_the_enumerated_gluings(self):
+        wanted = {entry["index"]: entry for entry in T2_OUTCOMES}
+        assert {entry["outcome"] for entry in T2_OUTCOMES} == set(T2_CONTRACTS)
+        count = 0
+        for index, doc in enumerate(oracles.t2_documents()):
+            if index in wanted:
+                assert doc["tetrahedra"] == wanted[index]["tetrahedra"]
+            count += 1
+        assert count == 136_080
+
+    @pytest.mark.parametrize("entry", T2_OUTCOMES,
+                             ids=[e["outcome"] for e in T2_OUTCOMES])
+    def test_each_class_keeps_its_contract(self, entry, tmp_path, capsys):
+        path = tmp_path / "t2.json"
+        path.write_text(json.dumps(
+            {"name": entry["outcome"], "tetrahedra": entry["tetrahedra"]}))
+        stage, expected = T2_CONTRACTS[entry["outcome"]]
+        for command in ("cvol", "flatten", "homology", "edges"):
+            code, out, err = call_main(["--format", "json", command,
+                                        str(path)], capsys)
+            if stage == "parse" or (stage and command in ("cvol", "flatten")):
+                assert (code, out) == (2, "")
+                assert f"error at stage {stage}: " in err
+                assert expected in err
+                continue
+            assert (code, err) == (0, "")
+            if stage is None and command == "cvol":
+                report = json.loads(out)
+                assert round(report["volume"], 6) == expected
+                residuals = report["residuals"]
+                assert max(residuals["gluing_max"],
+                           residuals["edge_flattening_max"],
+                           residuals["path_flattening_max"]) < 1e-9
+                assert any(w.startswith("edge-flattened only")
+                           for w in report["warnings"])
 
 
 class TestVerifyCommand:
@@ -385,10 +445,11 @@ class TestOtherCommands:
         "command,fixture,unloaded",
         [("homology", "fig8_cover8.json", ("bloch", "wedge", "gluing",
                                            "verify", "flattening", "polylog")),
-         ("cvol", "fig8.json", ("bloch", "wedge", "verify")),
-         ("flatten", "fig8.json", ("bloch", "wedge", "verify")),
+         ("cvol", "fig8.json", ("bloch", "wedge", "verify", "jcomplex")),
+         ("flatten", "fig8.json", ("bloch", "wedge", "verify", "jcomplex")),
          ("edges", "fig8.json", ("flattening", "gluing", "polylog",
-                                 "intlinalg", "bloch", "wedge", "verify"))],
+                                 "intlinalg", "bloch", "wedge", "verify",
+                                 "jcomplex"))],
     )
     def test_command_loads_only_what_it_runs(self, command, fixture,
                                              unloaded):
