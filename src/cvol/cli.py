@@ -1,5 +1,7 @@
 """Command-line front end.
 
+Usage: ``cvol [global flags] COMMAND [FILE | --count N]``.
+
 Subcommands:
 
 * ``cvol FILE``      full pipeline: parse, solve shapes, solve flattenings,
@@ -9,6 +11,17 @@ Subcommands:
 * ``homology FILE``  homology of the J-complex.
 * ``edges FILE``     edge classes and valences.
 * ``flatten FILE``   branch-index table and residual report.
+
+The global flags (``--format``, ``--tolerance``, ``--tolerance-newton``,
+``--max-iter``, ``--seed``) come before the command, as ``--name value`` or
+``--name=value``, and a repeated flag keeps its last value; ``verify``
+takes ``--count`` after it.  Flags are spelled out in full.  ``-h`` or
+``--help`` prints the help to stdout and exits 0.  Any other command line
+that ``parse_args`` cannot read whole prints the usage and ``cvol:
+error: ...`` to stderr and raises ``SystemExit(2)`` before any module of
+the pipeline is loaded.  The parser is one loop over ``argv`` and loads
+no module: a general option parser's import and set-up cost each process
+about 4 ms.
 
 Output is text or JSON; JSON field order is fixed and floats use the
 shortest round-trip decimal, so identical inputs (and seeds) give
@@ -43,12 +56,12 @@ workers forked during the pause run without the collector too.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from .errors import CVolError
 
@@ -234,8 +247,8 @@ def cmd_flatten(args) -> int:
 
 
 def _checked(convert, accept, expected: str):
-    """An argparse type that refuses the values ``accept`` rejects: a NaN
-    or infinite tolerance would pass every check, a negative count would
+    """A converter that refuses the values ``accept`` rejects: a NaN or
+    infinite tolerance would pass every check, a negative count would
     report a pass."""
     def parse(text: str):
         try:
@@ -243,56 +256,107 @@ def _checked(convert, accept, expected: str):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        raise ValueError(f"expected {expected}, got {text!r}")
     return parse
 
 
 _tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _iterations = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: True, "an integer")
+_format = _checked(str, ("json", "text").__contains__, "json or text")
+
+_USAGE = """\
+usage: cvol [-h] [--format json|text] [--tolerance X] [--tolerance-newton X]
+            [--max-iter N] [--seed N] {cvol,homology,edges,flatten} FILE
+       cvol [global flags] verify [--count N]
+"""
+
+_HELP = _USAGE + """
+Complex volume of hyperbolic 3-manifolds from ideal triangulations, plus
+identity verification suites.  Flags are given whole, as --name value or
+--name=value; a repeated flag keeps its last value.
+
+commands:
+  cvol FILE            volume and Chern-Simons of a triangulation file
+  verify [--count N]   run the randomized identity suites (default N 100)
+  homology FILE        homology of the J-complex
+  edges FILE           edge classes of a triangulation
+  flatten FILE         branch-index assignment and residuals
+
+global flags, before the command:
+  -h, --help           show this help and exit
+  --format json|text   output format (default text)
+  --tolerance X        integrality / comparison tolerance (default 1e-9)
+  --tolerance-newton X Newton residual target (default 1e-12)
+  --max-iter N         Newton iteration limit (default 100)
+  --seed N             seed of the verify suites (default 0)
+"""
+
+#: flag -> (attribute, converter), before the command and after ``verify``
+_GLOBAL_FLAGS = {
+    "--format": ("format", _format),
+    "--tolerance": ("tolerance", _tolerance),
+    "--tolerance-newton": ("tolerance_newton", _tolerance),
+    "--max-iter": ("max_iter", _iterations),
+    "--seed": ("seed", _seed),
+}
+_VERIFY_FLAGS = {"--count": ("count", _count)}
+#: each command runs the handler ``cmd_<command>``, looked up when parsed
+_COMMANDS = ("cvol", "verify", "homology", "edges", "flatten")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cvol",
-        description="Complex volume of hyperbolic 3-manifolds from ideal "
-        "triangulations, plus identity verification suites.",
-    )
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--tolerance", type=_tolerance, default=1e-9,
-                        help="integrality / comparison tolerance")
-    parser.add_argument("--tolerance-newton", type=_tolerance, default=1e-12,
-                        help="Newton residual target")
-    parser.add_argument("--max-iter", type=_iterations, default=100)
-    parser.add_argument("--seed", type=int, default=0)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}cvol: error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("cvol", help="volume and Chern-Simons of a "
-                       "triangulation file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_cvol)
 
-    p = sub.add_parser("verify", help="run the randomized identity suites")
-    p.add_argument("--count", type=_count, default=100)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("homology", help="homology of the J-complex")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_homology)
-
-    p = sub.add_parser("edges", help="edge classes of a triangulation")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_edges)
-
-    p = sub.add_parser("flatten", help="branch-index assignment and residuals")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_flatten)
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The handler and settings that ``argv`` names.  ``-h`` or ``--help``
+    prints the help and exits 0; any other input that is not a whole
+    command line prints the usage and the fault and exits 2."""
+    args = {"format": "text", "tolerance": 1e-9, "tolerance_newton": 1e-12,
+            "max_iter": 100, "seed": 0}
+    flags = _GLOBAL_FLAGS
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if token.startswith("-") and token != "-":
+            name, is_joined, text = token.partition("=")
+            if name not in flags:
+                _usage_error(f"unrecognized arguments: {token}")
+            if not is_joined and (text := next(tokens, None)) is None:
+                _usage_error(f"argument {name}: expected one argument")
+            attribute, convert = flags[name]
+            try:
+                args[attribute] = convert(text)
+            except ValueError as exc:
+                _usage_error(f"argument {name}: {exc}")
+        elif "command" not in args:
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                _usage_error(f"argument command: invalid choice: {token!r} "
+                             f"(choose from {choices})")
+            args.update(command=token, fn=globals()[f"cmd_{token}"])
+            if token == "verify":
+                flags, args["count"] = _VERIFY_FLAGS, 100
+            else:
+                flags = {}
+        elif "file" in args or args["command"] == "verify":
+            _usage_error(f"unrecognized arguments: {token}")
+        else:
+            args["file"] = token
+    if "command" not in args:
+        _usage_error("the following arguments are required: command")
+    if args["command"] != "verify" and "file" not in args:
+        _usage_error("the following arguments are required: file")
+    return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     enabled = gc.isenabled()
     gc.disable()  # a command leaves no cyclic garbage: see the docstring
     try:

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from cvol.cli import build_parser, main
+import cvol.cli as cli
+from cvol.cli import main, parse_args
 
 import oracles
 
@@ -367,6 +368,136 @@ class TestVerifyCommand:
         assert captured.err.endswith(
             f"error: argument {flag}: expected {expected}, got {value!r}\n"
         )
+
+
+#: what the argparse parser that ``parse_args`` replaced returned for every
+#: command line: these defaults, updated by each accepted form's entries
+PARSED_DEFAULTS = {"format": "text", "tolerance": 1e-09,
+                   "tolerance_newton": 1e-12, "max_iter": 100, "seed": 0}
+ACCEPTED_FORMS = [
+    ("cvol F.json", dict(command="cvol", file="F.json", fn="cmd_cvol")),
+    ("--format json cvol F.json",
+     dict(format="json", command="cvol", file="F.json", fn="cmd_cvol")),
+    ("--format=text homology F.json",
+     dict(command="homology", file="F.json", fn="cmd_homology")),
+    ("edges F.json", dict(command="edges", file="F.json", fn="cmd_edges")),
+    ("--tolerance 1e-6 --tolerance-newton=1e-10 --max-iter 50 --seed 7 "
+     "flatten F.json",
+     dict(tolerance=1e-06, tolerance_newton=1e-10, max_iter=50, seed=7,
+          command="flatten", file="F.json", fn="cmd_flatten")),
+    ("--format json --format text --seed 1 --seed=2 edges F.json",
+     dict(seed=2, command="edges", file="F.json", fn="cmd_edges")),
+    ("--max-iter=1 --tolerance=1E3 cvol F.json",
+     dict(tolerance=1000.0, max_iter=1, command="cvol", file="F.json",
+          fn="cmd_cvol")),
+    ("--seed -5 verify",
+     dict(seed=-5, command="verify", count=100, fn="cmd_verify")),
+    ("--seed +3 --seed=1_000 verify",
+     dict(seed=1000, command="verify", count=100, fn="cmd_verify")),
+    ("verify --count 0", dict(command="verify", count=0, fn="cmd_verify")),
+    ("--format json --seed 4 verify --count=500",
+     dict(format="json", seed=4, command="verify", count=500,
+          fn="cmd_verify")),
+    ("verify --count 3 --count 4",
+     dict(command="verify", count=4, fn="cmd_verify")),
+    ("cvol -", dict(command="cvol", file="-", fn="cmd_cvol")),
+]
+
+#: refused command lines -> the end of the ``cvol: error:`` line
+REFUSED_FORMS = [
+    ("", "the following arguments are required: command"),
+    ("frob F.json", "argument command: invalid choice: 'frob' (choose from "
+     "'cvol', 'verify', 'homology', 'edges', 'flatten')"),
+    ("--bogus cvol F.json", "unrecognized arguments: --bogus"),
+    ("-x cvol F.json", "unrecognized arguments: -x"),
+    ("--form json cvol F.json", "unrecognized arguments: --form"),
+    ("verify --co 5", "unrecognized arguments: --co"),
+    ("--count 5 verify", "unrecognized arguments: --count"),
+    ("cvol F.json --format json", "unrecognized arguments: --format"),
+    ("verify --seed 3", "unrecognized arguments: --seed"),
+    ("cvol --count 3 F.json", "unrecognized arguments: --count"),
+    ("cvol", "the following arguments are required: file"),
+    ("cvol a b", "unrecognized arguments: b"),
+    ("verify x", "unrecognized arguments: x"),
+    ("--format xml cvol F.json",
+     "argument --format: expected json or text, got 'xml'"),
+    ("--format", "argument --format: expected one argument"),
+    ("verify --count", "argument --count: expected one argument"),
+    ("--seed abc verify", "argument --seed: expected an integer, got 'abc'"),
+    ("--seed= verify", "argument --seed: expected an integer, got ''"),
+    ("--help=yes cvol F.json", "unrecognized arguments: --help=yes"),
+]
+
+
+class TestCommandLine:
+    """``parse_args``: whole flags before the command, ``--count`` after
+    ``verify``; help exits 0, anything else unreadable exits 2."""
+
+    @pytest.mark.parametrize("argv,expected", ACCEPTED_FORMS,
+                             ids=[argv for argv, _ in ACCEPTED_FORMS])
+    def test_accepted_forms_parse_as_before(self, argv, expected):
+        expected = {**PARSED_DEFAULTS, **expected,
+                    "fn": getattr(cli, expected["fn"])}
+        assert vars(parse_args(argv.split())) == expected
+
+    @pytest.mark.parametrize("argv,message", REFUSED_FORMS,
+                             ids=[argv or "empty"
+                                  for argv, _ in REFUSED_FORMS])
+    def test_refused_forms_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cvol ")
+        assert captured.err.splitlines()[-1] == f"cvol: error: {message}"
+
+    @pytest.mark.parametrize(
+        "argv", ["-h", "--help", "verify -h", "cvol --help",
+                 "--format json cvol F.json -h",
+                 "--seed 3 verify --count 2 -h"])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.err == ""
+        assert captured.out.startswith("usage: cvol ")
+        for flag in ["--count", *cli._GLOBAL_FLAGS]:
+            assert flag in captured.out
+        commands = [line.split()[0] for line in
+                    captured.out.split("commands:\n", 1)[1].split("\n\n")[0]
+                    .splitlines()]
+        assert commands == ["cvol", "verify", "homology", "edges", "flatten"]
+
+    def test_main_reads_sys_argv(self, fig8_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv",
+                            ["cvol", "--format", "json", "edges",
+                             str(fig8_path)])
+        code, out, err = call_main(None, capsys)
+        assert (code, err) == (0, "")
+        assert out == (FIXTURES / "golden" / "edges-fig8.json").read_text()
+
+    def test_no_command_loads_an_option_parser(self, fig8_path):
+        # the site hook of some environments loads stdlib modules into
+        # every interpreter, so a bare one is the baseline
+        loaded = at_exit_print("[m for m in ('argparse', 'gettext', "
+                               "'locale') if m in sys.modules]")
+        bare = subprocess.run(
+            [sys.executable, "-c", loaded + "pass"], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert bare.returncode == 0, bare.stderr
+        for args, code in ((["cvol", fig8_path], 0),
+                           (["flatten", fig8_path], 0),
+                           (["homology", fig8_path], 0),
+                           (["edges", fig8_path], 0),
+                           (["verify", "--count", "2"], 0),
+                           (["--help"], 0), (["--bogus"], 2)):
+            result = run_cli(["--format", "json", *args], loaded)
+            assert result.returncode == code, result.stderr
+            last = result.stderr.splitlines()[-1]
+            assert last == bare.stderr.strip(), args
 
 
 class TestOtherCommands:
@@ -804,20 +935,16 @@ class TestCollectorPause:
         ids=["cvol", "homology", "verify"],
     )
     def test_commands_leave_no_cyclic_garbage(self, argv, capsys):
-        # each main call drops its argument parser, whose objects refer to
-        # one another; a bare parser's count is taken off
         gc.collect()
         gc.disable()
         try:
-            build_parser()
-            parser_garbage = gc.collect()
             code, _, _ = call_main(["--format", "json", *map(str, argv)],
                                    capsys)
-            garbage = gc.collect() - parser_garbage
+            garbage = gc.collect()
         finally:
             gc.enable()
         assert code == 0
-        assert garbage < 200
+        assert garbage == 0
 
 
 GOLDEN_RUNS = [
