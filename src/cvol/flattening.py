@@ -7,8 +7,8 @@ integer linear system in Hermite normal form.  It reads the condition
 table (``Combinatorics.edge_rows`` and ``cusp_rows``, built on their first
 read and kept with the triangulation): the sparse rows as they are, and
 each condition's value at the shapes and at the solution
-(``PassRows.value``).  Only the pruning walk's one-term arcs
-go through ``cvol.geometry.pass_rows`` here.
+(``PassRows.value``).  Only the pruning walk's one-term steps, taken by
+``cvol.triangulation.link_step`` in place, go through ``pass_rows`` here.
 
 The edge defect is read off the same system: ``defect`` is minus its edge
 rows' right-hand side, each edge's signed log-parameter sum at p = q = 0
@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconsistentSystemError, NonIntegralError
-from .geometry import pass_rows
+from .geometry import EDGE_SLOT, pass_rows
 from .intlinalg import reduce_mod_lattice, row_hnf, solve_integer_system
 from .params import ExtendedParam
 from .polylog import (
@@ -43,7 +44,7 @@ from .polylog import (
     reduce_mod,
     slot_values,
 )
-from .triangulation import Triangulation, link_arcs
+from .triangulation import Triangulation, link_step
 
 # ``bloch`` (and through it ``wedge``) is imported only inside
 # ``fundamental_element``, so no command but ``verify`` loads it.
@@ -141,29 +142,35 @@ def _prune_kernel(
     tri: Triangulation, kernel: list[list[int]]
 ) -> list[list[int]]:
     """Sub-lattice of kernel vectors annihilating the log functionals of
-    all closed vertex-link paths, the closed walks of the link state graph.
+    all closed vertex-link paths: the closed walks of the link states
+    (tet, vertex, enter face) under ``link_step``, called in place.
 
-    Its states have in- and out-degree 2, so each component is strongly
-    connected and the fundamental cycles of a spanning forest span the
-    rational functionals of all closed walks; the sub-lattice depends on
-    that span only.  A state's potential is the functional of its tree path
-    on the kernel vectors; each arc off the tree gives one functional, kept
-    once.  One row HNF of [F | kernel], pivots sought in the functional
-    columns F, leaves the pruned basis in the rows whose F part is zero.
+    A state has two exit faces and is entered from two states, so each
+    component is strongly connected and the fundamental cycles of a
+    spanning forest span the rational functionals of all closed walks; the
+    sub-lattice depends on that span only.  A state's potential is the
+    functional of its tree path on the kernel vectors; each step off the
+    tree gives one functional, kept once.  One row HNF of [F | kernel],
+    pivots sought in the functional columns F, leaves the pruned basis in
+    the rows whose F part is zero.
     """
     if not kernel:
         return []
-    arcs = link_arcs(tri)
     potential = {}
     action: dict[tuple[int, ...], None] = {}
-    for root in arcs:
-        if root in potential:
+    for root in product(range(tri.num_tetrahedra), range(4), range(4)):
+        if root[1] == root[2] or root in potential:
             continue
         potential[root] = [0] * len(kernel)
         queue = [root]
         for state in queue:
-            for nxt, term in arcs[state]:
-                # the arc's one or two coefficients, padded to two
+            tet, vertex, enter = state
+            for exit_ in range(4):
+                if exit_ == vertex or exit_ == enter:
+                    continue
+                nxt, (_, pair, rot) = link_step(tri, tet, vertex, enter, exit_)
+                # the step's one or two coefficients, padded to two
+                term = (tet, EDGE_SLOT[pair], rot)
                 (i, a), (j, b) = [*pass_rows([term]).pq.items(), (0, 0)][:2]
                 value = [
                     p + a * k[i] + b * k[j]

@@ -8,13 +8,13 @@ relation must be a fixed-point-free involution with inverse permutations,
 and the complex must be orientable away from its vertices.
 
 Derived structure: edge classes (orbits of tetrahedron edges under the
-gluings), vertex classes, orientation signs, normal paths and the
-vertex-link state graph.  A normal path is a closed sequence of
-steps (tet, enter_face, exit_face); within each tetrahedron it passes the
-unique edge shared by the two faces.  In a vertex link it walks the
-states (tet, tracked vertex, enter face); ``link_step``, the one transition
-from state to state, also says what each step passes, and ``path_passes``
-and ``link_arcs`` are built from it.
+gluings), vertex classes, orientation signs and normal paths.  A normal
+path is a closed sequence of steps (tet, enter_face, exit_face); within
+each tetrahedron it passes the unique edge shared by the two faces.  In a
+vertex link it walks the states (tet, tracked vertex, enter face);
+``link_step``, the one transition from state to state, also says what each
+step passes.  ``path_passes`` and ``cvol.flattening._prune_kernel`` call it
+in place; no graph of the link states is built.
 
 The gluing table is read through tables built once at import: the parity
 and the inverse of each of the 24 permutations, and the sorted pair of
@@ -469,12 +469,9 @@ def edge_loop(tri: Triangulation, edge: EdgeClass) -> NormalPath:
     ))
 
 
-LinkState = tuple[int, int, int]  # (tet, tracked vertex, enter face)
-
-
 def link_step(
     tri: Triangulation, tet: int, vertex: int, enter: int, exit_: int
-) -> tuple[LinkState, tuple[int, tuple[int, int], int]]:
+) -> tuple[tuple[int, int, int], tuple[int, tuple[int, int], int]]:
     """The state entered across face ``exit_`` from (tet, vertex, enter),
     and what the step passes: (tet, edge pair, rotation sign around the
     edge as viewed from the vertex, +1 for counterclockwise), which is the
@@ -542,18 +539,3 @@ def _terms(
 ) -> list[Term]:
     return [(tet, EDGE_SLOT[pair], rot) for tet, pair, rot in passes]
 
-
-def link_arcs(
-    tri: Triangulation,
-) -> dict[LinkState, list[tuple[LinkState, Term]]]:
-    """The vertex-link state graph: from each state, one arc per exit face
-    to the state entered across it, carrying the term of its pass.  Its
-    closed walks are the closed normal paths in the vertex links."""
-    arcs: dict[LinkState, list[tuple[LinkState, Term]]] = {}
-    for tet in range(tri.num_tetrahedra):
-        for v, f_in, f_out, _ in permutations(range(4)):
-            nxt, (_, pair, rot) = link_step(tri, tet, v, f_in, f_out)
-            arcs.setdefault((tet, v, f_in), []).append(
-                (nxt, (tet, EDGE_SLOT[pair], rot))
-            )
-    return arcs

@@ -6,8 +6,8 @@ implementation under test.  ``dilog_mp`` evaluates Li2 in 72-bit mpmath
 arithmetic with exact Bernoulli coefficients, about 1e-21 relative; it is
 the accuracy reference, itself checked against ``mpmath.polylog``, which
 takes milliseconds a call.  The link-walk oracle draws closed normal paths
-in the vertex links from the gluings alone, sharing no code with the state
-graph that the flattening solver prunes its kernel with.  ``nu_reference``
+in the vertex links from the gluings alone, sharing no code with the link
+walk that the flattening solver prunes its kernel with.  ``nu_reference``
 is the symbolic wedge map written generator by generator on
 ``SymbolVector``s, ``wedge`` and ``combine``; ``nu_symbolic`` computes the
 same exact image from wedge tables built at import.  ``r_sum_reference`` is the
@@ -26,11 +26,16 @@ outcome class.  ``reference_edge_classes``,
 of ``cvol.triangulation``, kept as a differential reference: the edge walk
 that collects the entered and exited faces in separate lists, the vertex
 and sign walks over sets of (tet, vertex) slots and a list of optional
-signs, read through ``tri.gluing``, and the path passes from a validation
+signs, read through ``tri.gluing``, the path passes from a validation
 pass, a vertex inference pass and a per-step lookup of the passed edge and
-its rotation sign.  ``reference_prune_kernel``
-is the earlier kernel pruning, a second integer solve on every off-tree
-functional followed by a matrix product.  ``reference_pass_rows`` (dense
+its rotation sign, and the vertex-link state graph built as a dict of
+every state's steps.  ``reference_prune_kernel`` is the earlier kernel
+pruning, walking that graph, with a second integer solve on every
+off-tree functional followed by a matrix product.  ``rogers_shift`` is
+the closed-form change of the Rogers sum under a kernel vector, for
+checks that the flattening chosen does not change cs.
+``disjoint_union`` puts triangulation documents side by side, one cusp
+or more each, for inputs with several cusps.  ``reference_pass_rows`` (dense
 rows of a given width), ``reference_exponent_row`` and ``reference_beta``
 are the condition-to-row code as it stood before ``pass_rows`` returned
 sparse rows and became its one home; ``random_terms`` draws the term lists
@@ -70,7 +75,7 @@ from cvol.geometry import EDGE_SLOT, SLOT_PQ_COEFF
 from cvol.intlinalg import solve_integer_system, transpose
 from cvol.params import ExtendedParam
 from cvol.polylog import lifted_rogers_raw, principal_log
-from cvol.triangulation import NormalPath, PathStep, link_arcs
+from cvol.triangulation import NormalPath, PathStep
 from cvol.wedge import combine, sym, wedge
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -379,6 +384,26 @@ def relabel_document(doc: dict, rng, perms=EVEN_PERMS) -> dict:
             "cusp_paths": paths}
 
 
+def disjoint_union(*docs) -> dict:
+    """The triangulation documents side by side: the tetrahedra of each
+    document, and the tets its gluings and cusp-path steps name, offset by
+    the tetrahedra of the documents before it.  Shape hints are dropped."""
+    tets, paths, offset = [], [], 0
+    for doc in docs:
+        tets += [
+            {"gluings": [{"tet": g["tet"] + offset, "perm": list(g["perm"])}
+                         for g in entry["gluings"]]}
+            for entry in doc["tetrahedra"]
+        ]
+        paths += [
+            [{**step, "tet": step["tet"] + offset} for step in path]
+            for path in doc.get("cusp_paths", [])
+        ]
+        offset += len(doc["tetrahedra"])
+    return {"name": "+".join(doc.get("name", "") for doc in docs),
+            "tetrahedra": tets, "cusp_paths": paths}
+
+
 def perfbench_inputs():
     """The benchmark's input generator, ``perfbench/inputs.py``."""
     spec = importlib.util.spec_from_file_location(
@@ -625,6 +650,18 @@ def alternate_assignment(tri, shapes, base, kernel_coeffs):
     return _assignment_from_vector(tri, shapes, x, base.defect, base.kernel)
 
 
+def rogers_shift(tri, shapes, k) -> complex:
+    """The change of the signed Rogers sum sum_t eps_t R(z_t; p_t, q_t)
+    when (p, q) moves by the kernel vector ``k``.  R is affine in (p, q),
+    so it is (pi i / 2) sum_t eps_t (k[2t] log(1 - z_t) + k[2t+1] log z_t),
+    with no dilogarithm; entries of ``k`` past 2T are ignored."""
+    total = sum(
+        eps * (k[2 * t] * cmath.log(1 - z) + k[2 * t + 1] * cmath.log(z))
+        for t, (eps, z) in enumerate(zip(tri.combinatorics.signs, shapes))
+    )
+    return 1j * math.pi / 2 * total
+
+
 def reference_prune_kernel(tri, kernel):
     """The pruned kernel as first computed: every off-tree arc of a
     spanning forest of the link state graph gives one row of functionals,
@@ -632,7 +669,7 @@ def reference_prune_kernel(tri, kernel):
     ``solve_integer_system``, is multiplied into the kernel basis."""
     if not kernel:
         return []
-    arcs = link_arcs(tri)
+    arcs = reference_link_arcs(tri)
     potential = {}
     action = []
     for root in arcs:
@@ -641,8 +678,8 @@ def reference_prune_kernel(tri, kernel):
         potential[root] = [0] * len(kernel)
         queue = [root]
         for state in queue:
-            for nxt, (tet, slot, weight) in arcs[state]:
-                cp, cq = SLOT_PQ_COEFF[slot]
+            for nxt, (tet, pair, weight) in arcs[state]:
+                cp, cq = SLOT_PQ_COEFF[EDGE_SLOT[pair]]
                 value = [
                     p + weight * (cp * k[2 * tet] + cq * k[2 * tet + 1])
                     for p, k in zip(potential[state], kernel)

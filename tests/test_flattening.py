@@ -22,6 +22,7 @@ from cvol.bloch import (
 )
 from cvol.errors import NonIntegralError
 from cvol.flattening import (
+    _assignment_from_vector,
     complex_volume,
     fundamental_element,
     snap_cs,
@@ -33,6 +34,7 @@ from cvol.intlinalg import (
     AbelianGroup,
     _dense_smith_factors,
     _eliminate_unit_pivots,
+    lattice_equal,
     smith_invariant_factors,
     solve_integer_system,
 )
@@ -49,8 +51,10 @@ from cvol.triangulation import parse_triangulation, path_terms
 from cvol.verify import random_ft_plus
 
 from oracles import (
+    EVEN_PERMS,
     alternate_assignment,
     chain_complex_composites,
+    disjoint_union,
     matmul,
     omega,
     perfbench_inputs,
@@ -61,6 +65,7 @@ from oracles import (
     reference_prune_kernel,
     relabel_document,
     relabeled_cover,
+    rogers_shift,
     rogers_sum_mp,
     xi,
 )
@@ -706,6 +711,144 @@ class TestPrunedKernel:
                  for _ in range(rng.randint(2, 5))]
             assert flattening._prune_kernel(tri, k) == reference_prune_kernel(
                 tri, k)
+
+
+FIXTURE_NAMES = ["fig8", "fig8_cover3", "fig8_cover8", "fig8_cover32"]
+
+
+def _fixture_doc(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+def _solved(doc):
+    """The parsed triangulation, its shapes and the solver's kernel."""
+    tri = parse_triangulation(doc)
+    shapes = solve_shapes(tri).shapes
+    return tri, shapes, solve_flattenings(tri, shapes).kernel
+
+
+def _off_pi2_lattice(shift):
+    """How far Re ``shift`` lies from pi^2 Z, in units of pi^2."""
+    ratio = shift.real / PI_SQUARED
+    return abs(ratio - round(ratio))
+
+
+def _shuffled_cover3(seed):
+    """fig8_cover3 with its tetrahedra shuffled by the benchmark's
+    generator, vertex labels kept."""
+    return perfbench_inputs().relabel(
+        _fixture_doc("fig8_cover3"), random.Random(seed), vertices=False)
+
+
+class TestRogersShift:
+    """A kernel vector k moves the signed Rogers sum by ``rogers_shift``:
+    (pi i / 2) sum_t eps_t (k_p,t log(1 - z_t) + k_q,t log z_t).  vol does
+    not depend on the flattening chosen when its imaginary part is 0 on
+    every generator, and cs when its real part lies in pi^2 Z."""
+
+    def test_closed_form_is_the_rogers_sum_difference(
+        self, fig8_cover3, fig8_cover3_shapes
+    ):
+        tri, shapes = fig8_cover3, fig8_cover3_shapes
+        base = solve_flattenings(tri, shapes)
+        x = [p for pair in base.pq() for p in pair]
+        before = lifted_rogers_sum(base.signed_terms())
+        for k in base.kernel:
+            shifted = _assignment_from_vector(
+                tri, shapes, [a + b for a, b in zip(x, k)], base.defect,
+                base.kernel)
+            after = lifted_rogers_sum(shifted.signed_terms())
+            assert abs(after - before - rogers_shift(tri, shapes, k)) < 1e-9
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_no_generator_moves_vol(self, name):
+        tri, shapes, kernel = _solved(_fixture_doc(name))
+        for k in kernel + flattening._prune_kernel(tri, kernel):
+            assert abs(rogers_shift(tri, shapes, k).imag) < 1e-9
+
+    @pytest.mark.parametrize(
+        "name",
+        FIXTURE_NAMES + [f"fig8_cover3-shuffle{seed}" for seed in range(12)],
+    )
+    def test_pruned_generators_keep_cs(self, name):
+        if "-shuffle" in name:
+            doc = _shuffled_cover3(int(name.rpartition("shuffle")[2]))
+        else:
+            doc = _fixture_doc(name)
+        tri, shapes, kernel = _solved(doc)
+        pruned = flattening._prune_kernel(tri, kernel)
+        assert pruned
+        for k in pruned:
+            assert _off_pi2_lattice(rogers_shift(tri, shapes, k)) < 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the enforced system leaves a generator that moves cs by "
+               "pi^2/2; the link's cycle rows would remove it")
+    def test_enforced_generators_keep_cs(self, fig8, fig8_shapes):
+        kernel = solve_flattenings(fig8, fig8_shapes).kernel
+        for k in kernel:
+            assert _off_pi2_lattice(rogers_shift(fig8, fig8_shapes, k)) < 1e-9
+
+
+#: (vol, enforced kernel rank, pruned kernel rank) of each disjoint union
+UNIONS = {
+    "fig8+fig8": (4.059766425638614, 4, 2),
+    "fig8+fig8_cover3": (8.119532851277228, 8, 6),
+}
+
+
+def _union(name, seed=None, vertices=False):
+    """The named disjoint union; with a seed, its tetrahedra shuffled and,
+    with ``vertices``, their vertices renamed by even permutations."""
+    doc = disjoint_union(*map(_fixture_doc, name.split("+")))
+    if seed is None:
+        return doc
+    perms = EVEN_PERMS if vertices else [(0, 1, 2, 3)]
+    return relabel_document(doc, random.Random(seed), perms)
+
+
+class TestTwoCusps:
+    """Disjoint unions of fig8 and its 3-fold cover: the first inputs with
+    two cusps, one per component, each component's vol and kernel ranks
+    adding up."""
+
+    @pytest.mark.parametrize("name", list(UNIONS))
+    def test_cvol_adds_the_components(self, name, tmp_path, capsys):
+        from cvol.cli import main
+
+        path = tmp_path / "union.json"
+        path.write_text(json.dumps(_union(name)))
+        code = main(["--format", "json", "cvol", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["volume"] == UNIONS[name][0]
+        assert report["cs_mod_pi2"] == 0.0
+
+    @pytest.mark.parametrize("name", list(UNIONS))
+    @pytest.mark.parametrize("seed, vertices", [
+        (None, False), (0, False), (1, False), (2, True), (3, True)])
+    def test_kernels(self, name, seed, vertices):
+        tri = parse_triangulation(_union(name, seed, vertices))
+        shapes = solve_shapes(tri).shapes
+        assignment = solve_flattenings(tri, shapes)
+        pruned = flattening._prune_kernel(tri, assignment.kernel)
+        vol, *ranks = UNIONS[name]
+        assert len(tri.combinatorics.vertices) == 2
+        assert abs(complex_volume(tri, shapes, assignment)[0] - vol) < 1e-9
+        assert [len(assignment.kernel), len(pruned)] == ranks
+        assert lattice_equal(
+            pruned, reference_prune_kernel(tri, assignment.kernel))
+
+    @pytest.mark.parametrize("name", list(UNIONS))
+    @pytest.mark.parametrize("seed", [None, *range(12)])
+    def test_pruned_generators_keep_cs(self, name, seed):
+        # tetrahedron shuffles only: renamed vertices bring the k pi^2/6
+        # error of unordered vertices into the pruned kernel
+        tri, shapes, kernel = _solved(_union(name, seed))
+        for k in flattening._prune_kernel(tri, kernel):
+            assert _off_pi2_lattice(rogers_shift(tri, shapes, k)) < 1e-9
 
 
 class TestCycleRelation:

@@ -13,8 +13,8 @@ import sys
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 KNOWN_ABSENT = {
-    # replaced by triangulation.link_arcs when kernel pruning moved to one
-    # spanning forest of the vertex-link state graph
+    # gone since kernel pruning grows one spanning forest of the
+    # vertex-link states, stepping by triangulation.link_step in place
     "triangulation.vertex_link_cycles",
     # the defect is read off the flattening system's right-hand side
     "flattening.integral_defect",

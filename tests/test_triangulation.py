@@ -16,7 +16,7 @@ from cvol.triangulation import (
     PathStep,
     edge_classes,
     edge_loop,
-    link_arcs,
+    link_step,
     orientation_signs,
     parse_triangulation,
     path_passes,
@@ -403,11 +403,17 @@ class TestNormalPaths:
         # in- and out-degree 2 everywhere make every component strongly
         # connected, which exact kernel pruning relies on
         for tri in (fig8, fig8_cover3):
-            arcs = link_arcs(tri)
-            assert len(arcs) == 12 * tri.num_tetrahedra
-            heads = [nxt for out in arcs.values() for nxt, _ in out]
-            assert all(len(out) == 2 for out in arcs.values())
-            assert sorted(heads) == sorted(2 * list(arcs))
+            states = [
+                state for state in itertools.product(
+                    range(tri.num_tetrahedra), range(4), range(4))
+                if state[1] != state[2]
+            ]
+            # one step out across each of the two other faces
+            heads = [link_step(tri, *state, f)[0]
+                     for state in states for f in range(4)
+                     if f not in state[1:]]
+            assert len(states) == 12 * tri.num_tetrahedra
+            assert sorted(heads) == sorted(2 * states)
 
 
 def _outcome(passes, tri, path):
@@ -489,14 +495,14 @@ class TestReferenceWalks:
             assert path_passes(tri, path) == (
                 reference_path_passes(tri, path)
             )
-        reference = {
-            state: [(nxt, (tet, EDGE_SLOT[pair], rot))
-                    for nxt, (tet, pair, rot) in out]
-            for state, out in reference_link_arcs(tri).items()
-        }
-        arcs = link_arcs(tri)
-        assert list(arcs) == list(reference)
-        assert arcs == reference
+        # every state, and per exit face in increasing order
+        reference = reference_link_arcs(tri)
+        assert len(reference) == 12 * tri.num_tetrahedra
+        for (tet, vertex, enter), out in reference.items():
+            assert [
+                link_step(tri, tet, vertex, enter, exit_)
+                for exit_ in range(4) if exit_ not in (vertex, enter)
+            ] == out
 
     def test_malformed_paths_match_reference(self, fig8_cover3):
         tri = fig8_cover3
