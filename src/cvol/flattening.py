@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconsistentSystemError, NonIntegralError
 from .geometry import EDGE_SLOT, pass_rows
-from .intlinalg import reduce_mod_lattice, row_hnf, solve_integer_system
+from .intlinalg import row_hnf, solve_integer_system
 from .params import ExtendedParam
 from .polylog import (
     PI_SQUARED,
@@ -71,10 +71,10 @@ def _pi_i_multiple(value: complex, tol: float, what: str) -> int:
 class FlatteningAssignment(NamedTuple):
     """Solved branch indices with a full residual report.
 
-    ``kernel`` is the integer kernel of the enforced system: shifting the
-    particular solution by it keeps the edge and supplied cusp-path
-    conditions.  ``flatten`` prints its sub-lattice that keeps every closed
-    vertex-link path condition too (``_prune_kernel``).
+    ``kernel`` is the HNF basis of the enforced system's integer kernel:
+    shifting the solution by it keeps the edge and supplied cusp-path
+    conditions.  ``flatten`` prints the HNF of its sub-lattice that keeps
+    every closed vertex-link path condition too (``_prune_kernel``).
 
     ``defect`` is -(the edge rows' right-hand side), the orientation-weighted
     (1/pi i) beta*(omega).  Its parity is no check: it changes with the
@@ -150,9 +150,9 @@ def _prune_kernel(
     spanning forest span the rational functionals of all closed walks; the
     sub-lattice depends on that span only.  A state's potential is the
     functional of its tree path on the kernel vectors; each step off the
-    tree gives one functional, kept once.  One row HNF of [F | kernel],
-    pivots sought in the functional columns F, leaves the pruned basis in
-    the rows whose F part is zero.
+    tree gives one functional, kept once.  The rows of the row HNF of
+    [F | kernel] whose F part is zero are the pruned lattice's own HNF,
+    whatever the kernel basis and the order of the functionals.
     """
     if not kernel:
         return []
@@ -183,9 +183,7 @@ def _prune_kernel(
                     diff = tuple(a - b for a, b in zip(value, potential[nxt]))
                     action[diff] = None
     f = list(action)
-    rows = row_hnf(
-        [[g[i] for g in f] + k for i, k in enumerate(kernel)], len(f)
-    )
+    rows = row_hnf([[g[i] for g in f] + k for i, k in enumerate(kernel)])
     return [row[len(f):] for row in rows if not any(row[:len(f)])]
 
 
@@ -195,9 +193,9 @@ def solve_flattenings(
     """Assign branch indices (p_i, q_i) meeting the edge and path conditions.
 
     The combined integer system is solved in Hermite normal form; the
-    particular solution is canonicalized by reduction modulo the kernel
-    lattice, so the output is deterministic.  Missing cusp paths yield a
-    partial, 'edge-flattened only' assignment.
+    solution is reduced modulo the kernel's HNF basis, so the output
+    depends on the system only.  Missing cusp paths yield a partial,
+    'edge-flattened only' assignment.
     """
     rows, rhs = _build_system(tri, shapes, tol)
     solution = solve_integer_system(rows, rhs)
@@ -206,9 +204,9 @@ def solve_flattenings(
             "flattening system has no integer solution; the triangulation "
             "data is invalid"
         )
-    x = reduce_mod_lattice(solution.particular, solution.kernel)
     defect = [-r for r in rhs[:len(tri.combinatorics.edge_rows)]]
-    return _assignment_from_vector(tri, shapes, x, defect, solution.kernel)
+    return _assignment_from_vector(tri, shapes, solution.particular, defect,
+                                   solution.kernel)
 
 
 def _assignment_from_vector(

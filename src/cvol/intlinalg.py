@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers and over GF(2).
 
 Matrices are lists of lists of Python ints, so intermediate entries can grow
-without overflow.  Provides row Hermite normal form, solution of A x = b
-over Z with kernel basis, Smith normal form invariant factors, rank over
-GF(2), and a small descriptor type for finitely generated abelian groups.
+without overflow.  Provides row Hermite normal form, the canonical solution
+of A x = b over Z, Smith normal form invariant factors, rank over GF(2),
+and a small descriptor type for finitely generated abelian groups.
 
 The Smith form works in two steps, because the matrices of a triangulation
 are very sparse and almost all their pivots are units.  A sparse pass
@@ -86,7 +86,8 @@ def rank(m: list[list[int]]) -> int:
 
 
 class IntegerSolution(NamedTuple):
-    """Particular solution plus a basis of the integer kernel lattice."""
+    """Solution of a x = b over Z: the kernel lattice's row HNF basis, and
+    the solution reduced into [0, pivot) at each of its pivots."""
 
     particular: list[int]
     kernel: list[list[int]]
@@ -97,11 +98,11 @@ def solve_integer_system(
 ) -> IntegerSolution | None:
     """Solve a x = b over Z.  Returns None when the system is inconsistent.
 
-    The row HNF of [a^T | I] with pivots in the first m columns has rows
-    [(a u)^T | u] with u unimodular.  Walking its pivot rows in order, the
-    first nonzero entry of a row at p fixes y = (b[p] - (a x)[p]) / row[p]
-    (no integer solution when this does not divide) and x += y u; the rows
-    after the pivot rows, zero in their first m entries, span the kernel.
+    The row HNF of [a^T | 0 | I] over [-b^T | 1 | 0], pivots sought in the
+    first m columns, ends in rows [0 | c | u] that span {(c, u) : a u = c b}.
+    The row HNF of those starts with (1, x) exactly when an integer
+    solution exists; its other rows (0, k) are the kernel's HNF basis, at
+    whose pivots x is already reduced into [0, pivot).
     """
     m = len(a)
     n = len(a[0]) if a else 0
@@ -110,44 +111,16 @@ def solve_integer_system(
     if n == 0:
         return None if any(b) else IntegerSolution([], [])
     eye = [[int(i == k) for k in range(n)] for i in range(n)]
-    hu = row_hnf([r + e for r, e in zip(transpose(a), eye)], m)
-    x = [0] * n
-    residual = list(map(int, b))  # b - a x
-    r = 0  # pivot rows walked
-    for row in hu:
-        p = next((j for j in range(m) if row[j]), None)
-        if p is None:
-            break
-        y, rest = divmod(residual[p], row[p])
-        if rest:
-            return None
-        residual = [v - y * c for v, c in zip(residual, row)]
-        x = [v + y * u for v, u in zip(x, row[m:])]
-        r += 1
+    stacked = [r + [0] + e for r, e in zip(transpose(a), eye)]
+    stacked.append([-int(v) for v in b] + [1] + [0] * n)
+    tail = [row[m:] for row in row_hnf(stacked, m) if not any(row[:m])]
+    h = row_hnf(tail)
+    if not h or h[0][0] != 1:
+        return None
+    x = h[0][1:]
     if matvec(a, x) != list(map(int, b)):
         return None
-    return IntegerSolution(x, [row[m:] for row in hu[r:]])
-
-
-def reduce_mod_lattice(x: list[int], basis: list[list[int]]) -> list[int]:
-    """Canonical representative of x modulo the lattice spanned by basis.
-
-    The basis is brought to row HNF; each pivot coordinate of x is reduced
-    into [0, pivot) from the top row down, which is deterministic.
-    """
-    if any(len(row) != len(x) for row in basis):
-        raise ValueError("every basis row must be as wide as x")
-    if not basis:
-        return list(map(int, x))
-    out = list(map(int, x))
-    for row in row_hnf(basis):
-        piv_col = next((j for j, v in enumerate(row) if v != 0), None)
-        if piv_col is None:
-            continue
-        f = out[piv_col] // row[piv_col]
-        if f:
-            out = [a - f * b for a, b in zip(out, row)]
-    return out
+    return IntegerSolution(x, [row[1:] for row in h[1:]])
 
 
 def smith_invariant_factors(

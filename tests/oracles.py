@@ -34,6 +34,12 @@ pruning, walking that graph, with a second integer solve on every
 off-tree functional followed by a matrix product.  ``rogers_shift`` is
 the closed-form change of the Rogers sum under a kernel vector, for
 checks that the flattening chosen does not change cs.
+``reduce_mod_lattice`` is the reduction of a solution modulo a kernel
+lattice that the flattening solver ran after its solve, before the solve's
+own Hermite form gave the reduced solution; ``hnf`` is the unique row HNF
+basis of a lattice, for checks that a basis does not depend on the one
+the computation started from, and ``random_unimodular`` draws the change
+of basis.
 ``disjoint_union`` puts triangulation documents side by side, one cusp
 or more each, for inputs with several cusps.  ``reference_pass_rows`` (dense
 rows of a given width), ``reference_exponent_row`` and ``reference_beta``
@@ -72,7 +78,7 @@ from cvol.errors import (
 )
 from cvol.flattening import _assignment_from_vector, _prune_kernel
 from cvol.geometry import EDGE_SLOT, SLOT_PQ_COEFF
-from cvol.intlinalg import solve_integer_system, transpose
+from cvol.intlinalg import row_hnf, solve_integer_system, transpose
 from cvol.params import ExtendedParam
 from cvol.polylog import lifted_rogers_raw, principal_log
 from cvol.triangulation import NormalPath, PathStep
@@ -660,6 +666,50 @@ def rogers_shift(tri, shapes, k) -> complex:
         for t, (eps, z) in enumerate(zip(tri.combinatorics.signs, shapes))
     )
     return 1j * math.pi / 2 * total
+
+
+def reduce_mod_lattice(x: list[int], basis: list[list[int]]) -> list[int]:
+    """Canonical representative of x modulo the lattice spanned by basis.
+
+    The basis is brought to row HNF; each pivot coordinate of x is reduced
+    into [0, pivot) from the top row down, which is deterministic.
+    """
+    if any(len(row) != len(x) for row in basis):
+        raise ValueError("every basis row must be as wide as x")
+    if not basis:
+        return list(map(int, x))
+    out = list(map(int, x))
+    for row in row_hnf(basis):
+        piv_col = next((j for j, v in enumerate(row) if v != 0), None)
+        if piv_col is None:
+            continue
+        f = out[piv_col] // row[piv_col]
+        if f:
+            out = [a - f * b for a, b in zip(out, row)]
+    return out
+
+
+def hnf(rows):
+    """The nonzero rows of the row HNF of ``rows``: the unique basis of
+    their lattice."""
+    return [row for row in row_hnf(rows) if any(row)]
+
+
+def random_unimodular(rng, size, steps=12):
+    """A product of random elementary row operations on the identity: row
+    additions, swaps and negations."""
+    u = [[int(i == k) for k in range(size)] for i in range(size)]
+    for _ in range(steps):
+        i, j = rng.randrange(size), rng.randrange(size)
+        kind = rng.choice(("add", "swap", "negate"))
+        if kind == "add" and i != j:
+            c = rng.choice([-2, -1, 1, 2])
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        elif kind == "swap":
+            u[i], u[j] = u[j], u[i]
+        elif kind == "negate":
+            u[i] = [-x for x in u[i]]
+    return u
 
 
 def reference_prune_kernel(tri, kernel):

@@ -13,14 +13,13 @@ from cvol.intlinalg import (
     lattice_equal,
     matvec,
     rank,
-    reduce_mod_lattice,
     row_hnf,
     smith_invariant_factors,
     solve_integer_system,
     transpose,
 )
 
-from oracles import matmul
+from oracles import hnf, matmul, random_unimodular, reduce_mod_lattice
 
 
 def random_matrix(rng, rows, cols, bound=6):
@@ -129,6 +128,34 @@ class TestSolve:
             diff = [a - b for a, b in zip(x, red)]
             sol = solve_integer_system(transpose(basis), diff)
             assert sol is not None
+
+
+class TestCanonicalSolution:
+    """The solution is canonical: the kernel is its own row HNF, the
+    particular solution is any solution reduced modulo it, and neither
+    depends on how the equations were written down."""
+
+    def test_planted_solution_reduces_to_particular(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6),
+                              rng.choice([1, 2, 6]))
+            x0 = [rng.randint(-9, 9) for _ in range(len(m[0]))]
+            sol = solve_integer_system(m, matvec(m, x0))
+            assert sol.particular == reduce_mod_lattice(x0, sol.kernel)
+            assert sol.kernel == hnf(sol.kernel)
+
+    def test_unimodular_row_change_keeps_solution(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6),
+                              rng.choice([1, 2, 6]))
+            b = (matvec(m, [rng.randint(-5, 5) for _ in range(len(m[0]))])
+                 if rng.random() < 0.7
+                 else [rng.randint(-7, 7) for _ in m])
+            u = random_unimodular(rng, len(m))
+            assert solve_integer_system(matmul(u, m), matvec(u, b)) == \
+                solve_integer_system(m, b)
 
 
 class TestShapeChecks:
