@@ -22,11 +22,12 @@ import types
 #: defining module -> the names the package re-exports from it
 _EXPORTS = {
     "bloch": (
-        "CycleSimplex", "EBElement", "FiveTermTuple", "chi", "chi_hat",
-        "cycle_relation_check", "epsilon_parity",
+        "CycleSimplex", "EBElement", "FiveTermTuple", "bloch_wigner", "chi",
+        "chi_hat", "cycle_relation_check", "dilog", "epsilon_parity",
         "five_point_edge_conditions", "five_point_shapes",
-        "five_term_instance", "generator", "kappa_element", "nu_symbolic",
-        "r_of_element", "super_transfer_rhs", "transfer_instance",
+        "five_term_instance", "generator", "kappa_element", "lifted_rogers",
+        "nu_symbolic", "r_of_element", "rogers", "super_transfer_rhs",
+        "transfer_instance", "unflatten",
     ),
     "errors": (
         "ConvergenceError", "CVolError", "DegenerateGeometryError",
@@ -43,10 +44,7 @@ _EXPORTS = {
     ),
     "jcomplex": ("JComplex", "build_j_complex", "homology_of_j"),
     "params": ("ExtendedParam", "Flattening"),
-    "polylog": (
-        "ModPiSquared", "bloch_wigner", "dilog", "flatten", "lifted_rogers",
-        "principal_log", "reduce_mod", "rogers", "unflatten",
-    ),
+    "polylog": ("ModPiSquared", "flatten", "principal_log", "reduce_mod"),
     "triangulation": (
         "Combinatorics", "EdgeClass", "NormalPath", "PathStep",
         "Triangulation", "edge_classes", "edge_loop", "orientation_signs",

@@ -3,7 +3,7 @@
 Elements are integer combinations of generators [z, p, q] in one of two
 flavours: mode "ep" allows all integer branch indices (values of the Rogers
 lift live in C/pi^2*Z), mode "eep" restricts to even indices (values in
-C/2*pi^2*Z), as ``polylog.check_mode`` and ``check_branches`` enforce.  Every
+C/2*pi^2*Z), as ``check_mode`` and ``check_branches`` enforce.  Every
 builder below is one call of the ``EBElement`` constructor; the arithmetic,
 with integer coefficients and multipliers only, is that of
 ``cvol.wedge.Combination``, and refuses to mix the two modes.  Equality of
@@ -28,6 +28,10 @@ base point with y in the upper half plane and x inside the triangle 0,1,y
 (where all five shapes are in the upper half plane), shifted by the
 five-parameter integer index family.  ``cycle_relation_check`` checks the
 cycle relation of simplices around a common edge through R and nu.
+
+The functions of one value that ``cvol`` does not run live here too, on
+``cvol.polylog``'s series: ``dilog``, ``rogers``, ``lifted_rogers``,
+``unflatten`` and ``bloch_wigner`` (the tests' volume oracle).
 """
 
 from __future__ import annotations
@@ -37,20 +41,140 @@ import math
 from collections.abc import Iterable, Mapping
 from itertools import combinations
 
-from .errors import DegenerateGeometryError, NonIntegralError, SymbolMatchError
+from .errors import (
+    DegenerateGeometryError,
+    DomainError,
+    NonIntegralError,
+    SymbolMatchError,
+)
 from .geometry import EDGE_SLOT, pass_rows
 from .params import ExtendedParam, Flattening, Value
 from .polylog import (
-    MODULI,
+    PI_SQUARED,
+    TWO_PI_SQUARED,
     ModPiSquared,
-    check_branches,
-    check_mode,
+    _dilog,
+    _normalize,
+    _rogers_logs,
+    lift_rogers_logs,
     lifted_rogers_sum,
     principal_log,
     reduce_mod,
     slot_values,
 )
 from .wedge import Combination, WedgeExpr, _integer, sym, wedge
+
+#: the modulus of the Rogers values of each mode: pi^2 in 'ep', where all
+#: branch indices are allowed, and 2 pi^2 in 'eep', where they are even
+MODULI = {"ep": PI_SQUARED, "eep": TWO_PI_SQUARED}
+
+
+def check_mode(mode: str) -> str:
+    """``mode`` if it names a modulus in ``MODULI``; ValueError otherwise."""
+    if mode not in MODULI:
+        raise ValueError("mode must be 'ep' or 'eep'")
+    return mode
+
+
+def check_branches(params: Iterable[ExtendedParam], mode: str) -> None:
+    """DomainError if ``mode`` is 'eep' and a param has an odd index."""
+    if mode == "eep" and any(x.p % 2 or x.q % 2 for x in params):
+        raise DomainError("eep mode requires even branch indices")
+
+
+def unflatten(w: Flattening, tol: float = 1e-9) -> ExtendedParam:
+    """Recover (z; p, q) from a flattening using z = +-e^{w0} and
+    1 - z = +-e^{-w1}; non-integer branch residuals are rejected."""
+    ez = cmath.exp(w.w0)
+    em = cmath.exp(-w.w1)
+    scale = max(1.0, abs(ez), abs(em))
+    best = None
+    for sz in (1.0, -1.0):
+        for sm in (1.0, -1.0):
+            z = sz * ez
+            one_minus = sm * em
+            err = abs(z + one_minus - 1.0)
+            if best is None or err < best[0]:
+                best = (err, z)
+    err, z = best
+    if err > tol * scale:
+        raise NonIntegralError("flattening does not exponentiate to a shape")
+    if abs(z.imag) <= 1e-14 * max(1.0, abs(z)):
+        z = complex(z.real, 0.0)  # roundoff from exp(log z)
+    if z == 0 or z == 1:
+        raise DomainError("flattening exponentiates to a degenerate shape")
+    p_float = (w.w0 - principal_log(z)) / (1j * math.pi)
+    q_float = (w.w1 + principal_log(1 - z)) / (1j * math.pi)
+    p, q = round(p_float.real), round(q_float.real)
+    if abs(p_float - p) > tol or abs(q_float - q) > tol:
+        raise NonIntegralError(
+            "branch residuals (%r, %r) are not integers" % (p_float, q_float)
+        )
+    cut_side = None
+    if z.imag == 0.0 and (z.real < 0 or z.real > 1):
+        cut_side = +1
+    return ExtendedParam(z, p, q, cut_side)
+
+
+def _reject_dilog_cut(z: complex) -> complex:
+    z = _normalize(z)
+    if z.imag == 0.0 and z.real >= 1.0:
+        raise DomainError("dilogarithm is not defined on the cut [1, inf)")
+    return z
+
+
+def dilog(z: complex) -> complex:
+    """Li2(z) = -integral_0^z log(1-t)/t dt on the principal branch.
+
+    The cut is [1, inf).  Li2(w) is the Bernoulli series in u = -log(1-w)
+    ('t Hooft-Veltman 1979; Zagier 2007), summed to its fixed u^21 term.
+    The series is taken at w = z where |u| <= 1.12, which holds on
+    |z| <= 1, Re z <= 1/2 and near it; elsewhere one reflection (w = 1-z,
+    where |1-z| <= 1) or one inversion (w = 1/z, where |z| > 1) takes z
+    into |w| <= 1, Re w <= 1/2, where |u| <= pi/3.  The series has radius
+    2 pi, so the truncation is below 1e-17, and the result is within a few
+    ulps of max(1, |Li2(z)|).
+    """
+    z = _reject_dilog_cut(z)
+    return _dilog(z)
+
+
+def rogers(z: complex) -> complex:
+    """Rogers dilogarithm R(z) = log(z) log(1-z) / 2 + Li2(z).
+
+    Defined for z off both cuts; R(1/2) = pi^2 / 12.
+    """
+    return _rogers_logs(z)[0]
+
+
+def lifted_rogers_raw(z: complex, p: int, q: int) -> complex:
+    """Unreduced value of R(z; p, q) as a plain complex number."""
+    return lift_rogers_logs(_rogers_logs(z), p, q)
+
+
+def lifted_rogers(param: ExtendedParam, mode: str = "ep") -> "ModPiSquared":
+    """R(z; p, q) reduced modulo pi^2 (mode 'ep') or 2*pi^2 (mode 'eep').
+
+    In 'eep' mode both branch indices must be even.
+    """
+    check_branches((param,), check_mode(mode))
+    return reduce_mod(lifted_rogers_raw(param.numeric_z(), param.p, param.q),
+                      MODULI[mode])
+
+
+def bloch_wigner(z: complex) -> float:
+    """Bloch-Wigner function D(z) = Im Li2(z) + arg(1-z) log|z|.
+
+    D vanishes on the real line and is the volume of the ideal tetrahedron
+    with cross-ratio z when Im z > 0.
+    """
+    z = _normalize(z)
+    if z == 0 or z == 1:
+        raise DomainError("Bloch-Wigner function undefined at 0 and 1")
+    if z.imag == 0.0:
+        return 0.0
+    return _dilog(z).imag + cmath.phase(1 - z) * math.log(abs(z))
+
 
 
 #: what the EBElement constructor takes: {generator: coeff}, or

@@ -26,10 +26,11 @@ about 4 ms.
 Output is text or JSON; JSON field order is fixed and floats use the
 shortest round-trip decimal, so identical inputs (and seeds) give
 byte-identical output.  Exit code 0 means every requested check passed.
-A command loads and computes only what it prints: each handler imports the
-modules it uses, so ``verify`` loads no triangulation code, ``cvol`` and
-``flatten`` no Bloch-group, wedge or J-complex code, ``homology`` and
-``edges`` no logarithm, and only ``flatten`` prunes the flattening kernel.
+A command loads and compiles only what it runs: ``cmd_<name>`` imports
+the handler of ``verify``, ``homology`` or ``flatten`` from ``verify``,
+``jcomplex`` or ``pruning``.  So ``verify`` loads no triangulation code,
+``cvol`` and ``flatten`` no Bloch-group, wedge or J-complex code,
+``homology`` and ``edges`` no logarithm, and only ``flatten`` prunes.
 Every command that reads a triangulation refuses, at stage ``parse``, one
 whose vertex links are not all tori.
 
@@ -162,51 +163,13 @@ def cmd_cvol(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_parallel
-
-    results = run_parallel(count=args.count, seed=args.seed,
-                           tol=args.tolerance)
-    report = {
-        "seed": args.seed,
-        "count": args.count,
-        "suites": [
-            {
-                "name": r.name,
-                "count": r.count,
-                "passed": r.passed,
-                "max_residual": r.max_residual,
-                "failures": r.failures,
-            }
-            for r in results
-        ],
-        "passed": all(r.passed for r in results),
-        "max_residual": max((r.max_residual for r in results), default=0.0),
-    }
-    if args.format == "json":
-        print(json.dumps(report))
-    else:
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            print(f"{status}  {r.name}  (count={r.count}, "
-                  f"max residual {r.max_residual:.3g})")
-            for failure in r.failures:
-                print(f"      counterexample: {failure}")
-        print("all passed" if report["passed"] else "FAILURES above")
-    return 0 if report["passed"] else 1
+    from .verify import cmd_verify
+    return cmd_verify(args)
 
 
 def cmd_homology(args) -> int:
-    from .jcomplex import build_j_complex, h1_mod2, homology_of_j
-
-    tri = _stage("parse", _load, args.file)
-    jc = build_j_complex(tri)
-    groups = homology_of_j(jc)
-    report = {
-        "homology": {f"H{k}": str(groups[k]) for k in (5, 4, 3, 2, 1)},
-        "h1_mod2_rank": h1_mod2(jc),
-    }
-    _emit(report, args.format)
-    return 0
+    from .jcomplex import cmd_homology
+    return cmd_homology(args)
 
 
 def cmd_edges(args) -> int:
@@ -229,21 +192,8 @@ def cmd_edges(args) -> int:
 
 
 def cmd_flatten(args) -> int:
-    from .flattening import _prune_kernel
-
-    tri, _, assignment = _solve(args)
-    report = {
-        "flattenings": [list(pq) for pq in assignment.pq()],
-        "orientation_signs": assignment.signs,
-        "edge_residuals": [abs(r) for r in assignment.edge_residuals],
-        "path_residuals": [abs(r) for r in assignment.path_residuals],
-        "path_parities": assignment.path_parities,
-        "defect": assignment.defect,
-        "edge_flattened_only": assignment.edge_flattened_only,
-        "kernel": _prune_kernel(tri, assignment.kernel),
-    }
-    _emit(report, args.format)
-    return 0
+    from .pruning import cmd_flatten
+    return cmd_flatten(args)
 
 
 def _checked(convert, accept, expected: str):

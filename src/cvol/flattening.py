@@ -7,8 +7,7 @@ integer linear system in Hermite normal form.  It reads the condition
 table (``Combinatorics.edge_rows`` and ``cusp_rows``, built on their first
 read and kept with the triangulation): the sparse rows as they are, and
 each condition's value at the shapes and at the solution
-(``PassRows.value``).  Only the pruning walk's one-term steps, taken by
-``cvol.triangulation.link_step`` in place, go through ``pass_rows`` here.
+(``PassRows.value``); it calls ``pass_rows`` on none of them.
 
 The edge defect is read off the same system: ``defect`` is minus its edge
 rows' right-hand side, each edge's signed log-parameter sum at p = q = 0
@@ -18,8 +17,8 @@ Delta-component -(log(1-z) e_0 + log(z) e_1) (Neumann 1992), so the
 orientation signs enter in one place only, ``cvol.geometry.pass_rows``.
 
 ``complex_volume`` sums the lifted Rogers function over sum_i eps_i [z_i,
-p_i, q_i] to i(vol + i cs) modulo pi^2; only ``flatten`` prunes the
-system's kernel (``_prune_kernel``).
+p_i, q_i] to i(vol + i cs) modulo pi^2.  Only ``flatten`` prunes the
+system's kernel, in ``cvol.pruning``, which ``cvol`` never loads.
 
 The J-complex, its integer maps alpha and beta and its homology, lives in
 ``cvol.jcomplex``, which needs no logarithm.  The solver calls none of it,
@@ -31,12 +30,11 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import product
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .errors import InconsistentSystemError, NonIntegralError
-from .geometry import EDGE_SLOT, pass_rows
-from .intlinalg import row_hnf, solve_integer_system
+from .intlinalg import solve_integer_system
 from .params import ExtendedParam
 from .polylog import (
     PI_SQUARED,
@@ -44,7 +42,7 @@ from .polylog import (
     reduce_mod,
     slot_values,
 )
-from .triangulation import Triangulation, link_step
+from .triangulation import Triangulation
 
 # ``bloch`` (and through it ``wedge``) is imported only inside
 # ``fundamental_element``, so no command but ``verify`` loads it.
@@ -68,13 +66,17 @@ def _pi_i_multiple(value: complex, tol: float, what: str) -> int:
 # Flattening solver
 # ---------------------------------------------------------------------------
 
-class FlatteningAssignment(NamedTuple):
-    """Solved branch indices with a full residual report.
+class FlatteningAssignment(namedtuple("FlatteningAssignment", (
+        "params signs edge_residuals path_residuals path_parities defect "
+        "edge_flattened_only kernel"))):
+    """Solved branch indices ``params`` (list[ExtendedParam]) with a full
+    residual report: ``signs``, ``path_parities`` and ``defect`` are
+    list[int], the residuals list[complex], ``edge_flattened_only`` a bool.
 
-    ``kernel`` is the HNF basis of the enforced system's integer kernel:
-    shifting the solution by it keeps the edge and supplied cusp-path
-    conditions.  ``flatten`` prints the HNF of its sub-lattice that keeps
-    every closed vertex-link path condition too (``_prune_kernel``).
+    ``kernel`` (list[list[int]]) is the HNF basis of the enforced system's
+    integer kernel: shifting the solution by it keeps the edge and supplied
+    cusp-path conditions.  ``flatten`` prints the HNF of its sub-lattice
+    that keeps every closed vertex-link path condition too (``pruning``).
 
     ``defect`` is -(the edge rows' right-hand side), the orientation-weighted
     (1/pi i) beta*(omega).  Its parity is no check: it changes with the
@@ -84,14 +86,7 @@ class FlatteningAssignment(NamedTuple):
     with an even one a wrong cs).  ``cvol``'s ``defect_even`` reports it.
     """
 
-    params: list[ExtendedParam]
-    signs: list[int]
-    edge_residuals: list[complex]
-    path_residuals: list[complex]
-    path_parities: list[int]
-    defect: list[int]
-    edge_flattened_only: bool
-    kernel: list[list[int]]
+    __slots__ = ()
 
     def pq(self) -> list[tuple[int, int]]:
         return [(p.p, p.q) for p in self.params]
@@ -136,55 +131,6 @@ def _build_system(
         for j, c in entries.items():
             row[j] = c
     return rows, rhs
-
-
-def _prune_kernel(
-    tri: Triangulation, kernel: list[list[int]]
-) -> list[list[int]]:
-    """Sub-lattice of kernel vectors annihilating the log functionals of
-    all closed vertex-link paths: the closed walks of the link states
-    (tet, vertex, enter face) under ``link_step``, called in place.
-
-    A state has two exit faces and is entered from two states, so each
-    component is strongly connected and the fundamental cycles of a
-    spanning forest span the rational functionals of all closed walks; the
-    sub-lattice depends on that span only.  A state's potential is the
-    functional of its tree path on the kernel vectors; each step off the
-    tree gives one functional, kept once.  The rows of the row HNF of
-    [F | kernel] whose F part is zero are the pruned lattice's own HNF,
-    whatever the kernel basis and the order of the functionals.
-    """
-    if not kernel:
-        return []
-    potential = {}
-    action: dict[tuple[int, ...], None] = {}
-    for root in product(range(tri.num_tetrahedra), range(4), range(4)):
-        if root[1] == root[2] or root in potential:
-            continue
-        potential[root] = [0] * len(kernel)
-        queue = [root]
-        for state in queue:
-            tet, vertex, enter = state
-            for exit_ in range(4):
-                if exit_ == vertex or exit_ == enter:
-                    continue
-                nxt, (_, pair, rot) = link_step(tri, tet, vertex, enter, exit_)
-                # the step's one or two coefficients, padded to two
-                term = (tet, EDGE_SLOT[pair], rot)
-                (i, a), (j, b) = [*pass_rows([term]).pq.items(), (0, 0)][:2]
-                value = [
-                    p + a * k[i] + b * k[j]
-                    for p, k in zip(potential[state], kernel)
-                ]
-                if nxt not in potential:
-                    potential[nxt] = value
-                    queue.append(nxt)
-                elif value != potential[nxt]:
-                    diff = tuple(a - b for a, b in zip(value, potential[nxt]))
-                    action[diff] = None
-    f = list(action)
-    rows = row_hnf([[g[i] for g in f] + k for i, k in enumerate(kernel)])
-    return [row[len(f):] for row in rows if not any(row[:len(f)])]
 
 
 def solve_flattenings(

@@ -19,7 +19,7 @@ integer commands load it without the numeric code.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError
 from .params import Value
@@ -62,17 +62,17 @@ class IdealSimplexShape(Value):
         return (self.z, self.z_prime, self.z_double_prime)[slot]
 
 
-class PassRows(NamedTuple):
-    """A condition sum weight * w_slot(tet) over (tet, slot, weight) terms,
-    as rows on (p_0, q_0, p_1, q_1, ...) without zero entries."""
+class PassRows(namedtuple("PassRows",
+                          "terms pq parity parity_const exponents")):
+    """A condition sum weight * w_slot(tet) over its ``terms`` (list[Term]),
+    as rows on (p_0, q_0, p_1, q_1, ...) without zero entries: ``pq`` its
+    pi*i coefficients and ``parity`` the branch indices whose sum is its
+    parity (dict[int, int] each), ``parity_const`` (int) one per w2 pass,
+    whose parity parameter is p+q+1, and ``exponents`` the (tet, a, b, c)
+    weight sums of (w0, w1, w2) by tetrahedron, all-zero triples dropped.
+    """
 
-    terms: list[Term]
-    pq: dict[int, int]      # pi*i coefficients of the condition
-    parity: dict[int, int]  # branch indices whose sum is its parity
-    parity_const: int       # one per w2 pass: its parity parameter is p+q+1
-    #: (tet, a, b, c) by tetrahedron: the summed weights of (w0, w1, w2),
-    #: all-zero triples dropped
-    exponents: list[tuple[int, int, int, int]]
+    __slots__ = ()
 
     def value(self, values: list[tuple[complex, complex, complex]]) -> complex:
         """sum weight * values[tet][slot], in term order."""

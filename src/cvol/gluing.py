@@ -40,7 +40,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ConvergenceError, DegenerateGeometryError
 from .triangulation import Triangulation
@@ -63,12 +63,11 @@ Row = list[tuple[int, int, int, int]]
 SparseRow = list[tuple[int, complex]]
 
 
-class GluingSystem(NamedTuple):
-    """Sparse exponent rows with constant targets: 2 pi i for edges, 0 for
-    cusp paths."""
+class GluingSystem(namedtuple("GluingSystem", "edge_rows cusp_rows")):
+    """Sparse exponent rows (each a list[Row]) with constant targets: 2 pi i
+    for ``edge_rows``, 0 for ``cusp_rows``."""
 
-    edge_rows: list[Row]
-    cusp_rows: list[Row]
+    __slots__ = ()
 
     @property
     def edge_flattened_only(self) -> bool:
@@ -216,15 +215,14 @@ def _back_substitute(pivots, rhs: list[complex], y: list[complex]):
     return y
 
 
-class ShapeSolution(NamedTuple):
-    """``history`` holds, per Newton iteration, the residual reached and the
+class ShapeSolution(namedtuple(
+        "ShapeSolution", "shapes residual iterations geometric history")):
+    """Newton's ``shapes`` (list[complex]), its final ``residual`` (float),
+    ``iterations`` (int) and whether all shapes are ``geometric`` (bool).
+    ``history`` holds, per Newton iteration, the residual reached and the
     number of line-search halvings it took."""
 
-    shapes: list[complex]
-    residual: float
-    iterations: int
-    geometric: bool
-    history: list[tuple[float, int]]
+    __slots__ = ()
 
 
 def _check_nondegenerate(shapes, what: str) -> None:

@@ -1,31 +1,14 @@
-"""Exact linear algebra over the integers and over GF(2).
+"""Exact linear algebra over the integers.
 
 Matrices are lists of lists of Python ints, so intermediate entries can grow
 without overflow.  Provides row Hermite normal form, the canonical solution
-of A x = b over Z, Smith normal form invariant factors, rank over GF(2),
-and a small descriptor type for finitely generated abelian groups.
-
-The Smith form works in two steps, because the matrices of a triangulation
-are very sparse and almost all their pivots are units.  A sparse pass
-eliminates +-1 pivots in one sweep over the dict rows, visited breadth-first
-over the rows' shared columns (Cuthill-McKee order) so that fill stays low
-however the rows are labelled; the small dense core that is left, one row
-per set of rows equal up to sign, is diagonalized by alternating row
-Hermite forms of the matrix and of its transpose (Kannan-Bachem).  Both
-steps are exact: no modular or floating-point shortcut is taken.  The Smith
-form and the GF(2) rank also take sparse rows, ``{col: value}`` dicts, and
-int bitmasks respectively, so a caller holding a sparse matrix never builds
-the dense one.
+of A x = b over Z, and the sweep of +-1 pivots on sparse rows that the solve
+is to share with the Smith form, which lives in ``cvol.jcomplex``.
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
-
-
-def _copy(m: list[list[int]]) -> list[list[int]]:
-    return [list(map(int, row)) for row in m]
+from collections import namedtuple
 
 
 def transpose(m: list[list[int]]) -> list[list[int]]:
@@ -46,7 +29,7 @@ def row_hnf(m: list[list[int]], limit: int | None = None) -> list[list[int]]:
     columns only (all by default); the row operations still act on whole
     rows, so for m = [a | I] with limit = width of a the result is [H | U].
     """
-    h = _copy(m)
+    h = [list(map(int, row)) for row in m]
     rows = len(h)
     cols = len(h[0]) if rows else 0
     pivot_row = 0
@@ -85,12 +68,12 @@ def rank(m: list[list[int]]) -> int:
     return sum(1 for row in row_hnf(m) if any(row))
 
 
-class IntegerSolution(NamedTuple):
-    """Solution of a x = b over Z: the kernel lattice's row HNF basis, and
-    the solution reduced into [0, pivot) at each of its pivots."""
+class IntegerSolution(namedtuple("IntegerSolution", "particular kernel")):
+    """Solution of a x = b over Z: the kernel lattice's row HNF basis
+    ``kernel`` (list[list[int]]), and the solution ``particular``
+    (list[int]) reduced into [0, pivot) at each of its pivots."""
 
-    particular: list[int]
-    kernel: list[list[int]]
+    __slots__ = ()
 
 
 def solve_integer_system(
@@ -121,25 +104,6 @@ def solve_integer_system(
     if matvec(a, x) != list(map(int, b)):
         return None
     return IntegerSolution(x, [row[1:] for row in h[1:]])
-
-
-def smith_invariant_factors(
-    m: list[list[int]] | list[dict[int, int]]
-) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, given
-    as dense rows or as sparse ``{col: value}`` rows.
-
-    First a sparse pass: one sweep over the rows in breadth-first order
-    (``_eliminate_unit_pivots``) pivots on the first +-1 entry of each row
-    that still has one, clears its column with row operations and drops its
-    row and column.  Elimination on a unit pivot is unimodular, so SNF(M) =
-    [1] + SNF(Schur complement): each such pivot contributes one factor 1.
-    Of the core rows that are equal up to sign only the first is kept: a
-    unimodular row operation zeroes the others.  The dense core left over is
-    diagonalized by ``_dense_smith_factors``.
-    """
-    core, units = _eliminate_unit_pivots(m)
-    return [1] * units + _dense_smith_factors(core)
 
 
 def _eliminate_unit_pivots(
@@ -223,68 +187,6 @@ def _eliminate_unit_pivots(
             if tuple([-v for v in dense]) not in core:
                 core[dense] = None
     return [list(row) for row in core], units
-
-
-def _dense_smith_factors(a: list[list[int]]) -> list[int]:
-    """Smith invariant factors of a dense matrix by alternating Hermite forms.
-
-    Row HNF of the matrix, then row HNF of the transpose of its nonzero
-    rows, until every nonzero row has a single entry.  This terminates:
-    each round's first pivot divides the one before, and once it stops
-    shrinking its row and column are clear; the rest follows by induction.
-    The diagonal is then turned into a divisibility chain by gcd / lcm.
-    """
-    h = row_hnf(a)
-    while True:
-        h = [row for row in h if any(row)]
-        if all(sum(1 for v in row if v) == 1 for row in h):
-            break
-        h = row_hnf(transpose(h))
-    d = [next(v for v in row if v) for row in h]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = math.gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] * d[j] // g
-    return d
-
-
-def gf2_rank(m: list[list[int]] | list[int]) -> int:
-    """Rank over GF(2) of rows given as integer vectors taken mod 2, or as
-    int bitmasks (bit j is column j).
-
-    Each row is reduced against an XOR basis keyed on each member's top
-    bit; a row that does not vanish joins the basis under its own top bit.
-    """
-    basis: dict[int, int] = {}
-    for row in m:
-        if not isinstance(row, int):
-            row = sum((v & 1) << j for j, v in enumerate(row))
-        while row:
-            top = row.bit_length() - 1
-            if top not in basis:
-                basis[top] = row
-                break
-            row ^= basis[top]
-    return len(basis)
-
-
-class AbelianGroup(NamedTuple):
-    """Finitely generated abelian group Z^free + sum Z/d_i."""
-
-    free_rank: int
-    torsion: tuple[int, ...] = ()
-
-    @classmethod
-    def from_factors(
-        cls, ambient_nullity: int, factors: list[int]
-    ) -> "AbelianGroup":
-        """Group ker/im from the invariant factors of the incoming map."""
-        torsion = tuple(sorted(f for f in factors if f > 1))
-        return cls(ambient_nullity - len(factors), torsion)
-
-    def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
-        return " + ".join(parts) if parts else "0"
 
 
 def lattice_equal(basis_a: list[list[int]], basis_b: list[list[int]]) -> bool:

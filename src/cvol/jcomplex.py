@@ -18,33 +18,121 @@ conditions' ``pq`` rows from the condition table
 no cusp entry), each entry times the orientation sign of its simplex:
 every term of an edge carries that sign as its weight.
 
-Everything here is exact integer work and needs no logarithm: the
-``homology`` command loads this module and not the flattening solver.
+The Smith form works in two steps, because the matrices of a triangulation
+are very sparse and almost all their pivots are units.  A sparse pass
+eliminates +-1 pivots in one sweep over the dict rows, visited breadth-first
+over the rows' shared columns (Cuthill-McKee order) so that fill stays low
+however the rows are labelled; the small dense core that is left, one row
+per set of rows equal up to sign, is diagonalized by alternating row
+Hermite forms of the matrix and of its transpose (Kannan-Bachem).  Both
+steps are exact: no modular or floating-point shortcut is taken.  The Smith
+form and the GF(2) rank also take sparse rows, ``{col: value}`` dicts, and
+int bitmasks respectively, so a caller holding a sparse matrix never builds
+the dense one.
+
+Everything here is exact integer work and needs no logarithm.  Only the
+``homology`` command loads this module, so no other compiles its code.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from collections import namedtuple
 
-from .intlinalg import AbelianGroup, gf2_rank, smith_invariant_factors
-from .triangulation import EdgeClass, Triangulation
+from .intlinalg import _eliminate_unit_pivots, row_hnf, transpose
+from .triangulation import Triangulation
 
 
-class JComplex(NamedTuple):
+def smith_invariant_factors(
+    m: list[list[int]] | list[dict[int, int]]
+) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, given
+    as dense rows or as sparse ``{col: value}`` rows.
+
+    Each unit pivot of ``_eliminate_unit_pivots`` gives a factor 1, as
+    SNF(M) = [1] + SNF(Schur complement); the dense core it leaves, rows
+    equal up to sign kept once, goes to ``_dense_smith_factors``.
+    """
+    core, units = _eliminate_unit_pivots(m)
+    return [1] * units + _dense_smith_factors(core)
+
+
+def _dense_smith_factors(a: list[list[int]]) -> list[int]:
+    """Smith invariant factors of a dense matrix by alternating Hermite forms.
+
+    Row HNF of the matrix, then row HNF of the transpose of its nonzero
+    rows, until every nonzero row has a single entry.  This terminates:
+    each round's first pivot divides the one before, and once it stops
+    shrinking its row and column are clear; the rest follows by induction.
+    The diagonal is then turned into a divisibility chain by gcd / lcm.
+    """
+    h = row_hnf(a)
+    while True:
+        h = [row for row in h if any(row)]
+        if all(sum(1 for v in row if v) == 1 for row in h):
+            break
+        h = row_hnf(transpose(h))
+    d = [next(v for v in row if v) for row in h]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
+
+
+def gf2_rank(m: list[list[int]] | list[int]) -> int:
+    """Rank over GF(2) of rows given as integer vectors taken mod 2, or as
+    int bitmasks (bit j is column j).
+
+    Each row is reduced against an XOR basis keyed on each member's top
+    bit; a row that does not vanish joins the basis under its own top bit.
+    """
+    basis: dict[int, int] = {}
+    for row in m:
+        if not isinstance(row, int):
+            row = sum((v & 1) << j for j, v in enumerate(row))
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion",
+                              defaults=((),))):
+    """Finitely generated abelian group Z^free + sum Z/d_i: ``free_rank``
+    (int) and ``torsion`` (tuple[int, ...], default empty)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_factors(
+        cls, ambient_nullity: int, factors: list[int]
+    ) -> "AbelianGroup":
+        """Group ker/im from the invariant factors of the incoming map."""
+        torsion = tuple(sorted(f for f in factors if f > 1))
+        return cls(ambient_nullity - len(factors), torsion)
+
+    def __str__(self) -> str:
+        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
+        return " + ".join(parts) if parts else "0"
+
+
+class JComplex(namedtuple("JComplex", "tri edges vertices alpha beta")):
     """The chain complex C0 -> C1 -> J -> C1 -> C0 as sparse integer rows.
 
-    ``alpha`` and ``beta`` hold only their nonzero entries, one
-    ``{col: value}`` dict per row with its columns in increasing order.
-    ``alpha_star`` and ``beta_star`` are not stored: each access reads them
-    off as adjoints, alpha* = alpha^T and beta* = beta^T composed with the
-    skew form, in the same sparse form.
+    ``tri`` is the Triangulation, ``edges`` its list[EdgeClass] and
+    ``vertices`` its vertex classes, list[list[tuple[int, int]]].  ``alpha``
+    ((n_edges) x (n_vertices)) and ``beta`` ((2T) x (n_edges)) hold only
+    their nonzero entries, one ``{col: value}`` dict per row with its
+    columns in increasing order.  ``alpha_star`` and ``beta_star`` are not
+    stored: each access reads them off as adjoints, alpha* = alpha^T and
+    beta* = beta^T composed with the skew form, in the same sparse form.
     """
 
-    tri: Triangulation
-    edges: list[EdgeClass]
-    vertices: list[list[tuple[int, int]]]
-    alpha: list[dict[int, int]]   # (n_edges) x (n_vertices)
-    beta: list[dict[int, int]]    # (2T) x (n_edges)
+    __slots__ = ()
 
     @property
     def j_rank(self) -> int:
@@ -140,3 +228,14 @@ def h1_mod2(jc: JComplex) -> int:
             face = min(4 * tet + exit_, 4 * target + perm[exit_])
             d2[face] = d2.get(face, 0) ^ bit
     return len(jc.edges) - gf2_rank(d1) - gf2_rank(list(d2.values()))
+
+
+def cmd_homology(args) -> int:
+    from .cli import _emit, _load, _stage
+
+    tri = _stage("parse", _load, args.file)
+    jc = build_j_complex(tri)
+    groups = homology_of_j(jc)
+    _emit({"homology": {f"H{k}": str(groups[k]) for k in (5, 4, 3, 2, 1)},
+           "h1_mod2_rank": h1_mod2(jc)}, args.format)
+    return 0

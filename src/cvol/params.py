@@ -6,8 +6,8 @@ cut edges and must carry a ``cut_side`` tag (+1 for z+0i, -1 for z-0i);
 numeric evaluation then perturbs z off the cut by ``CUT_EPS``.
 
 A ``Flattening`` is the equivalent log-parameter triple (w0, w1, w2) with
-w0 + w1 + w2 = 0.  Conversion in both directions lives in ``cvol.polylog``
-(``flatten``, ``unflatten``), beside the logarithm it needs.
+w0 + w1 + w2 = 0.  ``cvol.polylog.flatten`` converts a parameter, beside the
+logarithm it needs, and ``cvol.bloch.unflatten`` converts back.
 """
 
 from __future__ import annotations

@@ -1,5 +1,4 @@
-"""Branch-correct logarithms, flattenings, the dilogarithm, and the Rogers
-dilogarithm.
+"""Branch-correct logarithms, flattenings, and the lifted Rogers sum.
 
 All functions use the principal branch with arg in (-pi, pi].  The central
 object is the lifted Rogers function
@@ -16,12 +15,11 @@ A flattening refines a shape by a choice of log branches: the map
                         log(1-z) - log z - (p+q)*pi*i)
 
 is a bijection onto zero-sum log-parameter triples, inverted by
-``unflatten``; ``slot_values`` gives the triples in the per-tetrahedron form
-that ``cvol.geometry.pass_rows`` sums.
+``cvol.bloch.unflatten``; ``slot_values`` gives the triples in the
+per-tetrahedron form that ``cvol.geometry.pass_rows`` sums.
 
-``bloch_wigner`` is the classical two-variable volume function
-D(z) = Im Li2(z) + arg(1-z) * log|z|; it serves as an independent oracle for
-hyperbolic volumes throughout the test suite.
+This is what ``cvol`` runs; ``dilog``, ``rogers``, ``bloch_wigner`` and the
+other functions of one value live in ``cvol.bloch``.
 """
 
 from __future__ import annotations
@@ -30,30 +28,12 @@ import cmath
 import math
 from collections.abc import Iterable
 
-from .errors import DomainError, NonIntegralError
+from .errors import DomainError
 from .params import ExtendedParam, Flattening, Value
 
 PI = math.pi
 PI_SQUARED = math.pi * math.pi
 TWO_PI_SQUARED = 2.0 * math.pi * math.pi
-#: the modulus of the Rogers values of each mode: pi^2 in 'ep', where all
-#: branch indices are allowed, and 2 pi^2 in 'eep', where they are even
-MODULI = {"ep": PI_SQUARED, "eep": TWO_PI_SQUARED}
-
-
-def check_mode(mode: str) -> str:
-    """``mode`` if it names a modulus in ``MODULI``; ValueError otherwise."""
-    if mode not in MODULI:
-        raise ValueError("mode must be 'ep' or 'eep'")
-    return mode
-
-
-def check_branches(params: Iterable[ExtendedParam], mode: str) -> None:
-    """DomainError if ``mode`` is 'eep' and a param has an odd index."""
-    if mode == "eep" and any(x.p % 2 or x.q % 2 for x in params):
-        raise DomainError("eep mode requires even branch indices")
-
-
 #: B_2k / (2k+1)! for k = 1..10, the odd coefficients of the Bernoulli
 #: series Li2(1 - exp(-u)) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!
 _B3, _B5, _B7, _B9, _B11, _B13, _B15, _B17, _B19, _B21 = _LI2_COEFFS = (
@@ -107,63 +87,6 @@ def slot_values(
     return [(f.w0, f.w1, f.w2) for f in map(flatten, params)]
 
 
-def unflatten(w: Flattening, tol: float = 1e-9) -> ExtendedParam:
-    """Recover (z; p, q) from a flattening using z = +-e^{w0} and
-    1 - z = +-e^{-w1}; non-integer branch residuals are rejected."""
-    ez = cmath.exp(w.w0)
-    em = cmath.exp(-w.w1)
-    scale = max(1.0, abs(ez), abs(em))
-    best = None
-    for sz in (1.0, -1.0):
-        for sm in (1.0, -1.0):
-            z = sz * ez
-            one_minus = sm * em
-            err = abs(z + one_minus - 1.0)
-            if best is None or err < best[0]:
-                best = (err, z)
-    err, z = best
-    if err > tol * scale:
-        raise NonIntegralError("flattening does not exponentiate to a shape")
-    if abs(z.imag) <= 1e-14 * max(1.0, abs(z)):
-        z = complex(z.real, 0.0)  # roundoff from exp(log z)
-    if z == 0 or z == 1:
-        raise DomainError("flattening exponentiates to a degenerate shape")
-    p_float = (w.w0 - principal_log(z)) / (1j * math.pi)
-    q_float = (w.w1 + principal_log(1 - z)) / (1j * math.pi)
-    p, q = round(p_float.real), round(q_float.real)
-    if abs(p_float - p) > tol or abs(q_float - q) > tol:
-        raise NonIntegralError(
-            "branch residuals (%r, %r) are not integers" % (p_float, q_float)
-        )
-    cut_side = None
-    if z.imag == 0.0 and (z.real < 0 or z.real > 1):
-        cut_side = +1
-    return ExtendedParam(z, p, q, cut_side)
-
-
-def _reject_dilog_cut(z: complex) -> complex:
-    z = _normalize(z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise DomainError("dilogarithm is not defined on the cut [1, inf)")
-    return z
-
-
-def dilog(z: complex) -> complex:
-    """Li2(z) = -integral_0^z log(1-t)/t dt on the principal branch.
-
-    The cut is [1, inf).  Li2(w) is the Bernoulli series in u = -log(1-w)
-    ('t Hooft-Veltman 1979; Zagier 2007), summed to its fixed u^21 term.
-    The series is taken at w = z where |u| <= 1.12, which holds on
-    |z| <= 1, Re z <= 1/2 and near it; elsewhere one reflection (w = 1-z,
-    where |1-z| <= 1) or one inversion (w = 1/z, where |z| > 1) takes z
-    into |w| <= 1, Re w <= 1/2, where |u| <= pi/3.  The series has radius
-    2 pi, so the truncation is below 1e-17, and the result is within a few
-    ulps of max(1, |Li2(z)|).
-    """
-    z = _reject_dilog_cut(z)
-    return _dilog(z)
-
-
 def _dilog(z: complex, log_z: complex | None = None,
            log_1mz: complex | None = None) -> complex:
     """Li2 of a normalized z off the cut; a caller that has log z and
@@ -204,25 +127,12 @@ def _rogers_logs(z: complex) -> tuple[complex, complex, complex]:
     return 0.5 * log_z * log_1mz + _dilog(z, log_z, log_1mz), log_z, log_1mz
 
 
-def rogers(z: complex) -> complex:
-    """Rogers dilogarithm R(z) = log(z) log(1-z) / 2 + Li2(z).
-
-    Defined for z off both cuts; R(1/2) = pi^2 / 12.
-    """
-    return _rogers_logs(z)[0]
-
-
 def lift_rogers_logs(logs: tuple[complex, complex, complex], p: int,
                      q: int) -> complex:
     """R(z; p, q) from ``_rogers_logs(z)``, which terms sharing z share."""
     value, log_z, log_1mz = logs
     correction = 0.5j * PI * (p * log_1mz + q * log_z)
     return value + correction - PI_SQUARED / 6.0
-
-
-def lifted_rogers_raw(z: complex, p: int, q: int) -> complex:
-    """Unreduced value of R(z; p, q) as a plain complex number."""
-    return lift_rogers_logs(_rogers_logs(z), p, q)
 
 
 def lifted_rogers_sum(terms: dict[ExtendedParam, int]) -> complex:
@@ -237,30 +147,6 @@ def lifted_rogers_sum(terms: dict[ExtendedParam, int]) -> complex:
             logs[z] = _rogers_logs(z)
         total += coeff * lift_rogers_logs(logs[z], param.p, param.q)
     return total
-
-
-def lifted_rogers(param: ExtendedParam, mode: str = "ep") -> "ModPiSquared":
-    """R(z; p, q) reduced modulo pi^2 (mode 'ep') or 2*pi^2 (mode 'eep').
-
-    In 'eep' mode both branch indices must be even.
-    """
-    check_branches((param,), check_mode(mode))
-    return reduce_mod(lifted_rogers_raw(param.numeric_z(), param.p, param.q),
-                      MODULI[mode])
-
-
-def bloch_wigner(z: complex) -> float:
-    """Bloch-Wigner function D(z) = Im Li2(z) + arg(1-z) log|z|.
-
-    D vanishes on the real line and is the volume of the ideal tetrahedron
-    with cross-ratio z when Im z > 0.
-    """
-    z = _normalize(z)
-    if z == 0 or z == 1:
-        raise DomainError("Bloch-Wigner function undefined at 0 and 1")
-    if z.imag == 0.0:
-        return 0.0
-    return _dilog(z).imag + cmath.phase(1 - z) * math.log(abs(z))
 
 
 class ModPiSquared(Value):

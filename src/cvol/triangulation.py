@@ -13,7 +13,7 @@ path is a closed sequence of steps (tet, enter_face, exit_face); within
 each tetrahedron it passes the unique edge shared by the two faces.  In a
 vertex link it walks the states (tet, tracked vertex, enter face);
 ``link_step``, the one transition from state to state, also says what each
-step passes.  ``path_passes`` and ``cvol.flattening._prune_kernel`` call it
+step passes.  ``path_passes`` and ``cvol.pruning._prune_kernel`` call it
 in place; no graph of the link states is built.
 
 The gluing table is read through tables built once at import: the parity
@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import NamedTuple
 
 from .errors import TriangulationError
 from .geometry import EDGE_SLOT, PassRows, Term, pass_rows
@@ -74,15 +74,16 @@ def perm_parity(perm: tuple[int, ...]) -> int:
     return _PERM_PARITY[perm]
 
 
-class Gluing(NamedTuple):
-    tet: int
-    perm: tuple[int, int, int, int]
+class Gluing(namedtuple("Gluing", "tet perm")):
+    """Face gluing to ``tet`` (int) by ``perm`` (tuple of four ints)."""
+
+    __slots__ = ()
 
 
-class PathStep(NamedTuple):
-    tet: int
-    enter_face: int
-    exit_face: int
+class PathStep(namedtuple("PathStep", "tet enter_face exit_face")):
+    """One step of a normal path: a tetrahedron and its faces (ints)."""
+
+    __slots__ = ()
 
 
 class NormalPath(Value):
@@ -105,18 +106,16 @@ class NormalPath(Value):
         )
 
 
-class EdgeClass(NamedTuple):
-    """Orbit of (tet, vertex-pair) incidences around one edge of the complex.
+class EdgeClass(namedtuple("EdgeClass", "index incidences faces")):
+    """Orbit of (tet, vertex-pair) incidences around edge ``index`` (int).
 
-    ``incidences`` lists (tet, pair, orientation) in cyclic order around the
-    edge; orientation records whether the propagated edge direction agrees
-    with the pair's canonical (min, max) order.  ``faces`` lists, per
-    incidence, the (enter, exit) faces of the walk around the edge.
+    The tuple ``incidences`` lists (tet, pair, orientation) in cyclic order
+    around the edge; orientation records whether the propagated edge
+    direction agrees with the pair's canonical (min, max) order.  The tuple
+    ``faces`` lists, per incidence, the (enter, exit) faces of the walk.
     """
 
-    index: int
-    incidences: tuple[tuple[int, tuple[int, int], int], ...]
-    faces: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def valence(self) -> int:

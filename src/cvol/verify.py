@@ -27,6 +27,7 @@ too.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -526,3 +527,28 @@ def run_parallel(count: int = 100, seed: int = 0,
             os.waitpid(pid, 0)
     return [done[i] if i in done else _run_suite(suite, count, seed, tol)
             for i, suite in enumerate(suites)]
+
+
+def cmd_verify(args) -> int:
+    results = run_parallel(count=args.count, seed=args.seed,
+                           tol=args.tolerance)
+    report = {
+        "seed": args.seed,
+        "count": args.count,
+        "suites": [{key: getattr(r, key) for key in
+                    ("name", "count", "passed", "max_residual", "failures")}
+                   for r in results],
+        "passed": all(r.passed for r in results),
+        "max_residual": max((r.max_residual for r in results), default=0.0),
+    }
+    if args.format == "json":
+        print(json.dumps(report))
+    else:
+        for r in results:
+            status = "pass" if r.passed else "FAIL"
+            print(f"{status}  {r.name}  (count={r.count}, "
+                  f"max residual {r.max_residual:.3g})")
+            for failure in r.failures:
+                print(f"      counterexample: {failure}")
+        print("all passed" if report["passed"] else "FAILURES above")
+    return 0 if report["passed"] else 1

@@ -69,18 +69,19 @@ import random
 import mpmath
 from scipy.integrate import quad
 
-from cvol.bloch import EBElement
+from cvol.bloch import EBElement, lifted_rogers_raw
 from cvol.errors import (
     DegenerateGeometryError,
     DomainError,
     NonIntegralError,
     SymbolMatchError,
 )
-from cvol.flattening import _assignment_from_vector, _prune_kernel
+from cvol.flattening import _assignment_from_vector
 from cvol.geometry import EDGE_SLOT, SLOT_PQ_COEFF
 from cvol.intlinalg import row_hnf, solve_integer_system, transpose
 from cvol.params import ExtendedParam
-from cvol.polylog import lifted_rogers_raw, principal_log
+from cvol.polylog import principal_log
+from cvol.pruning import _prune_kernel
 from cvol.triangulation import NormalPath, PathStep
 from cvol.wedge import combine, sym, wedge
 

@@ -14,6 +14,7 @@ import pytest
 from cvol.bloch import (
     CycleSimplex,
     FiveTermTuple,
+    bloch_wigner,
     chi,
     chi_hat,
     cycle_relation_check,
@@ -28,15 +29,12 @@ from cvol.bloch import (
     r_of_element,
     super_transfer_rhs,
 )
-from cvol.flattening import (
-    _prune_kernel,
-    complex_volume,
-    solve_flattenings,
-)
+from cvol.flattening import complex_volume, solve_flattenings
 from cvol.gluing import solve_shapes
-from cvol.intlinalg import AbelianGroup, lattice_equal, solve_integer_system
-from cvol.jcomplex import build_j_complex, h1_mod2, homology_of_j
-from cvol.polylog import PI_SQUARED, bloch_wigner, principal_log, reduce_mod
+from cvol.intlinalg import lattice_equal, solve_integer_system
+from cvol.jcomplex import AbelianGroup, build_j_complex, h1_mod2, homology_of_j
+from cvol.polylog import PI_SQUARED, principal_log, reduce_mod
+from cvol.pruning import _prune_kernel
 from cvol.triangulation import parse_triangulation
 from cvol.verify import random_ft_plus, random_offsets
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import cvol.bloch as bloch
 import cvol.polylog as polylog
 from cvol.bloch import (
+    MODULI,
     EBElement,
     FiveTermTuple,
     chi,
@@ -27,13 +28,7 @@ from cvol.bloch import (
 )
 from cvol.errors import DegenerateGeometryError, DomainError
 from cvol.params import ExtendedParam
-from cvol.polylog import (
-    MODULI,
-    PI_SQUARED,
-    TWO_PI_SQUARED,
-    principal_log,
-    reduce_mod,
-)
+from cvol.polylog import PI_SQUARED, TWO_PI_SQUARED, principal_log, reduce_mod
 from cvol.verify import (
     _cycle_folded,
     _cycle_three_term,

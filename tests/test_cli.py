@@ -48,6 +48,39 @@ def at_exit_print(expression):
             f"atexit.register(lambda: print({expression}, file=sys.stderr))\n")
 
 
+#: the modules ``cvol`` loads besides the package
+CVOL_MODULES = {"cli", "errors", "flattening", "geometry", "gluing",
+                "intlinalg", "params", "polylog", "triangulation"}
+
+#: a ``run_cli`` prelude that prints as JSON to stderr at exit: the loaded
+#: ``cvol`` submodules, the code that ``cvol`` does not run (what only
+#: ``homology``, ``flatten`` or ``verify`` runs, and the functions of one
+#: value) that one of them defines (by ``__module__``), and their classes
+#: built by ``typing.NamedTuple``
+MODULE_REPORT = """\
+import atexit, json, sys, typing
+
+def _module_report():
+    loaded = {n: m for n, m in sys.modules.items() if n.startswith("cvol.")}
+    names = ("AbelianGroup", "_dense_smith_factors", "_prune_kernel",
+             "bloch_wigner", "check_branches", "check_mode", "dilog",
+             "gf2_rank", "lifted_rogers", "lifted_rogers_raw", "rogers",
+             "smith_invariant_factors", "unflatten")
+    print(json.dumps({
+        "loaded": sorted(loaded),
+        "defined": sorted(
+            f"{n}.{a}" for n, m in loaded.items() for a in names
+            if getattr(getattr(m, a, None), "__module__", None) == n),
+        "typed": sorted(
+            f"{n}.{k}" for n, m in loaded.items() for k, c in vars(m).items()
+            if isinstance(c, type)
+            and typing.NamedTuple in c.__dict__.get("__orig_bases__", ())),
+    }), file=sys.stderr)
+
+atexit.register(_module_report)
+"""
+
+
 class TestCvolCommand:
     def test_json_report(self, fig8_path, capsys):
         code, out, _ = call_main(
@@ -594,6 +627,37 @@ class TestOtherCommands:
         assert result.stdout == golden.read_text()
         assert result.stderr.strip() == "[]"
 
+    @pytest.mark.parametrize("args,modules,defined", [
+        (["cvol", FIXTURES / "fig8.json"], CVOL_MODULES, []),
+        (["flatten", FIXTURES / "fig8.json"], CVOL_MODULES | {"pruning"},
+         ["pruning._prune_kernel"]),
+        (["homology", FIXTURES / "fig8.json"],
+         {"cli", "errors", "geometry", "intlinalg", "jcomplex", "params",
+          "triangulation"},
+         ["jcomplex.AbelianGroup", "jcomplex._dense_smith_factors",
+          "jcomplex.gf2_rank", "jcomplex.smith_invariant_factors"]),
+        (["edges", FIXTURES / "fig8.json"],
+         {"cli", "errors", "geometry", "params", "triangulation"}, []),
+        # with no instance, so that no suite loads integer linear algebra
+        (["verify", "--count", "0"],
+         {"bloch", "cli", "errors", "geometry", "params", "polylog",
+          "verify", "wedge"},
+         [f"bloch.{name}" for name in (
+             "bloch_wigner", "check_branches", "check_mode", "dilog",
+             "lifted_rogers", "lifted_rogers_raw", "rogers", "unflatten")]),
+    ], ids=["cvol", "flatten", "homology", "edges", "verify"])
+    def test_command_compiles_only_its_own_code(self, args, modules,
+                                                defined):
+        # the code only homology runs lives in jcomplex, flatten's pruning
+        # in pruning, the functions of one value in bloch, and no record is
+        # built by typing.NamedTuple
+        result = run_cli(["--format", "json", *args], MODULE_REPORT)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stderr)
+        assert report == {"loaded": sorted(f"cvol.{m}" for m in modules),
+                          "defined": [f"cvol.{d}" for d in defined],
+                          "typed": []}
+
     @pytest.mark.parametrize("command",
                              ["cvol", "flatten", "homology", "edges"])
     def test_each_condition_becomes_rows_once(self, command, monkeypatch,
@@ -620,7 +684,7 @@ class TestOtherCommands:
             calls.append(terms)
             return original(terms)
 
-        for name in sorted(PACKAGE_MODULES):
+        for name in sorted(PACKAGE_MODULES | {"pruning"}):
             module = importlib.import_module(f"cvol.{name}")
             if getattr(module, "pass_rows", None) is original:
                 monkeypatch.setattr(module, "pass_rows", counted)
@@ -799,16 +863,16 @@ class TestGoldenOutput:
                          "path_passes": 2}
 
     def test_only_flatten_prunes(self, fig8_path, monkeypatch, capsys):
-        import cvol.flattening as flattening
+        import cvol.pruning as pruning
 
         calls = []
-        original = flattening._prune_kernel
+        original = pruning._prune_kernel
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(flattening, "_prune_kernel", counted)
+        monkeypatch.setattr(pruning, "_prune_kernel", counted)
         code, _, _ = call_main(["cvol", str(fig8_path)], capsys)
         assert code == 0
         assert not calls

@@ -13,10 +13,11 @@ import types
 import mpmath
 import pytest
 
-from cvol import flattening
+from cvol import flattening, pruning
 from cvol.bloch import (
     CycleSimplex,
     EBElement,
+    bloch_wigner,
     cycle_relation_check,
     nu_symbolic,
     r_of_element,
@@ -32,22 +33,20 @@ from cvol.flattening import (
 from cvol.geometry import pass_rows
 from cvol.gluing import solve_shapes
 from cvol.intlinalg import (
-    AbelianGroup,
-    _dense_smith_factors,
     _eliminate_unit_pivots,
     lattice_equal,
-    smith_invariant_factors,
     solve_integer_system,
 )
-from cvol.jcomplex import build_j_complex, h1_mod2, homology_of_j
-from cvol.params import ExtendedParam
-from cvol.polylog import (
-    PI_SQUARED,
-    bloch_wigner,
-    flatten,
-    lifted_rogers_sum,
-    reduce_mod,
+from cvol.jcomplex import (
+    AbelianGroup,
+    _dense_smith_factors,
+    build_j_complex,
+    h1_mod2,
+    homology_of_j,
+    smith_invariant_factors,
 )
+from cvol.params import ExtendedParam
+from cvol.polylog import PI_SQUARED, flatten, lifted_rogers_sum, reduce_mod
 from cvol.triangulation import parse_triangulation, path_terms
 from cvol.verify import random_ft_plus
 
@@ -618,7 +617,7 @@ class TestFundamentalElement:
             assignment = solve_flattenings(tri, shapes)
             base = r_of_element(fundamental_element(tri, assignment))
             rng = random.Random(7)
-            pruned = flattening._prune_kernel(tri, assignment.kernel)
+            pruned = pruning._prune_kernel(tri, assignment.kernel)
             assert pruned, "solver reports invariance directions"
             for _ in range(20):
                 coeffs = [rng.randint(-4, 4) for _ in pruned]
@@ -635,13 +634,13 @@ class TestFundamentalElement:
         tri = request.getfixturevalue(name)
         shapes = request.getfixturevalue(f"{name}_shapes")
         assignment = solve_flattenings(tri, shapes)
-        pruned = flattening._prune_kernel(tri, assignment.kernel)
+        pruned = pruning._prune_kernel(tri, assignment.kernel)
         shifted = alternate_assignment(
             tri, shapes, assignment, [1 for _ in pruned]
         )
         assert len(assignment.kernel) == raw_rank
         assert shifted.kernel == assignment.kernel
-        assert flattening._prune_kernel(tri, shifted.kernel) == pruned
+        assert pruning._prune_kernel(tri, shifted.kernel) == pruned
 
 
 class TestPrunedKernel:
@@ -655,7 +654,7 @@ class TestPrunedKernel:
         tri = request.getfixturevalue(name)
         shapes = request.getfixturevalue(f"{name}_shapes")
         assignment = solve_flattenings(tri, shapes)
-        pruned = flattening._prune_kernel(tri, assignment.kernel)
+        pruned = pruning._prune_kernel(tri, assignment.kernel)
         rng = random.Random(11)
         raw_broken = False
         for _ in range(200):
@@ -698,7 +697,7 @@ class TestPrunedKernel:
 
         monkeypatch.setattr(flattening, "solve_integer_system", counted)
         kernel = solve_flattenings(tri, shapes).kernel
-        pruned = flattening._prune_kernel(tri, kernel)
+        pruned = pruning._prune_kernel(tri, kernel)
         assert len(calls) == 1
         assert pruned == hnf(reference_prune_kernel(tri, kernel))
 
@@ -712,7 +711,7 @@ class TestPrunedKernel:
         for _ in range(30):
             k = [[rng.randint(-2, 2) for _ in range(width)]
                  for _ in range(rng.randint(2, 5))]
-            assert flattening._prune_kernel(tri, k) == hnf(
+            assert pruning._prune_kernel(tri, k) == hnf(
                 reference_prune_kernel(tri, k))
 
     @pytest.mark.parametrize(
@@ -723,12 +722,12 @@ class TestPrunedKernel:
         # meets the functionals that basis gives
         tri, _, kernel = _solved(
             _union(name) if "+" in name else _fixture_doc(name))
-        pruned = flattening._prune_kernel(tri, kernel)
+        pruned = pruning._prune_kernel(tri, kernel)
         assert pruned
         rng = random.Random(16)
         for _ in range(10):
             u = random_unimodular(rng, len(kernel))
-            assert flattening._prune_kernel(tri, matmul(u, kernel)) == pruned
+            assert pruning._prune_kernel(tri, matmul(u, kernel)) == pruned
 
 
 FIXTURE_NAMES = ["fig8", "fig8_cover3", "fig8_cover8", "fig8_cover32"]
@@ -781,7 +780,7 @@ class TestRogersShift:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_no_generator_moves_vol(self, name):
         tri, shapes, kernel = _solved(_fixture_doc(name))
-        for k in kernel + flattening._prune_kernel(tri, kernel):
+        for k in kernel + pruning._prune_kernel(tri, kernel):
             assert abs(rogers_shift(tri, shapes, k).imag) < 1e-9
 
     @pytest.mark.parametrize(
@@ -794,7 +793,7 @@ class TestRogersShift:
         else:
             doc = _fixture_doc(name)
         tri, shapes, kernel = _solved(doc)
-        pruned = flattening._prune_kernel(tri, kernel)
+        pruned = pruning._prune_kernel(tri, kernel)
         assert pruned
         for k in pruned:
             assert _off_pi2_lattice(rogers_shift(tri, shapes, k)) < 1e-9
@@ -836,7 +835,7 @@ class TestLadder:
     @pytest.mark.parametrize("degree", LADDER)
     def test_pruned_generators_keep_cs(self, degree):
         tri, shapes, kernel = _ladder(degree)
-        pruned = flattening._prune_kernel(tri, kernel)
+        pruned = pruning._prune_kernel(tri, kernel)
         assert pruned
         for k in pruned:
             assert _off_pi2_lattice(rogers_shift(tri, shapes, k)) < 1e-9
@@ -851,6 +850,95 @@ class TestLadder:
         tri, shapes, kernel = _ladder(degree)
         for k in kernel:
             assert _off_pi2_lattice(rogers_shift(tri, shapes, k)) < 1e-9
+
+
+#: the 36 seeded vertex relabelings of fig8 and of its 3- and 5-fold
+#: cyclic covers (the benchmark's ``relabel``, seeds 0-11), frozen: where
+#: each one's cs goes wrong, and its cs in units of pi^2/6 (0 is right).
+#: "kernel": the pruned kernel holds a generator that moves cs by pi^2/2,
+#: so the link's log conditions do not fix cs.  "R": the pruned kernel is
+#: clean, and the Rogers sum itself is off by k pi^2/6.
+RELABELING_SPLIT = {
+    "fig8": [("kernel", 2), ("kernel", 0), ("R", 1), ("R", 1),
+             ("kernel", 0), ("kernel", 2), ("R", 2), ("kernel", 0),
+             ("R", 1), ("kernel", 0), ("kernel", 0), ("R", 1)],
+    "fig8_cover3": [("kernel", 4), ("kernel", 4), ("kernel", 5),
+                    ("kernel", 1), ("kernel", 5), ("kernel", 3),
+                    ("kernel", 2), ("kernel", 4), ("kernel", 3),
+                    ("kernel", 0), ("kernel", 3), ("kernel", 3)],
+    "fig8_cover5": [("kernel", 4), ("kernel", 3), ("kernel", 5), ("R", 4),
+                    ("kernel", 0), ("kernel", 3), ("kernel", 5),
+                    ("kernel", 1), ("kernel", 4), ("kernel", 3),
+                    ("kernel", 0), ("kernel", 5)],
+}
+_COVER_DEGREE = {"fig8": 1, "fig8_cover3": 3, "fig8_cover5": 5}
+
+
+@functools.cache
+def _relabeled(base, seed):
+    """A relabeling of ``RELABELING_SPLIT``, solved: the triangulation, its
+    shapes, the enforced and the pruned kernel, and cs."""
+    inputs = perfbench_inputs()
+    doc = inputs.FIG8
+    if _COVER_DEGREE[base] > 1:
+        doc = inputs.cyclic_cover(doc, _COVER_DEGREE[base])
+    tri, shapes, kernel = _solved(inputs.relabel(doc, random.Random(seed)))
+    cs = complex_volume(tri, shapes, solve_flattenings(tri, shapes))[1]
+    return tri, shapes, kernel, pruning._prune_kernel(tri, kernel), cs
+
+
+def _relabelings(fails=lambda side, k: False, reason=""):
+    """Every relabeling as a parameter, a strict xfail where ``fails`` of
+    its (side, k) entry holds."""
+    return [
+        pytest.param(base, seed, id=f"{base}-{seed}", marks=[
+            pytest.mark.xfail(strict=True, reason=reason)
+        ] if fails(*entry) else [])
+        for base, row in RELABELING_SPLIT.items()
+        for seed, entry in enumerate(row)
+    ]
+
+
+class TestVertexRelabelings:
+    """``rogers_shift`` on the 36 vertex relabelings.  No generator moves
+    vol.  cs is wrong on 28 of them: on 22 the pruned kernel holds a pi^2/2
+    generator, and 6 have a clean pruned kernel and a cs off by k pi^2/6;
+    the pruned kernel is not clean on 8 more whose cs happens to be
+    right."""
+
+    @pytest.mark.parametrize("base, seed", _relabelings())
+    def test_no_generator_moves_vol(self, base, seed):
+        tri, shapes, kernel, pruned, _ = _relabeled(base, seed)
+        for k in kernel + pruned:
+            assert abs(rogers_shift(tri, shapes, k).imag) < 1e-11
+
+    def test_split(self):
+        found = {}
+        for base, row in RELABELING_SPLIT.items():
+            found[base] = []
+            for seed in range(len(row)):
+                tri, shapes, _, pruned, cs = _relabeled(base, seed)
+                clean = all(_off_pi2_lattice(rogers_shift(tri, shapes, k))
+                            < 1e-9 for k in pruned)
+                sixths = cs / (PI_SQUARED / 6)
+                assert abs(sixths - round(sixths)) < 1e-9
+                found[base].append(("R" if clean else "kernel",
+                                    round(sixths) % 6))
+        assert found == RELABELING_SPLIT
+
+    @pytest.mark.parametrize("base, seed", _relabelings(
+        lambda side, k: side == "kernel",
+        "the pruned kernel holds a generator that moves cs by pi^2/2"))
+    def test_pruned_generators_keep_cs(self, base, seed):
+        tri, shapes, _, pruned, _ = _relabeled(base, seed)
+        for k in pruned:
+            assert _off_pi2_lattice(rogers_shift(tri, shapes, k)) < 1e-9
+
+    @pytest.mark.parametrize("base, seed", _relabelings(
+        lambda side, k: k != 0,
+        "cs of a vertex-relabeled input is off by k pi^2/6"))
+    def test_cs_is_zero(self, base, seed):
+        assert _relabeled(base, seed)[4] == 0.0
 
 
 #: (vol, enforced kernel rank, pruned kernel rank) of each disjoint union
@@ -895,7 +983,7 @@ class TestTwoCusps:
         tri = parse_triangulation(_union(name, seed, vertices))
         shapes = solve_shapes(tri).shapes
         assignment = solve_flattenings(tri, shapes)
-        pruned = flattening._prune_kernel(tri, assignment.kernel)
+        pruned = pruning._prune_kernel(tri, assignment.kernel)
         vol, *ranks = UNIONS[name]
         assert len(tri.combinatorics.vertices) == 2
         assert abs(complex_volume(tri, shapes, assignment)[0] - vol) < 1e-9
@@ -909,7 +997,7 @@ class TestTwoCusps:
         # tetrahedron shuffles only: renamed vertices bring the k pi^2/6
         # error of unordered vertices into the pruned kernel
         tri, shapes, kernel = _solved(_union(name, seed))
-        for k in flattening._prune_kernel(tri, kernel):
+        for k in pruning._prune_kernel(tri, kernel):
             assert _off_pi2_lattice(rogers_shift(tri, shapes, k)) < 1e-9
 
 
@@ -1080,7 +1168,7 @@ class TestNuInvisibility:
                 ratio = log.imag / math.pi * 6
                 assert abs(ratio - round(ratio)) < 1e-9
         assignment = solve_flattenings(fig8, fig8_shapes)
-        pruned = flattening._prune_kernel(fig8, assignment.kernel)
+        pruned = pruning._prune_kernel(fig8, assignment.kernel)
         shifted = alternate_assignment(
             fig8, fig8_shapes, assignment, [1 for _ in pruned]
         )

@@ -16,12 +16,13 @@ from cvol.bloch import (
     in_ft_plus,
     in_lift_index_family,
     lift_index_basis,
+    unflatten,
 )
 from cvol.errors import DegenerateGeometryError, NonIntegralError
 from cvol.geometry import IdealSimplexShape, pass_rows
 from cvol.intlinalg import lattice_equal, solve_integer_system
 from cvol.params import ExtendedParam, Flattening
-from cvol.polylog import flatten, unflatten
+from cvol.polylog import flatten
 from cvol.verify import random_ft_plus
 
 from oracles import (

@@ -10,10 +10,10 @@ import types
 import numpy as np
 import pytest
 
+from cvol.bloch import bloch_wigner
 from cvol.errors import ConvergenceError, CVolError, DegenerateGeometryError
 from cvol.geometry import pass_rows
 from cvol.gluing import _min_norm_step, gluing_equations, solve_shapes
-from cvol.polylog import bloch_wigner
 from cvol.triangulation import parse_triangulation
 from oracles import random_terms, reference_exponent_row, relabel_document
 

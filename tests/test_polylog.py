@@ -11,19 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvol import polylog
-from cvol.errors import DomainError
-from cvol.params import ExtendedParam
-from cvol.polylog import (
-    PI_SQUARED,
-    TWO_PI_SQUARED,
+from cvol.bloch import (
     bloch_wigner,
     dilog,
     lifted_rogers,
     lifted_rogers_raw,
-    principal_log,
-    reduce_mod,
     rogers,
 )
+from cvol.errors import DomainError
+from cvol.params import ExtendedParam
+from cvol.polylog import PI_SQUARED, TWO_PI_SQUARED, principal_log, reduce_mod
 
 from oracles import (
     alternating_series_dilog_minus_one,

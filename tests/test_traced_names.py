@@ -45,6 +45,21 @@ def test_traced_functions_are_defined():
     assert missing <= KNOWN_ABSENT
 
 
+def test_traced_functions_have_one_definition():
+    # judged by ``__module__``: a function moved to another module leaves no
+    # stale copy behind, and the tracer wraps the one that runs
+    tracer = _tracer()
+    modules = tracer._import_cvol()
+    for name, (module, func) in tracer.LAYER_FUNCTIONS.items():
+        if name in KNOWN_ABSENT:
+            continue
+        homes = [m.__name__ for m in modules
+                 if getattr(getattr(m, func, None), "__module__", None)
+                 == m.__name__]
+        found = tracer._find_function(modules, module, func)
+        assert homes == [found.__module__], name
+
+
 def test_traced_suites_are_the_verify_suites_in_order():
     from cvol.verify import ALL_SUITES
 
