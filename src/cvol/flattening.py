@@ -1,13 +1,15 @@
 """The flattening solver and the complex volume.
 
 ``solve_flattenings`` finds integer branch indices (p_i, q_i) such that
-every edge class has zero signed log-parameter sum and every supplied cusp
-path has zero log-parameter and zero parity, by solving one combined
-integer linear system in Hermite normal form.  It reads the condition
-table (``Combinatorics.edge_rows`` and ``cusp_rows``, built on their first
-read and kept with the triangulation): the sparse rows as they are, and
-each condition's value at the shapes and at the solution
-(``PassRows.value``); it calls ``pass_rows`` on none of them.
+every edge class and every supplied cusp path has zero signed
+log-parameter sum: one integer row per condition over the 2T indices,
+solved in Hermite normal form.  A path's parity (Neumann 1992) is then the
+same at every solution (``PassRows.parity_of``); an odd one is refused.
+It reads the condition table (``Combinatorics.edge_rows`` and
+``cusp_rows``, built on their first read and kept with the
+triangulation): the sparse rows as they are, and each condition's value
+at the shapes and at the solution (``PassRows.value``); it calls
+``pass_rows`` on none of them.
 
 The edge defect is read off the same system: ``defect`` is minus its edge
 rows' right-hand side, each edge's signed log-parameter sum at p = q = 0
@@ -73,10 +75,12 @@ class FlatteningAssignment(namedtuple("FlatteningAssignment", (
     residual report: ``signs``, ``path_parities`` and ``defect`` are
     list[int], the residuals list[complex], ``edge_flattened_only`` a bool.
 
-    ``kernel`` (list[list[int]]) is the HNF basis of the enforced system's
-    integer kernel: shifting the solution by it keeps the edge and supplied
-    cusp-path conditions.  ``flatten`` prints the HNF of its sub-lattice
-    that keeps every closed vertex-link path condition too (``pruning``).
+    ``kernel`` (list[list[int]], rows of width 2T) is the HNF basis of the
+    enforced system's integer kernel: shifting the solution by it keeps the
+    edge and supplied cusp-path conditions, parities included, which are 0
+    as the solver refuses an odd one.  ``flatten`` prints the HNF of its
+    sub-lattice that keeps every closed vertex-link path condition too
+    (``pruning``).
 
     ``defect`` is -(the edge rows' right-hand side), the orientation-weighted
     (1/pi i) beta*(omega).  Its parity is no check: it changes with the
@@ -106,30 +110,20 @@ class FlatteningAssignment(namedtuple("FlatteningAssignment", (
 def _build_system(
     tri: Triangulation, shapes: list[complex], tol: float
 ) -> tuple[list[list[int]], list[int]]:
-    """Integer rows for edge conditions, path log conditions and path parity
-    conditions (the latter with an auxiliary doubled unknown each)."""
+    """The rows and right-hand sides of the edge and cusp-path log
+    conditions, edges first, over (p_0, q_0, p_1, q_1, ...)."""
     comb = tri.combinatorics
-    n = tri.num_tetrahedra
-    width = 2 * n + len(comb.cusp_rows)
     constants = slot_values(ExtendedParam(z, 0, 0) for z in shapes)
-    sparse: list[dict[int, int]] = []
-    rhs: list[int] = []
-    for k, edge in enumerate(comb.edge_rows):
-        sparse.append(edge.pq)
-        rhs.append(-_pi_i_multiple(edge.value(constants), tol,
-                                   f"edge {k} constant"))
-
-    for k, cusp in enumerate(comb.cusp_rows):
-        sparse.append(cusp.pq)
-        rhs.append(-_pi_i_multiple(cusp.value(constants), tol,
-                                   f"cusp path {k} constant"))
-        # a copy: the parse-time entry is shared by every solve
-        sparse.append({**cusp.parity, 2 * n + k: 2})
-        rhs.append(-cusp.parity_const)
-    rows = [[0] * width for _ in sparse]
-    for row, entries in zip(rows, sparse):
-        for j, c in entries.items():
+    conditions = [(edge, f"edge {k}") for k, edge in enumerate(comb.edge_rows)]
+    conditions += [(cusp, f"cusp path {k}")
+                   for k, cusp in enumerate(comb.cusp_rows)]
+    rows = [[0] * (2 * tri.num_tetrahedra) for _ in conditions]
+    rhs = []
+    for row, (condition, what) in zip(rows, conditions):
+        for j, c in condition.pq.items():
             row[j] = c
+        rhs.append(-_pi_i_multiple(condition.value(constants), tol,
+                                   f"{what} constant"))
     return rows, rhs
 
 
@@ -138,10 +132,10 @@ def solve_flattenings(
 ) -> FlatteningAssignment:
     """Assign branch indices (p_i, q_i) meeting the edge and path conditions.
 
-    The combined integer system is solved in Hermite normal form; the
-    solution is reduced modulo the kernel's HNF basis, so the output
-    depends on the system only.  Missing cusp paths yield a partial,
-    'edge-flattened only' assignment.
+    The integer system is solved in Hermite normal form; the solution is
+    reduced modulo the kernel's HNF basis, so the output depends on the
+    system only.  A cusp path of odd parity is refused.  Missing cusp paths
+    yield a partial, 'edge-flattened only' assignment.
     """
     rows, rhs = _build_system(tri, shapes, tol)
     solution = solve_integer_system(rows, rhs)
@@ -151,8 +145,14 @@ def solve_flattenings(
             "data is invalid"
         )
     defect = [-r for r in rhs[:len(tri.combinatorics.edge_rows)]]
-    return _assignment_from_vector(tri, shapes, solution.particular, defect,
-                                   solution.kernel)
+    assignment = _assignment_from_vector(tri, shapes, solution.particular,
+                                         defect, solution.kernel)
+    if any(assignment.path_parities):
+        raise InconsistentSystemError(
+            "cusp path parity is odd at every solution; the triangulation "
+            "data is invalid"
+        )
+    return assignment
 
 
 def _assignment_from_vector(

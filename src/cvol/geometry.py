@@ -11,7 +11,8 @@ The slot convention of the integer conditions lives here: ``EDGE_SLOT``
 (p, q), equally its (e_0, e_1) coordinates in the J-complex).
 ``pass_rows``, the one condition-to-row helper, turns a condition, a list
 of (tet, slot, weight) terms, into a ``PassRows`` entry: its sparse
-integer rows, its exponent sums and its value at given slot values.
+integer row, its exponent sums, its value at given slot values and its
+parity at given branch indices.
 ``Combinatorics`` builds the entry of every edge and cusp path once, on
 the first read of its table.  This module takes no logarithm, so the
 integer commands load it without the numeric code.
@@ -62,13 +63,10 @@ class IdealSimplexShape(Value):
         return (self.z, self.z_prime, self.z_double_prime)[slot]
 
 
-class PassRows(namedtuple("PassRows",
-                          "terms pq parity parity_const exponents")):
+class PassRows(namedtuple("PassRows", "terms pq exponents")):
     """A condition sum weight * w_slot(tet) over its ``terms`` (list[Term]),
-    as rows on (p_0, q_0, p_1, q_1, ...) without zero entries: ``pq`` its
-    pi*i coefficients and ``parity`` the branch indices whose sum is its
-    parity (dict[int, int] each), ``parity_const`` (int) one per w2 pass,
-    whose parity parameter is p+q+1, and ``exponents`` the (tet, a, b, c)
+    as ``pq`` (dict[int, int]), its pi*i coefficients on (p_0, q_0, p_1,
+    q_1, ...) without zero entries, and ``exponents``, the (tet, a, b, c)
     weight sums of (w0, w1, w2) by tetrahedron, all-zero triples dropped.
     """
 
@@ -82,24 +80,21 @@ class PassRows(namedtuple("PassRows",
         return total
 
     def parity_of(self, x: list[int]) -> int:
-        """The condition's parity at the branch indices x."""
-        return (sum(c * x[j] for j, c in self.parity.items())
-                + self.parity_const) % 2
+        """sum weight * (p, q or p+q+1 for w0, w1, w2) mod 2 at the branch
+        indices x: ``pq`` at x plus the weights of the w2 terms."""
+        return (sum(c * x[j] for j, c in self.pq.items())
+                + sum(w for _, slot, w in self.terms if slot == 2)) % 2
 
 
 def pass_rows(terms: list[Term]) -> PassRows:
     """The ``PassRows`` of a condition; the one reader of SLOT_PQ_COEFF."""
     pq: dict[int, int] = {}
-    parity: dict[int, int] = {}
     sums: dict[int, list[int]] = {}
-    parity_const = 0
     for tet, slot, weight in terms:
         sums.setdefault(tet, [0, 0, 0])[slot] += weight
         for j, c in enumerate(SLOT_PQ_COEFF[slot], 2 * tet):
             if c:
                 pq[j] = pq.get(j, 0) + weight * c
-                parity[j] = parity.get(j, 0) + abs(c)
-        parity_const += slot == 2
     pq = {j: c for j, c in pq.items() if c}
     exponents = [(t, *abc) for t, abc in sorted(sums.items()) if any(abc)]
-    return PassRows(terms, pq, parity, parity_const, exponents)
+    return PassRows(terms, pq, exponents)

@@ -156,6 +156,8 @@ class TestJComplex:
         # alpha reads fig8's edges; beta reads only the drawn edges and
         # signs.  Every term of an edge carries its simplex's sign as its
         # weight; repeated passes of one simplex cancel across slots
+        from cvol.geometry import SLOT_PQ_COEFF
+
         rng = random.Random(18)
         cancelled = 0
         for _ in range(100):
@@ -167,7 +169,10 @@ class TestJComplex:
             jc = build_j_complex(
                 types.SimpleNamespace(combinatorics=comb, num_tetrahedra=3))
             assert jc.beta == reference_beta(comb, 3)
-            cancelled += any(j not in e.pq for e in edges for j in e.parity)
+            cancelled += any(
+                j not in e.pq
+                for e in edges for t, s, _ in e.terms
+                for j, c in enumerate(SLOT_PQ_COEFF[s], 2 * t) if c)
         assert cancelled > 40, cancelled
 
     @pytest.mark.parametrize("name", ["fig8", "fig8_cover3", "fig8_cover32"])
@@ -450,16 +455,16 @@ class TestSolveFlattenings:
 
     @pytest.mark.parametrize("name", ["fig8", "fig8_cover3"])
     def test_solves_leave_the_condition_table_alone(self, name, request):
-        # every solve reads the entries built at parse; the parity rows
-        # it extends by an auxiliary column are copies
+        # every solve reads the entries built at parse and changes none
         tri = request.getfixturevalue(name)
         shapes = request.getfixturevalue(f"{name}_shapes")
-        cusp_rows = tri.combinatorics.cusp_rows
-        parities = [dict(c.parity) for c in cusp_rows]
-        assert cusp_rows
+        comb = tri.combinatorics
+        entries = comb.edge_rows + comb.cusp_rows
+        before = [(list(e.terms), dict(e.pq)) for e in entries]
+        assert comb.cusp_rows
         first = solve_flattenings(tri, shapes)
         assert solve_flattenings(tri, shapes) == first
-        assert [c.parity for c in cusp_rows] == parities
+        assert [(e.terms, e.pq) for e in entries] == before
 
     def test_perturbed_assignment_breaks_conditions(self, fig8, fig8_shapes):
         from cvol.geometry import EDGE_SLOT
@@ -1001,6 +1006,81 @@ class TestTwoCusps:
             assert _off_pi2_lattice(rogers_shift(tri, shapes, k)) < 1e-9
 
 
+def _parity_input(name):
+    """A document of ``TestPathParities``: a fixture, a vertex relabeling
+    ("fig8-3"), a tetrahedron shuffle of fig8_cover3 ("shuffle-3"), a
+    disjoint union or a ladder cover ("ladder-3")."""
+    kind, _, arg = name.rpartition("-")
+    if name in FIXTURE_NAMES:
+        return _fixture_doc(name)
+    if name in UNIONS:
+        return _union(name)
+    if kind == "shuffle":
+        return _shuffled_cover3(int(arg))
+    inputs = perfbench_inputs()
+    if kind == "ladder":
+        return inputs.cyclic_cover(inputs.FIG8, int(arg))
+    doc = inputs.FIG8
+    if _COVER_DEGREE[kind] > 1:
+        doc = inputs.cyclic_cover(doc, _COVER_DEGREE[kind])
+    return inputs.relabel(doc, random.Random(int(arg)))
+
+
+class TestPathParities:
+    """The flattening system holds one log row per edge and per supplied
+    cusp path over the 2T branch indices.  A path's parity is its log row
+    mod 2 plus its count of w2 passes, so it is the same at every solution;
+    on every input it is even."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES
+                             + [f"{base}-{seed}" for base in RELABELING_SPLIT
+                                for seed in range(12)]
+                             + [f"shuffle-{seed}" for seed in range(12)]
+                             + list(UNIONS)
+                             + [f"ladder-{degree}" for degree in LADDER])
+    def test_parities_are_even(self, name):
+        tri = parse_triangulation(_parity_input(name))
+        shapes = solve_shapes(tri).shapes
+        comb = tri.combinatorics
+        rows, rhs = flattening._build_system(tri, shapes, 1e-9)
+        assert len(rows) == len(rhs) == len(comb.edge_rows) + len(
+            comb.cusp_rows)
+        assert {len(row) for row in rows} == {2 * tri.num_tetrahedra}
+        assignment = solve_flattenings(tri, shapes)
+        assert comb.cusp_rows
+        assert assignment.path_parities == [0] * len(comb.cusp_rows)
+        assert {len(k) for k in assignment.kernel} <= {2 * tri.num_tetrahedra}
+
+    def test_odd_parity_is_refused(self, monkeypatch, tmp_path, capsys):
+        # fig8 with its first cusp path only, whose constant is off by one:
+        # its log row still has solutions, all of odd parity.  With both
+        # paths the second, dependent one refuses any shift by itself
+        from cvol.cli import main
+        from cvol.errors import InconsistentSystemError
+
+        doc = _fixture_doc("fig8")
+        doc["cusp_paths"] = doc["cusp_paths"][:1]
+        tri = parse_triangulation(doc)
+        shapes = solve_shapes(tri).shapes
+        assert solve_flattenings(tri, shapes).path_parities == [0]
+        pi_i_multiple = flattening._pi_i_multiple
+
+        def shifted(value, tol, what):
+            return pi_i_multiple(value, tol, what) + (
+                what == "cusp path 0 constant")
+
+        monkeypatch.setattr(flattening, "_pi_i_multiple", shifted)
+        with pytest.raises(InconsistentSystemError):
+            solve_flattenings(tri, shapes)
+        path = tmp_path / "fig8-one-path.json"
+        path.write_text(json.dumps(doc))
+        code = main(["--format", "json", "cvol", str(path)])
+        out, err = capsys.readouterr()
+        assert code != 0
+        assert out == ""
+        assert "error at stage solve_flattenings" in err
+
+
 class TestCycleRelation:
     @staticmethod
     def three_term(rng):
@@ -1069,6 +1149,23 @@ class TestCycleRelation:
             difference = EBElement(terms)
             assert r_of_element(difference).distance_to_zero() < 1e-9
             assert nu_symbolic(difference, base).is_zero()
+
+    def test_odd_parity_is_refused(self):
+        # x * 1/(1 - (1 + x)) = -1: the log sum vanishes with p = -1, but
+        # the parity p + q is odd.  Only where the parameter product is -1
+        # does the parity say more than the log sum.
+        x = 0.3 + 0.7j
+
+        def simplices(p):
+            return [CycleSimplex(x, p, 0, +1, 0, 1, 2),
+                    CycleSimplex(1 + x, 0, 0, +1, 1, 0, 2)]
+
+        with pytest.raises(NonIntegralError,
+                           match="^parity sum around the edge is odd$"):
+            cycle_relation_check(simplices(-1), (x, None))
+        with pytest.raises(NonIntegralError,
+                           match="^signed log-parameter sum around the edge"):
+            cycle_relation_check(simplices(0), (x, None))
 
 
 class TestComplexVolume:

@@ -258,8 +258,9 @@ class TestPassRows:
 
     def test_matches_dense_reference(self):
         rng = random.Random(18)
-        seen = {"repeated tet": 0, "cancelled": 0, "weight 2": 0}
-        for _ in range(400):
+        seen = {"repeated tet": 0, "cancelled": 0, "weight 2": 0,
+                "weights +-1": 0}
+        for _ in range(600):
             tets = rng.randint(1, 4)
             terms = random_terms(rng, tets)
             values = [tuple(complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
@@ -268,20 +269,27 @@ class TestPassRows:
             pq, parity, parity_const, value = reference_pass_rows(
                 terms, 2 * tets, values)
             assert [rows.pq.get(j, 0) for j in range(2 * tets)] == pq
-            assert [rows.parity.get(j, 0) for j in range(2 * tets)] == parity
             assert 0 not in rows.pq.values()
-            assert 0 not in rows.parity.values()
-            assert rows.parity_const == parity_const
             assert rows.value(values) == value
             x = [rng.randint(-3, 3) for _ in range(2 * tets)]
-            assert rows.parity_of(x) == (
-                sum(a * b for a, b in zip(parity, x)) + parity_const) % 2
+            # the weighted parity parameters p, q and p+q+1 of the slots
+            assert rows.parity_of(x) == sum(
+                w * (x[2 * t], x[2 * t + 1], x[2 * t] + x[2 * t + 1] + 1)[s]
+                for t, s, w in terms) % 2
+            unit = all(abs(w) == 1 for _, _, w in terms)
+            if unit:
+                # the parity row is the log row mod 2: the parity of a
+                # condition at a solution of its log row is fixed
+                assert [a % 2 for a in parity] == [a % 2 for a in pq]
+                assert rows.parity_of(x) == (
+                    sum(a * b for a, b in zip(parity, x)) + parity_const) % 2
             touched = {tet for tet, _, _ in terms}
             seen["repeated tet"] += len(touched) < len(terms)
             seen["cancelled"] += any(
                 parity[j] and not pq[j]
                 for t in touched for j in (2 * t, 2 * t + 1))
             seen["weight 2"] += any(abs(w) == 2 for _, _, w in terms)
+            seen["weights +-1"] += unit and bool(terms)
         assert min(seen.values()) > 40, seen
 
 

@@ -12,8 +12,10 @@ import pytest
 from cvol.errors import TriangulationError
 from cvol.geometry import EDGE_SLOT
 from cvol.triangulation import (
+    Gluing,
     NormalPath,
     PathStep,
+    Triangulation,
     edge_classes,
     edge_loop,
     link_step,
@@ -327,6 +329,25 @@ class TestEdgeClasses:
     def test_edge_count_equals_tet_count(self, fig8):
         # ideal triangulation of a cusped manifold
         assert len(edge_classes(fig8)) == fig8.num_tetrahedra
+
+    def test_edge_glued_to_itself_reversed(self):
+        # one tetrahedron, faces 0 <-> 1 by (1,0,2,3) and 2 <-> 3 by
+        # (0,2,3,1): the walk comes back to its edge reversed.  parse
+        # refuses the table first, as a complex that is not orientable: an
+        # edge glued to itself reversed has a midpoint whose link is a
+        # projective plane, so no orientable complex reaches the edge check
+        swap, turn = (1, 0, 2, 3), (0, 2, 3, 1)
+        inverse = tuple(turn.index(v) for v in range(4))
+        gluings = [[Gluing(0, swap), Gluing(0, swap),
+                    Gluing(0, turn), Gluing(0, inverse)]]
+        with pytest.raises(TriangulationError,
+                           match="^edge link is not orientable$"):
+            edge_classes(Triangulation("one", gluings, [], None))
+        doc = {"name": "one", "tetrahedra": [{"gluings": [
+            {"tet": 0, "perm": list(g.perm)} for g in gluings[0]]}]}
+        with pytest.raises(TriangulationError,
+                           match="^complex is not orientable "):
+            parse_triangulation(doc)
 
 
 class TestOrientation:
