@@ -22,10 +22,11 @@ import types
 #: defining module -> the names the package re-exports from it
 _EXPORTS = {
     "bloch": (
-        "CycleSimplex", "EBElement", "FiveTermTuple", "bloch_wigner", "chi",
-        "chi_hat", "cycle_relation_check", "dilog", "epsilon_parity",
-        "five_point_edge_conditions", "five_point_shapes",
-        "five_term_instance", "generator", "kappa_element", "lifted_rogers",
+        "CycleSimplex", "EBElement", "FiveTermTuple", "Flattening",
+        "bloch_wigner", "chi", "chi_hat", "cycle_relation_check", "dilog",
+        "epsilon_parity", "five_point_edge_conditions", "five_point_shapes",
+        "five_term_instance", "flatten", "generator", "kappa_element",
+        "lifted_rogers",
         "nu_symbolic", "r_of_element", "rogers", "super_transfer_rhs",
         "transfer_instance", "unflatten",
     ),
@@ -43,8 +44,8 @@ _EXPORTS = {
         "GluingSystem", "ShapeSolution", "gluing_equations", "solve_shapes",
     ),
     "jcomplex": ("JComplex", "build_j_complex", "homology_of_j"),
-    "params": ("ExtendedParam", "Flattening"),
-    "polylog": ("ModPiSquared", "flatten", "principal_log", "reduce_mod"),
+    "params": ("ExtendedParam",),
+    "polylog": ("ModPiSquared", "principal_log", "reduce_mod"),
     "triangulation": (
         "Combinatorics", "EdgeClass", "NormalPath", "PathStep",
         "Triangulation", "edge_classes", "edge_loop", "orientation_signs",

@@ -31,6 +31,7 @@ cycle relation of simplices around a common edge through R and nu.
 
 The functions of one value that ``cvol`` does not run live here too, on
 ``cvol.polylog``'s series: ``dilog``, ``rogers``, ``lifted_rogers``,
+``lifted_rogers_raw``, ``flatten`` and its value type ``Flattening``,
 ``unflatten`` and ``bloch_wigner`` (the tests' volume oracle).
 """
 
@@ -48,15 +49,16 @@ from .errors import (
     SymbolMatchError,
 )
 from .geometry import EDGE_SLOT, pass_rows
-from .params import ExtendedParam, Flattening, Value
+from .params import ExtendedParam, Value
 from .polylog import (
+    _HALF_PI_I,
+    _PI_SQUARED_6,
     PI_SQUARED,
     TWO_PI_SQUARED,
     ModPiSquared,
     _dilog,
     _normalize,
     _rogers_logs,
-    lift_rogers_logs,
     lifted_rogers_sum,
     principal_log,
     reduce_mod,
@@ -80,6 +82,32 @@ def check_branches(params: Iterable[ExtendedParam], mode: str) -> None:
     """DomainError if ``mode`` is 'eep' and a param has an odd index."""
     if mode == "eep" and any(x.p % 2 or x.q % 2 for x in params):
         raise DomainError("eep mode requires even branch indices")
+
+
+class Flattening(Value):
+    """Log-parameter triple (w0, w1, w2) of an ideal simplex, w0+w1+w2 = 0.
+
+    w0 is carried by the 01/23 edges, w1 by the 12/03 edges and w2 by the
+    02/13 edges of the simplex.
+    """
+
+    __slots__ = ("w0", "w1", "w2")
+
+    def __init__(self, w0: complex, w1: complex, w2: complex) -> None:
+        scale = max(1.0, abs(w0), abs(w1), abs(w2))
+        if abs(w0 + w1 + w2) > 1e-9 * scale:
+            raise DomainError("flattening components must sum to zero")
+        self.w0, self.w1, self.w2 = w0, w1, w2
+
+    @classmethod
+    def from_components(cls, w0: complex, w1: complex) -> "Flattening":
+        """Build a flattening with w2 derived, so the zero-sum is exact."""
+        return cls(w0, w1, -w0 - w1)
+
+
+def flatten(param: ExtendedParam) -> Flattening:
+    """Log-parameter triple of (z; p, q): ``slot_values``'s triple."""
+    return Flattening(*slot_values((param,))[0])
 
 
 def unflatten(w: Flattening, tol: float = 1e-9) -> ExtendedParam:
@@ -148,8 +176,10 @@ def rogers(z: complex) -> complex:
 
 
 def lifted_rogers_raw(z: complex, p: int, q: int) -> complex:
-    """Unreduced value of R(z; p, q) as a plain complex number."""
-    return lift_rogers_logs(_rogers_logs(z), p, q)
+    """Unreduced value of R(z; p, q) as a plain complex number; the
+    expression ``lifted_rogers_sum`` adds per term."""
+    value, log_z, log_1mz = _rogers_logs(z)
+    return value + _HALF_PI_I * (p * log_1mz + q * log_z) - _PI_SQUARED_6
 
 
 def lifted_rogers(param: ExtendedParam, mode: str = "ep") -> "ModPiSquared":
@@ -197,13 +227,16 @@ class EBElement(Combination):
     def __init__(self, terms: Terms | None = None, mode: str = "ep"):
         self.mode = check_mode(mode)
         merged: dict[ExtendedParam, int] = {}
-        for param, coeff in (
-            terms.items() if isinstance(terms, Mapping) else terms or ()
-        ):
-            coeff = _integer(coeff)
+        get = merged.get
+        if terms.__class__ is not list:  # a list is no Mapping: skip the test
+            terms = terms.items() if isinstance(terms, Mapping) else terms or ()
+        for param, coeff in terms:
+            if coeff.__class__ is not int:
+                coeff = _integer(coeff)
             if coeff:
-                merged[param] = merged.get(param, 0) + coeff
-        check_branches(merged, mode)
+                merged[param] = get(param, 0) + coeff
+        if mode != "ep":
+            check_branches(merged, mode)
         self.terms = merged if all(merged.values()) else {
             param: c for param, c in merged.items() if c}
 
@@ -239,9 +272,17 @@ def generator(z: complex, p: int, q: int, mode: str = "ep") -> EBElement:
 
 def indexed_element(z: complex, indexed: Iterable[tuple[int, int, int]],
                     mode: str = "ep", cut_side: int | None = None) -> EBElement:
-    """sum c [z, p, q] over the (p, q, c) of ``indexed``, all at one z."""
-    return EBElement([(ExtendedParam(z, p, q, cut_side), c)
-                      for p, q, c in indexed], mode)
+    """sum c [z, p, q] over the (p, q, c) of ``indexed``, all at one z: the
+    first generator checks z and its tag, the others (``ExtendedParam.at``)
+    only their indices."""
+    terms: list[tuple[ExtendedParam, int]] = []
+    first = None
+    for p, q, c in indexed:
+        if first is None:
+            terms.append((first := ExtendedParam(z, p, q, cut_side), c))
+        else:
+            terms.append((first.at(p, q), c))
+    return EBElement(terms, mode)
 
 
 class FiveTermTuple(Value):
@@ -271,8 +312,9 @@ class FiveTermTuple(Value):
 
 def _five_term_terms(t: FiveTermTuple) -> list[tuple[ExtendedParam, int]]:
     """The pairs ([x_i, p_i, q_i], (-1)^i) of the five-term combination."""
-    return [(ExtendedParam(shape, p, q), (-1) ** i)
-            for i, (shape, (p, q)) in enumerate(zip(t.shapes(), t.indices()))]
+    v = derived_indices(t.p0, t.p1, t.q0, t.q1, t.q2)
+    return [(ExtendedParam(shape, p, q), sign) for shape, p, q, sign
+            in zip(t.shapes(), v[:5], v[5:], (1, -1, 1, -1, 1))]
 
 
 def five_term_instance(t: FiveTermTuple) -> EBElement:
@@ -310,7 +352,7 @@ def super_transfer_rhs(z: complex, p: int, q: int) -> EBElement:
 
 def r_of_element(e: EBElement) -> ModPiSquared:
     """Lifted-Rogers sum of the element, reduced by the mode's modulus."""
-    return reduce_mod(lifted_rogers_sum(e.terms), MODULI[e.mode])
+    return ModPiSquared(lifted_rogers_sum(e.terms), MODULI[e.mode])
 
 
 def epsilon_parity(e: EBElement) -> int:
@@ -333,8 +375,13 @@ _LOGS = (_LX, _L1MX, _LY, _L1MY, _LY - _LX, _LXMY - _LX,
          _L1MX - _L1MY - _LX + _LY, _LXMY - _L1MY - _LX, _L1MX - _L1MY,
          _LXMY - _L1MY, sym(PI_I_SYMBOL))
 _PI_I = 10
-#: ``_WEDGES[i][j]``: the canonical (pair, coefficient) entries of m_i ^ m_j
-_WEDGES = [[tuple(wedge(a, b).terms.items()) for b in _LOGS] for a in _LOGS]
+#: the canonical symbol pairs of the wedges m_i ^ m_j, and ``_WEDGES[i][j]``:
+#: the (index into ``_PAIRS``, coefficient) entries of m_i ^ m_j
+_PAIRS = sorted({pair for a in _LOGS for b in _LOGS
+                 for pair in wedge(a, b).terms})
+_WEDGES = [[tuple((_PAIRS.index(pair), w)
+                  for pair, w in wedge(a, b).terms.items())
+            for b in _LOGS] for a in _LOGS]
 
 #: a value matches a monomial within this tolerance relative to
 #: max(1, |monomial|); a branch correction may be off an integer by
@@ -411,24 +458,27 @@ def nu_symbolic(
     cands = _log_candidates(complex(x), None if y is None else complex(y))
     sums: dict[complex, list[int]] = {}
     for param, coeff in e.terms.items():
-        acc = sums.setdefault(param.numeric_z(), [0, 0, 0])
-        acc[0] += coeff
-        acc[1] += coeff * param.p
-        acc[2] += coeff * param.q
-    out: dict[tuple[str, str], int] = {}
+        z = param.z if param.cut_side is None else param.numeric_z()
+        if (acc := sums.get(z)) is None:
+            sums[z] = [coeff, coeff * param.p, coeff * param.q]
+        else:
+            acc[0] += coeff
+            acc[1] += coeff * param.p
+            acc[2] += coeff * param.q
+    out: dict[int, int] = {}
     get = out.get
     for z, (c, cp, cq) in sums.items():
         i, ka, j, kb = _decompose(z, cands)
         if c:
-            for key, w in _WEDGES[i][j]:
-                out[key] = get(key, 0) - c * w
+            for k, w in _WEDGES[i][j]:
+                out[k] = get(k, 0) - c * w
         if n := cq - c * kb:
-            for key, w in _WEDGES[i][_PI_I]:
-                out[key] = get(key, 0) + n * w
+            for k, w in _WEDGES[i][_PI_I]:
+                out[k] = get(k, 0) + n * w
         if n := c * ka + cp:
-            for key, w in _WEDGES[j][_PI_I]:
-                out[key] = get(key, 0) + n * w
-    return WedgeExpr._trusted({key: v for key, v in out.items() if v})
+            for k, w in _WEDGES[j][_PI_I]:
+                out[k] = get(k, 0) + n * w
+    return WedgeExpr._trusted({_PAIRS[k]: v for k, v in out.items() if v})
 
 
 # ---------------------------------------------------------------------------

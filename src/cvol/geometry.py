@@ -3,7 +3,7 @@
 An ideal simplex with ordered vertices carries the cross-ratio z on its
 01 and 23 edges, z' = 1/(1-z) on the 12 and 03 edges, and z'' = 1 - 1/z on
 the 02 and 13 edges.  Log-parameter slot w_i belongs to the edges of the
-ith of these pairs; ``cvol.polylog.flatten`` gives the slot values of a
+ith of these pairs; ``cvol.polylog.slot_values`` gives the slot values of a
 shape with branch indices.
 
 The slot convention of the integer conditions lives here: ``EDGE_SLOT``

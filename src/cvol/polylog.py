@@ -14,9 +14,10 @@ A flattening refines a shape by a choice of log branches: the map
     flatten(z; p, q) = (log z + p*pi*i, -log(1-z) + q*pi*i,
                         log(1-z) - log z - (p+q)*pi*i)
 
-is a bijection onto zero-sum log-parameter triples, inverted by
-``cvol.bloch.unflatten``; ``slot_values`` gives the triples in the
-per-tetrahedron form that ``cvol.geometry.pass_rows`` sums.
+is a bijection onto zero-sum log-parameter triples.  ``slot_values`` gives
+the triples in the per-tetrahedron form that ``cvol.geometry.pass_rows``
+sums; ``cvol.bloch.flatten`` wraps one as a ``Flattening`` and
+``cvol.bloch.unflatten`` inverts it.
 
 This is what ``cvol`` runs; ``dilog``, ``rogers``, ``bloch_wigner`` and the
 other functions of one value live in ``cvol.bloch``.
@@ -29,11 +30,13 @@ import math
 from collections.abc import Iterable
 
 from .errors import DomainError
-from .params import ExtendedParam, Flattening, Value
+from .params import ExtendedParam, Value
 
 PI = math.pi
 PI_SQUARED = math.pi * math.pi
 TWO_PI_SQUARED = 2.0 * math.pi * math.pi
+#: the constants of the lift and the flattening, folded once
+_HALF_PI_I, _PI_SQUARED_6, _PI_I = 0.5j * PI, PI_SQUARED / 6.0, 1j * PI
 #: B_2k / (2k+1)! for k = 1..10, the odd coefficients of the Bernoulli
 #: series Li2(1 - exp(-u)) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!
 _B3, _B5, _B7, _B9, _B11, _B13, _B15, _B17, _B19, _B21 = _LI2_COEFFS = (
@@ -65,26 +68,25 @@ def _normalize(z: complex) -> complex:
 
 def principal_log(z: complex) -> complex:
     """Principal logarithm, imaginary part in (-pi, pi].  Rejects z = 0."""
-    z = _normalize(z)
-    if z == 0:
-        raise DomainError("logarithm of zero")
+    if z.__class__ is not complex or not z.imag:
+        z = _normalize(z)
+        if z == 0:
+            raise DomainError("logarithm of zero")
     return cmath.log(z)
-
-
-def flatten(param: ExtendedParam) -> Flattening:
-    """Log-parameter triple of (z; p, q); the zero-sum is exact because the
-    third component is derived."""
-    z = param.numeric_z()
-    w0 = principal_log(z) + 1j * math.pi * param.p
-    w1 = -principal_log(1 - z) + 1j * math.pi * param.q
-    return Flattening.from_components(w0, w1)
 
 
 def slot_values(
     params: Iterable[ExtendedParam],
 ) -> list[tuple[complex, complex, complex]]:
-    """Flattening components (w0, w1, w2) per parameter, for ``pass_rows``."""
-    return [(f.w0, f.w1, f.w2) for f in map(flatten, params)]
+    """Each parameter's flattening (w0, w1, w2) by the map above, as the
+    plain triple ``pass_rows`` reads; w2 = -w0 - w1, so the sum is 0."""
+    out = []
+    for param in params:
+        z = param.z if param.cut_side is None else param.numeric_z()
+        w0 = principal_log(z) + _PI_I * param.p
+        w1 = -principal_log(1 - z) + _PI_I * param.q
+        out.append((w0, w1, -w0 - w1))
+    return out
 
 
 def _dilog(z: complex, log_z: complex | None = None,
@@ -111,41 +113,31 @@ def _dilog(z: complex, log_z: complex | None = None,
     return sign * u * (1.0 + u * (-0.25 + u * tail)) + rest
 
 
-def _reject_rogers_cuts(z: complex) -> complex:
-    z = _normalize(z)
-    if z.imag == 0.0 and (z.real <= 0.0 or z.real >= 1.0):
-        raise DomainError(
-            "Rogers dilogarithm needs z off the cuts (-inf, 0] and [1, inf)"
-        )
-    return z
-
-
 def _rogers_logs(z: complex) -> tuple[complex, complex, complex]:
     """(R(z), log z, log(1-z)), each logarithm computed once."""
-    z = _reject_rogers_cuts(z)
+    if z.__class__ is not complex or not z.imag:
+        z = _normalize(z)
+        if z.imag == 0.0 and (z.real <= 0.0 or z.real >= 1.0):
+            raise DomainError("Rogers dilogarithm needs z off the cuts "
+                              "(-inf, 0] and [1, inf)")
     log_z, log_1mz = cmath.log(z), cmath.log(1 - z)
     return 0.5 * log_z * log_1mz + _dilog(z, log_z, log_1mz), log_z, log_1mz
-
-
-def lift_rogers_logs(logs: tuple[complex, complex, complex], p: int,
-                     q: int) -> complex:
-    """R(z; p, q) from ``_rogers_logs(z)``, which terms sharing z share."""
-    value, log_z, log_1mz = logs
-    correction = 0.5j * PI * (p * log_1mz + q * log_z)
-    return value + correction - PI_SQUARED / 6.0
 
 
 def lifted_rogers_sum(terms: dict[ExtendedParam, int]) -> complex:
     """Unreduced sum of coeff * R(z; p, q) over {generator: coeff} terms:
     one ``_rogers_logs`` per shape, and each term lifted and added on its
-    own, in order, so the sum is that of the per-term ``lifted_rogers_raw``."""
+    own, in order, with the expression of ``cvol.bloch.lifted_rogers_raw``,
+    so the sum is that of the per-term values."""
     total = 0j
     logs: dict[complex, tuple[complex, complex, complex]] = {}
     for param, coeff in terms.items():
-        z = param.numeric_z()
-        if z not in logs:
-            logs[z] = _rogers_logs(z)
-        total += coeff * lift_rogers_logs(logs[z], param.p, param.q)
+        z = param.z if param.cut_side is None else param.numeric_z()
+        if (lz := logs.get(z)) is None:
+            lz = logs[z] = _rogers_logs(z)
+        value, log_z, log_1mz = lz
+        total += coeff * (value + _HALF_PI_I * (
+            param.p * log_1mz + param.q * log_z) - _PI_SQUARED_6)
     return total
 
 

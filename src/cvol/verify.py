@@ -93,7 +93,8 @@ class SuiteResult:
     def record(self, residual: float, tol: float, **instance) -> None:
         """A check that passes when ``residual < tol``; a NaN residual
         fails, and does not enter ``max_residual``."""
-        self.max_residual = max(self.max_residual, residual)
+        if residual > self.max_residual:
+            self.max_residual = residual
         if not residual < tol:
             self.record_exact(False, **instance, residual=residual)
 
@@ -125,7 +126,7 @@ def random_ft_plus(rng: random.Random) -> tuple[complex, complex]:
 
 
 def random_offsets(rng: random.Random, bound: int = 3) -> tuple[int, ...]:
-    return tuple(rng.randint(-bound, bound) for _ in range(5))
+    return tuple([rng.randint(-bound, bound) for _ in range(5)])
 
 
 def _random_shape(rng: random.Random) -> complex:
@@ -186,7 +187,7 @@ def suite_transfer(count: int, rng: random.Random, tol: float) -> SuiteResult:
     out = SuiteResult("transfer", count)
     for _ in range(count):
         z = _random_shape(rng)
-        p, q, p2, q2 = (rng.randint(-4, 4) for _ in range(4))
+        p, q, p2, q2 = [rng.randint(-4, 4) for _ in range(4)]
         element = transfer_instance(z, p, q, p2, q2)
         residual = r_of_element(element).distance_to_zero()
         out.record(residual, tol, z=z, pq=(p, q, p2, q2))
@@ -215,7 +216,7 @@ def suite_three_equations(count: int, rng: random.Random, tol: float) -> SuiteRe
     out = SuiteResult("three_equations", count)
     for _ in range(count):
         z = _random_shape(rng)
-        p, q, p2, q2, s = (rng.randint(-4, 4) for _ in range(5))
+        p, q, p2, q2, s = [rng.randint(-4, 4) for _ in range(5)]
         for label, element in three_equations_elements(z, p, q, p2, q2, s):
             residual = r_of_element(element).distance_to_zero()
             out.record(residual, tol, z=z, which=label)
@@ -230,11 +231,10 @@ def homo_element(
     """[x,p0,q0]-[y,p1,q1]+[y/x,p2,q2] with p2 = p1-p0, minus the same
     with every q lowered by one."""
     p2 = p1 - p0
-    return EBElement([
-        (ExtendedParam(x, p0, q0), 1), (ExtendedParam(y, p1, q1), -1),
-        (ExtendedParam(y / x, p2, q2), 1), (ExtendedParam(x, p0, q0 - 1), -1),
-        (ExtendedParam(y, p1, q1 - 1), 1), (ExtendedParam(y / x, p2, q2 - 1), -1),
-    ])
+    a, b = ExtendedParam(x, p0, q0), ExtendedParam(y, p1, q1)
+    c = ExtendedParam(y / x, p2, q2)
+    return EBElement([(a, 1), (b, -1), (c, 1), (a.at(p0, q0 - 1), -1),
+                      (b.at(p1, q1 - 1), 1), (c.at(p2, q2 - 1), -1)])
 
 
 def suite_homo(count: int, rng: random.Random, tol: float) -> SuiteResult:
@@ -243,7 +243,7 @@ def suite_homo(count: int, rng: random.Random, tol: float) -> SuiteResult:
     out = SuiteResult("homo", count)
     for _ in range(count):
         x, y = random_ft_plus(rng)
-        element = homo_element(x, y, *(rng.randint(-3, 3) for _ in range(5)))
+        element = homo_element(x, y, *[rng.randint(-3, 3) for _ in range(5)])
         residual = r_of_element(element).distance_to_zero()
         out.record(residual, tol, x=x, y=y)
         out.record_exact(nu_symbolic(element, (x, y)).is_zero(), x=x, y=y)
@@ -355,7 +355,7 @@ def suite_edge_kernel(count: int, rng: random.Random, tol: float) -> SuiteResult
 
 def _cycle_three_term(rng: random.Random) -> tuple[list[CycleSimplex], tuple]:
     x, y = random_ft_plus(rng)
-    p0, p1, q0, q1, q2 = (rng.randint(-3, 3) for _ in range(5))
+    p0, p1, q0, q1, q2 = [rng.randint(-3, 3) for _ in range(5)]
     p2 = p1 - p0
     simplices = [
         CycleSimplex(x, p0, q0, +1, edge_slot=0, top_slot=2, bottom_slot=1),
@@ -413,8 +413,8 @@ ALL_SUITES = (
 #: the suites' function names, costliest first: ``run_parallel`` queues
 #: them in this order (Graham's longest-processing-time-first rule), so that
 #: no process runs a long suite alone while the others have finished.
-#: Ranked by the median ``SuiteResult.seconds`` of 20 forked runs at
-#: ``--count 500`` (``BENCH_verify_claim_order.json``).
+#: Ranked by the median ``SuiteResult.seconds`` of 60 forked runs at
+#: ``--count 500``, three batches of 20 (``BENCH_verify_kernels.json``).
 _COST_RANKING = (
     "suite_cycle_relation",
     "suite_three_equations",
@@ -422,12 +422,12 @@ _COST_RANKING = (
     "suite_homo",
     "suite_five_term_nu",
     "suite_five_term_eep",
-    "suite_five_term_rogers",
     "suite_super_transfer",
-    "suite_transfer",
+    "suite_five_term_rogers",
     "suite_one_minus_x",
-    "suite_chi_hat",
+    "suite_transfer",
     "suite_chi",
+    "suite_chi_hat",
     "suite_five_term_parity",
     "suite_edge_kernel",
 )

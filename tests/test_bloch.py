@@ -20,6 +20,7 @@ from cvol.bloch import (
     five_point_shapes,
     five_term_instance,
     generator,
+    indexed_element,
     kappa_element,
     nu_symbolic,
     r_of_element,
@@ -49,23 +50,32 @@ PI = math.pi
 
 
 class TestExtendedParam:
+    # ``indexed_element`` checks z and its tag once, on its first
+    # generator, and must refuse what the constructor refuses
+
     def test_rejects_zero_one(self):
         for z in (0, 1):
             with pytest.raises(DomainError):
                 ExtendedParam(z, 0, 0)
+            with pytest.raises(DomainError):
+                indexed_element(z, [(0, 0, 1), (1, 2, -1)])
 
     def test_cut_side_required_on_rays(self):
-        with pytest.raises(DomainError):
-            ExtendedParam(-2.0, 0, 0)
-        with pytest.raises(DomainError):
-            ExtendedParam(3.0, 0, 0)
+        for z in (-2.0, 3.0):
+            with pytest.raises(DomainError):
+                ExtendedParam(z, 0, 0)
+            with pytest.raises(DomainError):
+                indexed_element(z, [(0, 0, 1), (1, 2, -1)])
         ExtendedParam(-2.0, 0, 0, cut_side=+1)
         ExtendedParam(3.0, 0, 0, cut_side=-1)
 
     def test_interval_needs_no_tag(self):
         ExtendedParam(0.5, 0, 0)
-        with pytest.raises(DomainError):
-            ExtendedParam(0.5, 0, 0, cut_side=+1)
+        for z in (0.5, 0.3 + 0.4j):
+            with pytest.raises(DomainError):
+                ExtendedParam(z, 0, 0, cut_side=+1)
+            with pytest.raises(DomainError):
+                indexed_element(z, [(0, 0, 1), (1, 2, -1)], cut_side=-1)
 
     def test_hash_agrees_with_eq_across_signed_zero(self):
         for z, cut_side in ((0.5, None), (-2.0, +1), (3.0, -1)):
@@ -98,17 +108,51 @@ class TestExtendedParam:
         assert p.numeric_z().imag < 0
 
     def test_branch_indices_must_be_integers(self):
+        # the constructor, ``at`` and the later generators of an
+        # ``indexed_element``, which only ``at`` checks, refuse alike
+        base = ExtendedParam(0.3 + 0.5j, 0, 0)
         for p, q in ((0.5, 0), (0, 0.5), (2.0, 0), (0, 1.0), ("1", 0)):
             with pytest.raises(DomainError):
                 ExtendedParam(0.3 + 0.5j, p, q)
-        param = ExtendedParam(0.3 + 0.5j, True, -3)
-        assert (type(param.p), type(param.q)) == (int, int)
+            with pytest.raises(DomainError):
+                base.at(p, q)
+            with pytest.raises(DomainError):
+                indexed_element(0.3 + 0.5j, [(0, 0, 1), (p, q, 1)])
+        with pytest.raises(DomainError, match="branch indices"):
+            indexed_element(0.3 + 0.5j, [(0, 0, 1), (0.5, 0, 1)])
+        for param in (ExtendedParam(0.3 + 0.5j, True, -3), base.at(True, -3),
+                      base.shifted(True, -3)):
+            assert (type(param.p), type(param.q)) == (int, int)
+
+    @pytest.mark.parametrize("z,cut_side", [
+        (-2.0, +1), (-2.0, -1), (3.0, +1), (3.0, -1), (0.5, None),
+        (complex(0.5, -0.0), None), (0.3 + 0.4j, None), (2.0 - 0.5j, None),
+    ])
+    def test_at_and_indexed_element_match_the_constructor(self, z, cut_side):
+        indexed = ((0, 1, 1), (0, 0, -1), (2, -4, 3), (0, 1, 2), (True, 5, 1))
+        expected = [(ExtendedParam(z, p, q, cut_side), c)
+                    for p, q, c in indexed]
+        base = ExtendedParam(z, 7, -7, cut_side)
+        for (param, _), (p, q, _) in zip(expected, indexed):
+            for built in (base.at(p, q), base.shifted(p - 7, q + 7)):
+                assert built == param and hash(built) == hash(param)
+                assert repr(built) == repr(param)
+                assert repr(built.numeric_z()) == repr(param.numeric_z())
+        element = indexed_element(z, indexed, cut_side=cut_side)
+        reference = EBElement(expected)
+        # the same generators in the same order, so R sums alike
+        assert list(element.terms.items()) == list(reference.terms.items())
+        assert [repr(param) for param in element.terms] == \
+            [repr(param) for param in reference.terms]
+        assert r_of_element(element).value == r_of_element(reference).value
 
     def test_shape_must_be_finite(self):
         for z in (complex("nan"), complex(float("nan"), 1.0),
                   complex("inf"), complex(0.5, float("-inf"))):
             with pytest.raises(DomainError):
                 ExtendedParam(z, 0, 0)
+            with pytest.raises(DomainError):
+                indexed_element(z, [(0, 0, 1), (1, 2, -1)])
 
     def test_fractional_offset_is_not_a_five_term_instance(self):
         t = FiveTermTuple(0.4 + 0.3j, 0.2 + 0.9j, 0.5)
@@ -287,6 +331,10 @@ class TestEBElement:
         with pytest.raises(DomainError):
             EBElement({param: coeff})
         with pytest.raises(DomainError):
+            EBElement([(param, 1), (param.at(1, 3), coeff)])
+        with pytest.raises(DomainError):
+            indexed_element(0.3 + 0.4j, [(1, 2, 1), (1, 3, coeff)])
+        with pytest.raises(DomainError):
             coeff * generator(0.3 + 0.4j, 1, 2)
 
     def test_int_and_bool_coefficients_accepted(self):
@@ -300,6 +348,10 @@ class TestEBElement:
         for p, q in ((1, 0), (0, 1), (1, 1), (-3, 2)):
             with pytest.raises(DomainError):
                 generator(0.3 + 0.4j, p, q, mode="eep")
+            with pytest.raises(DomainError):
+                indexed_element(0.3 + 0.4j, [(0, 2, 1), (p, q, -1)], "eep")
+            with pytest.raises(DomainError):
+                indexed_element(-2.0, [(0, 2, 1), (p, q, -1)], "eep", +1)
         generator(0.3 + 0.4j, 2, -4, mode="eep")
         with pytest.raises(ValueError):
             generator(0.3 + 0.4j, 0, 0, mode="odd")

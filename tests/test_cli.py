@@ -62,10 +62,11 @@ import atexit, json, sys, typing
 
 def _module_report():
     loaded = {n: m for n, m in sys.modules.items() if n.startswith("cvol.")}
-    names = ("AbelianGroup", "_dense_smith_factors", "_prune_kernel",
-             "bloch_wigner", "check_branches", "check_mode", "dilog",
-             "gf2_rank", "lifted_rogers", "lifted_rogers_raw", "rogers",
-             "smith_invariant_factors", "unflatten")
+    names = ("AbelianGroup", "Flattening", "_dense_smith_factors",
+             "_prune_kernel", "bloch_wigner", "check_branches", "check_mode",
+             "dilog", "flatten", "gf2_rank", "lifted_rogers",
+             "lifted_rogers_raw", "rogers", "smith_invariant_factors",
+             "unflatten")
     print(json.dumps({
         "loaded": sorted(loaded),
         "defined": sorted(
@@ -117,6 +118,30 @@ class TestCvolCommand:
         report = json.loads(out)
         assert report["volume"] == pytest.approx(2.029883212819307, abs=1e-9)
         assert any("edge-flattened only" in w for w in report["warnings"])
+
+    def test_non_geometric_solution_is_warned(self, fig8_path, monkeypatch,
+                                              capsys):
+        # no known input converges to a non-geometric solution, so the
+        # real solution comes back marked as one; the report is otherwise
+        # the fig8 report
+        import cvol.gluing as gluing
+
+        solve = gluing.solve_shapes
+        monkeypatch.setattr(gluing, "solve_shapes", lambda *args: solve(
+            *args)._replace(geometric=False))
+        warning = "solution contains negatively oriented tetrahedra"
+        code, out, _ = call_main(["--format", "json", "cvol", str(fig8_path)],
+                                 capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["warnings"] == [warning]
+        golden = FIXTURES / "golden" / "cvol-fig8.json"
+        assert report == dict(json.loads(golden.read_text()),
+                              warnings=[warning])
+        code, out, _ = call_main(["--format", "text", "cvol", str(fig8_path)],
+                                 capsys)
+        assert code == 0
+        assert f"warnings: [{warning!r}]" in out.splitlines()
 
     def test_malformed_file_nonzero_exit(self, tmp_path, capsys):
         # a schema error, invalid JSON, bytes that are not UTF-8 and arrays
@@ -643,14 +668,15 @@ class TestOtherCommands:
          {"bloch", "cli", "errors", "geometry", "params", "polylog",
           "verify", "wedge"},
          [f"bloch.{name}" for name in (
-             "bloch_wigner", "check_branches", "check_mode", "dilog",
-             "lifted_rogers", "lifted_rogers_raw", "rogers", "unflatten")]),
+             "Flattening", "bloch_wigner", "check_branches", "check_mode",
+             "dilog", "flatten", "lifted_rogers", "lifted_rogers_raw",
+             "rogers", "unflatten")]),
     ], ids=["cvol", "flatten", "homology", "edges", "verify"])
     def test_command_compiles_only_its_own_code(self, args, modules,
                                                 defined):
         # the code only homology runs lives in jcomplex, flatten's pruning
-        # in pruning, the functions of one value in bloch, and no record is
-        # built by typing.NamedTuple
+        # in pruning, the functions of one value and Flattening in bloch,
+        # and no record is built by typing.NamedTuple
         result = run_cli(["--format", "json", *args], MODULE_REPORT)
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stderr)
@@ -1011,7 +1037,9 @@ GOLDEN_RUNS = [
     ([command, FIXTURES / f"{fixture}.json"], f"{command}-{fixture}.json")
     for fixture in ("fig8", "fig8_cover3", "fig8_cover8", "fig8_cover32")
     for command in ("cvol", "flatten", "edges", "homology")
-] + [(["--seed", "0", "verify", "--count", "50"], "verify-seed0.json")]
+] + [(["--seed", "0", "verify", "--count", "50"], "verify-seed0.json"),
+      (["--seed", "1", "verify", "--count", "500"],
+       "verify-seed1-count500.json")]
 
 
 class TestPipedOutput:

@@ -19,6 +19,7 @@ from cvol.bloch import (
     EBElement,
     bloch_wigner,
     cycle_relation_check,
+    flatten,
     nu_symbolic,
     r_of_element,
 )
@@ -46,7 +47,7 @@ from cvol.jcomplex import (
     smith_invariant_factors,
 )
 from cvol.params import ExtendedParam
-from cvol.polylog import PI_SQUARED, flatten, lifted_rogers_sum, reduce_mod
+from cvol.polylog import PI_SQUARED, lifted_rogers_sum, reduce_mod
 from cvol.triangulation import parse_triangulation, path_terms
 from cvol.verify import random_ft_plus
 

@@ -9,20 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvol.bloch import (
+    Flattening,
     derived_indices,
     five_point_edge_conditions,
     five_point_edge_rows,
     five_point_shapes,
     in_ft_plus,
     in_lift_index_family,
+    flatten,
     lift_index_basis,
     unflatten,
 )
 from cvol.errors import DegenerateGeometryError, NonIntegralError
 from cvol.geometry import IdealSimplexShape, pass_rows
 from cvol.intlinalg import lattice_equal, solve_integer_system
-from cvol.params import ExtendedParam, Flattening
-from cvol.polylog import flatten
+from cvol.params import ExtendedParam
+from cvol.polylog import principal_log, slot_values
 from cvol.verify import random_ft_plus
 
 from oracles import (
@@ -126,6 +128,37 @@ class TestFlattenUnflatten:
     def test_round_trip(self):
         param = ExtendedParam(0.3 + 0.4j, 2, -3)
         assert _params_close(unflatten(flatten(param)), param)
+
+    @pytest.mark.parametrize("kind", ["random", "cut", "eep", "real"])
+    def test_slot_values_are_the_flatten_map(self, kind):
+        # bit for bit, signed zeros included, the map of the module
+        # docstring: w0 = log z + p pi i, w1 = -log(1-z) + q pi i and
+        # w2 = -w0 - w1, with log the principal log of the numeric z
+        rng = random.Random(kind)
+        params = []
+        for _ in range(200):
+            p, q = rng.randint(-5, 5), rng.randint(-5, 5)
+            if kind == "cut":
+                z = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 4.0) + 1.0
+                params.append(ExtendedParam(z, p, q, rng.choice((1, -1))))
+            elif kind == "real":
+                z = complex(rng.uniform(0.01, 0.99), rng.choice((0.0, -0.0)))
+                params.append(ExtendedParam(z, p, q))
+            else:
+                z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                if kind == "eep":
+                    p, q = 2 * p, 2 * q
+                params.append(ExtendedParam(z, p, q))
+        expected = []
+        for param in params:
+            z = param.numeric_z()
+            w0 = principal_log(z) + 1j * math.pi * param.p
+            w1 = -principal_log(1 - z) + 1j * math.pi * param.q
+            expected.append((w0, w1, -w0 - w1))
+        values = slot_values(iter(params))
+        assert repr(values) == repr(expected)
+        flats = [flatten(param) for param in params]
+        assert repr([(f.w0, f.w1, f.w2) for f in flats]) == repr(expected)
 
     def test_unflatten_branch_shift(self):
         w = Flattening(1j * PI / 3 + 2j * PI, 1j * PI / 3, -2j * PI / 3 - 2j * PI)
